@@ -1,9 +1,13 @@
 """Stability with respect to the length of a high-contrast channel.
 
-Sweeps the length of a horizontal channel and prints the energy error of the
-baseline and of the iterate-based spaces.  The baseline degrades once the
-channel outgrows what an oversampling patch can see; the iterate-based
-spaces hold on much longer.
+Sweeps the length of one horizontal channel (one fine cell thick, contrast
+1e4) at H=1/10, h=1/50, m=3 and prints the energy error of lod, lssi-2 and
+lksi-4 for channel lengths of 2 to 10 coarse cells.  Up to length 5 the
+iterate-based spaces stay well below the baseline (lod 0.08-0.44, lssi-2
+0.03-0.07, lksi-4 0.002-0.012).  At lengths 6 and 8 the channel outgrows the
+7-cell patch without reaching the domain boundary, and all three methods sit
+at an error of about 0.42-0.46.  At length 10 the channel spans the domain
+and the errors fall back to 0.08, 0.05 and 0.017.
 """
 
 from mslab import cli, coeff, grid

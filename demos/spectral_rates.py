@@ -21,9 +21,8 @@ for k, lam in enumerate(eig.values):
     print(f"  lambda_{k + 1} = {lam:.6e}")
 print(f"gap lambda_5/lambda_4 = {eig.values[4] / eig.values[3]:.3e}")
 
-seeds = msbasis.restrict_entry(msbasis.seed_bilinear(pair, patch.center),
-                               sys, fem.DIFFUSION)
-rep = specdiag.rate_report(sys, seeds, 8, method="lssi")
+rep = specdiag.rate_report(sys, specdiag.EigPairs(eig.values[:5], eig.vectors[:, :5]),
+                           8, method="lssi")
 print("\nround   angle to leading eigenspace")
 for k, ang in enumerate(rep.angles):
     print(f"{k:5d}   {ang:.6e}")

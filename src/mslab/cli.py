@@ -105,6 +105,13 @@ class RunConfig:
         vals = s.get("values", "")
         self.sweep_values = [float(v) for v in vals.split(",") if v.strip()]
 
+        for name, n in self.methods:
+            if n is None and self.sweep_axis != "n":
+                raise ConfigError(f"method {name} needs an iteration count, as in "
+                                  f"{name}-2, unless sweep.axis = n")
+            if n is not None and n < 1:
+                raise ConfigError(f"method {name}-{n}: iteration count must be >= 1")
+
         sol = cp["solver"] if cp.has_section("solver") else {}
         self.tol = float(sol.get("tol", 1e-10))
 
@@ -117,6 +124,12 @@ class RunConfig:
 
     def make_pair(self, H_inv=None):
         return grid.NestedPair(H_inv or self.H_inv, self.h_inv)
+
+    def channel_length(self, channel_len=None):
+        """Length of the generated channels, 0 for any other field."""
+        if self.coeff_source == "file" or self.generator != "channels":
+            return 0
+        return channel_len or self.channel_len
 
     def make_field(self, pair, contrast=None, channel_len=None):
         if self.coeff_source == "file":
@@ -147,11 +160,12 @@ def write_pgm(path, values, log10=False):
             f.write(" ".join(str(p) for p in row) + "\n")
 
 
-def run_methods(pair, field, kind, m, methods, tol=1e-10):
+def run_methods(pair, field, kind, m, methods, tol=1e-10, channel_len=0):
     """Reference solve plus one coarse solve per method.
 
-    Returns (rows, context): rows are ResultRow objects; context carries the
-    reference solution and padded multiscale solutions for plotting.
+    Returns (rows, context): rows are ResultRow objects carrying channel_len,
+    the length of the field's channels; context carries the reference
+    solution and padded multiscale solutions for plotting.
     """
     f = default_rhs(kind)
     u_ref_pad, system, b = fem.reference_solve(pair, field, kind, f, tol=tol)
@@ -168,7 +182,7 @@ def run_methods(pair, field, kind, m, methods, tol=1e-10):
         wall = time.perf_counter() - t0 + wall_build
         rows.append(msgalerkin.report(u_ref, u_ms, system.stiffness, system.mass, {
             "method": label, "n": n, "m": m, "H": pair.H, "h": pair.h,
-            "contrast": field.contrast, "channel_len": 0,
+            "contrast": field.contrast, "channel_len": channel_len,
             "DoF": basis.total_dofs, "wall_time_s": wall,
             "NoLP": stats.n_local_problems,
         }))
@@ -201,7 +215,8 @@ def cmd_gen_coeff(cfg, out):
 def cmd_solve(cfg, out, with_timing=True):
     pair = cfg.make_pair()
     field = cfg.make_field(pair)
-    rows, ctx = run_methods(pair, field, cfg.kind, cfg.m, cfg.methods, tol=cfg.tol)
+    rows, ctx = run_methods(pair, field, cfg.kind, cfg.m, cfg.methods, tol=cfg.tol,
+                            channel_len=cfg.channel_length())
     write_csv(out / "results.csv", rows, with_timing=with_timing)
     if cfg.heatmaps:
         write_pgm(out / "u_ref.pgm", _solution_grid(pair, ctx["u_ref_pad"], cfg.kind))
@@ -219,33 +234,24 @@ def cmd_sweep(cfg, out, with_timing=True):
         raise ConfigError("sweep.values is empty")
     rows = []
     for val in cfg.sweep_values:
+        pair = cfg.make_pair(H_inv=int(val) if axis == "H" else None)
+        m, methods, channel_len = cfg.m, cfg.methods, None
         if axis == "contrast":
-            pair = cfg.make_pair()
             field = cfg.make_field(pair, contrast=val)
-            res, _ = run_methods(pair, field, cfg.kind, cfg.m, cfg.methods, tol=cfg.tol)
         elif axis == "channel":
-            pair = cfg.make_pair()
-            field = cfg.make_field(pair, channel_len=int(val))
-            res, _ = run_methods(pair, field, cfg.kind, cfg.m, cfg.methods, tol=cfg.tol)
-            for r in res:
-                r.channel_len = int(val)
-        elif axis == "H":
-            H_inv = int(val)
-            m = m_from_rule(H_inv) if cfg.m_rule else cfg.m
-            pair = cfg.make_pair(H_inv=H_inv)
+            channel_len = int(val)
+            field = cfg.make_field(pair, channel_len=channel_len)
+        else:
             field = cfg.make_field(pair)
-            res, _ = run_methods(pair, field, cfg.kind, m, cfg.methods, tol=cfg.tol)
+        if axis == "H" and cfg.m_rule:
+            m = m_from_rule(int(val))
         elif axis == "m":
-            pair = cfg.make_pair()
-            field = cfg.make_field(pair)
-            res, _ = run_methods(pair, field, cfg.kind, int(val), cfg.methods,
-                                 tol=cfg.tol)
-        else:  # n
-            pair = cfg.make_pair()
-            field = cfg.make_field(pair)
+            m = int(val)
+        elif axis == "n":
             methods = [(name, int(val)) for name, _ in cfg.methods
                        if name != msbasis.LOD]
-            res, _ = run_methods(pair, field, cfg.kind, cfg.m, methods, tol=cfg.tol)
+        res, _ = run_methods(pair, field, cfg.kind, m, methods, tol=cfg.tol,
+                             channel_len=cfg.channel_length(channel_len))
         rows.extend(res)
     write_csv(out / f"sweep_{axis}.csv", rows, with_timing=with_timing)
     return 0
@@ -258,15 +264,18 @@ def cmd_eig_diag(cfg, out, n_max=6, n_check=10):
     kind = cfg.kind
     systems = msbasis.build_patch_systems(pair, field, kind, cfg.m)
     pou = grid.build_pou(pair, [s.patch for s in systems])
+    nb = fem.nblock(kind)
+    L = 4 * nb
+    eigs = [specdiag.local_eig(sys_, L + 1) for sys_ in systems]
 
     with open(out / "angles.csv", "w") as f:
         f.write("patch,method,round,angle,envelope,gap,fitted_rate\n")
-        for sys_ in systems:
-            seeds = msbasis.restrict_entry(
-                msbasis.seed_bilinear(pair, sys_.patch.center, kind), sys_, kind)
+        for sys_, eig in zip(systems, eigs):
             for method in ("lssi", "lksi"):
-                cols = seeds if method == "lssi" else seeds[:, :1]
-                rep = specdiag.rate_report(sys_, cols, n_max, method=method)
+                # lksi follows one chain towards the leading eigenvector
+                pairs = eig if method == "lssi" else \
+                    specdiag.EigPairs(eig.values[:2], eig.vectors[:, :2])
+                rep = specdiag.rate_report(sys_, pairs, n_max, method=method)
                 fit = "" if rep.fitted_rate is None else f"{rep.fitted_rate:.6e}"
                 for rnd, ang, env in rep.rows():
                     f.write(f"{sys_.patch.center},{method},{rnd},{ang:.10e},"
@@ -275,7 +284,6 @@ def cmd_eig_diag(cfg, out, n_max=6, n_check=10):
     f_rhs = default_rhs(kind)
     u_pad, gsys, _ = fem.reference_solve(pair, field, kind, f_rhs, tol=cfg.tol)
     rng = np.random.default_rng(cfg.seed)
-    nb = fem.nblock(kind)
     with open(out / "interp_bound.csv", "w") as f:
         f.write("instance,lhs,rhs\n")
         for k in range(n_check):
@@ -284,9 +292,8 @@ def cmd_eig_diag(cfg, out, n_max=6, n_check=10):
             else:
                 u = np.zeros(pair.fine.n_nodes * nb)
                 u[gsys.dofs] = rng.standard_normal(gsys.ndof)
-            L = 4 if kind == fem.DIFFUSION else 8
             lhs, rhs = specdiag.check_interp_bound(
-                pair, field, kind, systems, pou, L, u, global_system=gsys)
+                pair, field, kind, systems, pou, eigs, u, global_system=gsys)
             f.write(f"{k},{lhs:.10e},{rhs:.10e}\n")
 
     with open(out / "ritz.csv", "w") as f:
@@ -311,8 +318,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     ap.add_argument("--no-timing", action="store_true",
                     help="blank the wall-time column for byte-stable CSVs")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker hint for patch-level parallelism")
     args = ap.parse_args(argv)
 
     try:

@@ -8,6 +8,7 @@ four corner nodes are listed counter-clockwise starting from the lower-left.
 
 import numpy as np
 
+from . import fem
 from .errors import CoverGap, PatchEmptyInterior
 
 
@@ -129,20 +130,9 @@ class Patch:
                              np.arange(jlo * r, (jhi + 1) * r), indexing="xy")
         self.fine_elems = (EJ * n + EI).ravel()
 
-        self._local_of = {int(g): k for k, g in enumerate(self.interior_nodes)}
-
-    def local_index(self, global_nodes):
-        """Map global fine-node indices to local interior indices (-1 if absent)."""
-        return np.array([self._local_of.get(int(g), -1) for g in np.atleast_1d(global_nodes)])
-
     def interior_dofs(self, nblock=1):
         """Interior DOF indices in the full fine numbering (block size 1 or 2)."""
-        if nblock == 1:
-            return self.interior_nodes
-        d = np.empty(self.interior_nodes.size * nblock, dtype=np.int64)
-        for c in range(nblock):
-            d[c::nblock] = nblock * self.interior_nodes + c
-        return d
+        return fem._expand_dofs(self.interior_nodes, nblock)
 
 
 def build_patch(pair, i, m):

@@ -82,24 +82,6 @@ def _schur_solve(sys, B, rtol=1e-12):
     return Y, cf
 
 
-def solve_saddle(sys, constraints, k, rtol=1e-12):
-    """Solve the patch saddle problem with Kronecker right-hand side e_k.
-
-    Returns (phi, mu) with a(phi, v) + sum_j mu_j b_j^T v = 0 for interior v
-    and b_j^T phi = delta_{jk}.
-    """
-    B = constraints.B
-    if not 0 <= k < B.shape[1]:
-        raise ValueError("target index out of range")
-    Y, cf = _schur_solve(sys, B, rtol)
-    e = np.zeros(B.shape[1])
-    e[k] = 1.0
-    c = sla.cho_solve(cf, e)
-    mu = -c
-    phi = Y @ c
-    return phi, mu
-
-
 def solve_saddle_block(sys, constraints, targets=None, rhs=None, rtol=1e-12):
     """All saddle solutions at once: column k solves the RHS e_{targets[k]},
     or the columns of ``rhs`` (L x p) when given.

@@ -1,11 +1,15 @@
 """Multiscale basis construction: LOD baseline, LSSI-n and LKSI-n spaces.
 
-Every basis vector lives on the interior DOFs of its patch and is zero
-elsewhere by construction.  Patches are processed one at a time so that only
-one local factorization is alive at once; build_bases shares that
-factorization across all requested methods on the same coefficient field.
+Each method is one iteration kernel on a patch system, seeded by the method's
+seed: LOD is a single round, LSSI-n takes round n of constrained subspace
+iteration, LKSI-n collects n Krylov iterates.  Every basis vector lives on the
+interior DOFs of its patch and is zero elsewhere by construction.  Patches
+are processed one at a time so that only one local factorization is alive at
+once; build_bases shares that factorization across all requested methods on
+the same coefficient field.
 """
 
+import itertools
 import logging
 import time
 
@@ -25,7 +29,7 @@ LKSI = "lksi"
 class PatchBasis:
     """Basis vectors of one patch, stored on the patch interior DOFs."""
 
-    def __init__(self, patch, vectors, rounds):
+    def __init__(self, patch, vectors):
         self.patch = patch
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim == 1:
@@ -33,7 +37,6 @@ class PatchBasis:
         if vectors.shape[0] % patch.interior_nodes.size != 0:
             raise ValueError("vector length inconsistent with patch")
         self.vectors = vectors
-        self.rounds = list(rounds)
 
     @property
     def count(self):
@@ -43,9 +46,8 @@ class PatchBasis:
 class MsBasis:
     """Collection of per-patch basis vectors defining a multiscale space."""
 
-    def __init__(self, method, n_iter, kind, patch_bases):
+    def __init__(self, method, kind, patch_bases):
         self.method = method
-        self.n_iter = n_iter
         self.kind = kind
         self.patch_bases = patch_bases
 
@@ -64,91 +66,48 @@ class MsBasis:
             col += pb.count
         return out
 
-    def save(self, path):
-        """Text dump: one block per vector (patch id, method, round, values)."""
-        nb = fem.nblock(self.kind)
-        with open(path, "w") as f:
-            for pb in self.patch_bases:
-                dofs = pb.patch.interior_dofs(nb)
-                for k in range(pb.count):
-                    f.write(f"# patch {pb.patch.center} method {self.method} "
-                            f"round {pb.rounds[k]} ndof {dofs.size}\n")
-                    for d, v in zip(dofs, pb.vectors[:, k]):
-                        f.write(f"{d} {v:.17g}\n")
 
-
-def iter_patch_systems(pair, field, kind, m, patches=None):
-    """Lazily yield one factorized patch system at a time (bounded memory)."""
+def build_patch_systems(pair, field, kind, m, patches=None):
+    """All patch systems as a list; only for desk-scale problems."""
     from .grid import build_all_patches
 
     if patches is None:
         patches = build_all_patches(pair, m)
-    for p in patches:
-        yield PatchSystem.build(pair, field, kind, p)
+    return [PatchSystem.build(pair, field, kind, p) for p in patches]
 
 
-def build_patch_systems(pair, field, kind, m, patches=None):
-    """All patch systems as a list; only for desk-scale problems."""
-    return list(iter_patch_systems(pair, field, kind, m, patches))
-
-
-def _coarse_cell_box(pair, coarse_elem):
+def _cell_nodes(pair, coarse_elem, inset):
+    """Fine nodes of one coarse cell, lexicographic; inset=1 keeps only the
+    nodes strictly inside it.  Returns (nodes, xi, eta) with cell coordinates."""
     N, r, n = pair.coarse.n, pair.r, pair.fine.n
     ci, cj = coarse_elem % N, coarse_elem // N
-    return ci, cj, r, n
+    fi = np.arange(ci * r + inset, (ci + 1) * r + 1 - inset)
+    fj = np.arange(cj * r + inset, (cj + 1) * r + 1 - inset)
+    FI, FJ = np.meshgrid(fi, fj, indexing="xy")
+    FI, FJ = FI.ravel(), FJ.ravel()
+    return FJ * (n + 1) + FI, (FI - ci * r) / r, (FJ - cj * r) / r
 
 
 def element_shape_functions(pair, coarse_elem, kind=fem.DIFFUSION):
-    """The Q1 shape functions of one coarse element, sampled on its fine nodes.
+    """The Q1 shape functions of one coarse element, sampled on its fine nodes;
+    the LOD and LSSI seed.
 
     Returns (dofs, V): fine DOF indices of the closed cell and a matrix whose
     columns are the 4 shapes (scalar) or 8 per-component shapes (elasticity).
     """
-    ci, cj, r, n = _coarse_cell_box(pair, coarse_elem)
-    fi = np.arange(ci * r, (ci + 1) * r + 1)
-    fj = np.arange(cj * r, (cj + 1) * r + 1)
-    FI, FJ = np.meshgrid(fi, fj, indexing="xy")
-    nodes = (FJ * (n + 1) + FI).ravel()
-    xi = (FI.ravel() - ci * r) / r
-    eta = (FJ.ravel() - cj * r) / r
+    nodes, xi, eta = _cell_nodes(pair, coarse_elem, 0)
     shapes = np.column_stack(
         [(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta]
     )
     nb = fem.nblock(kind)
-    if nb == 1:
-        return nodes, shapes
-    dofs = np.empty(nodes.size * nb, dtype=np.int64)
-    for c in range(nb):
-        dofs[c::nb] = nb * nodes + c
-    V = np.zeros((dofs.size, 4 * nb))
-    for s in range(4):
-        for c in range(nb):
-            V[c::nb, nb * s + c] = shapes[:, s]
-    return dofs, V
-
-
-def seed_bilinear(pair, i, kind=fem.DIFFUSION):
-    """LSSI/LOD seeds: the coarse Q1 shapes of element K_i (4 scalar / 8 elasticity)."""
-    return element_shape_functions(pair, i, kind)
+    return fem._expand_dofs(nodes, nb), np.kron(shapes, np.eye(nb))
 
 
 def seed_constant(pair, i, kind=fem.DIFFUSION):
     """LKSI seed: indicator of the fine nodes strictly inside K_i (1 scalar / 2 elasticity)."""
-    ci, cj, r, n = _coarse_cell_box(pair, i)
-    fi = np.arange(ci * r + 1, (ci + 1) * r)
-    fj = np.arange(cj * r + 1, (cj + 1) * r)
-    FI, FJ = np.meshgrid(fi, fj, indexing="xy")
-    nodes = (FJ * (n + 1) + FI).ravel()
+    nodes, _, _ = _cell_nodes(pair, i, 1)
     nb = fem.nblock(kind)
-    if nb == 1:
-        return nodes, np.ones((nodes.size, 1))
-    dofs = np.empty(nodes.size * nb, dtype=np.int64)
-    for c in range(nb):
-        dofs[c::nb] = nb * nodes + c
-    V = np.zeros((dofs.size, nb))
-    for c in range(nb):
-        V[c::nb, c] = 1.0
-    return dofs, V
+    return fem._expand_dofs(nodes, nb), np.kron(np.ones((nodes.size, 1)), np.eye(nb))
 
 
 def restrict_entry(entry, sys, kind):
@@ -162,6 +121,14 @@ def restrict_entry(entry, sys, kind):
         if k is not None:
             out[k] = V[row]
     return out
+
+
+def method_seed(sys, name):
+    """A method's seed block on the patch interior: the center cell's Q1 shapes
+    for LOD and LSSI, the indicator of its interior for LKSI."""
+    pair, kind = sys.patch.pair, sys.system.kind
+    shapes = seed_constant if name == LKSI else element_shape_functions
+    return restrict_entry(shapes(pair, sys.patch.center, kind), sys, kind)
 
 
 def m_orthonormalize(M, V, drop_tol=1e-10):
@@ -190,6 +157,67 @@ def m_orthonormalize(M, V, drop_tol=1e-10):
     return Q, kept
 
 
+def lod_kernel(sys, lam):
+    """LOD iteration kernel: yields its single round.
+
+    The round is the energy minimizer that keeps the mass functionals of the
+    block `lam` against the Q1 shapes of every coarse element in the patch
+    (the localized kernel-space constraints of the baseline).  Seeded with the
+    center element's shapes, it decays exponentially away from the center
+    element, so moderate oversampling suffices.
+    """
+    pair, kind = sys.patch.pair, sys.system.kind
+    cols = []
+    for T in sys.patch.coarse_elems:
+        dofs, V = element_shape_functions(pair, int(T), kind)
+        cols.append(sys.system.m_pair[:, dofs] @ V)
+    B = np.hstack(cols)
+    try:
+        Phi = solve_saddle_block(sys, ConstraintSet(B), rhs=B.T @ lam)
+    except DependentConstraints as exc:
+        raise DependentConstraints(f"patch {sys.patch.center}: {exc}") from exc
+    yield Phi
+
+
+def lssi_kernel(sys, Phi):
+    """LSSI iteration kernel: yields the saddle-solve block of each round,
+    constrained by the L2 functionals of the previous block (`Phi` first)."""
+    for rnd in itertools.count(1):
+        constraints = ConstraintSet.from_local_functions(sys, Phi)
+        try:
+            Phi = solve_saddle_block(sys, constraints)
+        except DependentConstraints as exc:
+            raise DependentConstraints(
+                f"patch {sys.patch.center}, round {rnd}: {exc}") from exc
+        yield Phi
+
+
+def lksi_kernel(sys, psi):
+    """LKSI iteration kernel: yields the k-th Krylov iterate of the seed `psi`,
+    the single-constraint solve A^{-1} M psi_{k-1} scaled to unit functional.
+
+    Stops on breakdown (nonpositive functional) or once an iterate adds
+    nothing to the span of the earlier ones (the seed is not part of it).
+    """
+    hist = []
+    for k in itertools.count(1):
+        b = sys.M @ psi
+        y = sys.solve(b)
+        s = b @ y
+        if s <= 0.0:
+            log.info("patch %d: Krylov breakdown at step %d", sys.patch.center, k)
+            return
+        psi = y / s
+        if hist:
+            _, kept = m_orthonormalize(sys.M, np.column_stack(hist + [psi]))
+            if len(kept) <= len(hist):
+                log.info("patch %d: Krylov space stagnated at step %d",
+                         sys.patch.center, k)
+                return
+        hist.append(psi)
+        yield psi
+
+
 class BuildStats:
     """Counts the saddle solves performed during a basis construction."""
 
@@ -197,99 +225,20 @@ class BuildStats:
         self.n_local_problems = 0
 
 
-def _lssi_patch(sys, pair, kind, n, seeds=None, stats=None):
-    entry = seeds if seeds is not None else seed_bilinear(pair, sys.patch.center, kind)
-    Phi = restrict_entry(entry, sys, kind)
-    L = Phi.shape[1]
-    for rnd in range(1, n + 1):
-        constraints = ConstraintSet.from_local_functions(sys, Phi)
-        try:
-            Phi = solve_saddle_block(sys, constraints)
-        except DependentConstraints as exc:
-            raise DependentConstraints(
-                f"patch {sys.patch.center}, round {rnd}: {exc}") from exc
-        if stats is not None:
-            stats.n_local_problems += L
-    Q, kept = m_orthonormalize(sys.M, Phi)
-    if len(kept) != L:
-        raise DependentConstraints(
-            f"patch {sys.patch.center}: iterates degenerate after round {n}")
-    return PatchBasis(sys.patch, Q, [n] * L)
-
-
-def _lksi_patch(sys, pair, kind, n, seeds=None, stats=None, include_seed=False):
-    entry = seeds if seeds is not None else seed_constant(pair, sys.patch.center, kind)
-    Psi0 = restrict_entry(entry, sys, kind)
-    collected = []
-    rounds = []
-    for chain in range(Psi0.shape[1]):
-        psi = Psi0[:, chain]
-        chain_hist = []
-        for k in range(1, n + 1):
-            b = sys.M @ psi
-            y = sys.solve(b)
-            s = b @ y
-            if s <= 0.0:
-                log.info("patch %d chain %d: breakdown at step %d",
-                         sys.patch.center, chain, k)
-                break
-            psi_next = y / s
-            if stats is not None:
-                stats.n_local_problems += 1
-            # stagnation check: new iterate adds nothing to the Krylov span
-            # of the previous iterates (the seed itself is not part of it)
-            if chain_hist:
-                _, kept = m_orthonormalize(
-                    sys.M, np.column_stack(chain_hist + [psi_next]))
-                if len(kept) <= len(chain_hist):
-                    log.info("patch %d chain %d: Krylov space stagnated at step %d",
-                             sys.patch.center, chain, k)
-                    break
-            chain_hist.append(psi_next)
-            collected.append(psi_next)
-            rounds.append(k)
-            psi = psi_next
-        if include_seed:
-            collected.insert(0, Psi0[:, chain])
-            rounds.insert(0, 0)
-    V = np.column_stack(collected)
-    Q, kept = m_orthonormalize(sys.M, V)
-    return PatchBasis(sys.patch, Q, [rounds[k] for k in kept])
-
-
-def _lod_patch(sys, pair, kind, stats=None):
-    patch = sys.patch
-    nshape = 4 * fem.nblock(kind)
-    cols = []
-    for T in patch.coarse_elems:
-        dofs, V = element_shape_functions(pair, int(T), kind)
-        cols.append(sys.system.m_pair[:, dofs] @ V)
-    B = np.hstack(cols)
-    # the baseline basis is the energy minimizer that reproduces the center
-    # element's shape functions under every constraint functional of the
-    # patch; unlike a delta right-hand side, this decays exponentially away
-    # from the center element, so moderate oversampling suffices
-    lam = restrict_entry(seed_bilinear(pair, patch.center, kind), sys, kind)
-    try:
-        Phi = solve_saddle_block(sys, ConstraintSet(B), rhs=B.T @ lam)
-    except DependentConstraints as exc:
-        raise DependentConstraints(f"patch {patch.center}: {exc}") from exc
-    if stats is not None:
-        stats.n_local_problems += nshape
-    Q, kept = m_orthonormalize(sys.M, Phi)
-    if len(kept) != nshape:
-        raise DependentConstraints(f"patch {patch.center}: degenerate baseline basis")
-    return PatchBasis(patch, Q, [1] * nshape)
-
-
-def _patch_basis(sys, pair, kind, name, n, stats, include_seed=False):
+def _raw_block(sys, name, n):
+    """One method's block on one patch before orthonormalization, and the
+    number of local problems solved for it."""
+    seed = method_seed(sys, name)
     if name == LOD:
-        return _lod_patch(sys, pair, kind, stats=stats)
+        return next(lod_kernel(sys, seed)), seed.shape[1]
     if name == LSSI:
-        return _lssi_patch(sys, pair, kind, n, stats=stats)
+        Phi = next(itertools.islice(lssi_kernel(sys, seed), n - 1, None))   # round n
+        return Phi, n * seed.shape[1]
     if name == LKSI:
-        return _lksi_patch(sys, pair, kind, n, stats=stats,
-                           include_seed=include_seed)
+        # one chain per seed column (per displacement component)
+        cols = [psi for c in range(seed.shape[1])
+                for psi in itertools.islice(lksi_kernel(sys, seed[:, c]), n)]
+        return np.column_stack(cols), len(cols)
     raise ValueError(f"unknown method: {name}")
 
 
@@ -298,8 +247,11 @@ def build_bases(pair, field, kind, m, requests, patches=None):
 
     requests is a list of (method, n); returns a list of
     (label, MsBasis, BuildStats, wall_seconds) in request order, where each
-    wall time includes the shared local-factorization cost.
+    wall time includes the shared local-factorization cost.  LOD and LSSI
+    blocks must keep full rank; LKSI keeps the iterates its chains reach.
     """
+    if any(name != LOD and (n is None or n < 1) for name, n in requests):
+        raise ValueError("iteration count must be >= 1")
     labels = [name if name == LOD else f"{name}-{n}" for name, n in requests]
     per = {lab: [] for lab in labels}
     stats = {lab: BuildStats() for lab in labels}
@@ -315,55 +267,15 @@ def build_bases(pair, field, kind, m, requests, patches=None):
         t_shared += time.perf_counter() - t0
         for lab, (name, n) in zip(labels, requests):
             t0 = time.perf_counter()
-            per[lab].append(_patch_basis(sys, pair, kind, name, n, stats[lab]))
+            V, solves = _raw_block(sys, name, n)
+            Q, kept = m_orthonormalize(sys.M, V)
+            if name != LKSI and len(kept) != V.shape[1]:
+                raise DependentConstraints(f"patch {p.center}: {lab} block degenerate")
+            per[lab].append(PatchBasis(p, Q))
+            stats[lab].n_local_problems += solves
             secs[lab] += time.perf_counter() - t0
     out = []
     for lab, (name, n) in zip(labels, requests):
-        basis = MsBasis(name, n, kind, per[lab])
+        basis = MsBasis(name, kind, per[lab])
         out.append((lab, basis, stats[lab], secs[lab] + t_shared))
     return out
-
-
-def build_lssi(pair, field, kind, m, n, seeds=None, systems=None, stats=None):
-    """n rounds of constrained local subspace iteration per patch."""
-    if n < 1:
-        raise ValueError("iteration count must be >= 1")
-    if systems is None:
-        systems = iter_patch_systems(pair, field, kind, m)
-    bases = []
-    for sys in systems:
-        entry = seeds[sys.patch.center] if seeds is not None else None
-        bases.append(_lssi_patch(sys, pair, kind, n, seeds=entry, stats=stats))
-    return MsBasis(LSSI, n, kind, bases)
-
-
-def build_lksi(pair, field, kind, m, n, seeds=None, systems=None, stats=None,
-               include_seed=False):
-    """n single-constraint solves per patch; basis = collected iterates.
-
-    On Krylov breakdown (stagnated iterate) the chain is truncated and the
-    event logged; the basis keeps the iterates gathered so far.
-    """
-    if n < 1:
-        raise ValueError("iteration count must be >= 1")
-    if systems is None:
-        systems = iter_patch_systems(pair, field, kind, m)
-    bases = []
-    for sys in systems:
-        entry = seeds[sys.patch.center] if seeds is not None else None
-        bases.append(_lksi_patch(sys, pair, kind, n, seeds=entry, stats=stats,
-                                 include_seed=include_seed))
-    return MsBasis(LKSI, n, kind, bases)
-
-
-def build_lod(pair, field, kind, m, systems=None, stats=None):
-    """Element-based one-round orthogonal decomposition baseline.
-
-    Per patch, one saddle round targeting the center element's Q1 shapes, with
-    quantities of interest taken against the shapes of every coarse element in
-    the patch (the localized kernel-space constraints of the baseline method).
-    """
-    if systems is None:
-        systems = iter_patch_systems(pair, field, kind, m)
-    bases = [_lod_patch(sys, pair, kind, stats=stats) for sys in systems]
-    return MsBasis(LOD, 1, kind, bases)

@@ -5,6 +5,7 @@ Eigenproblems are posed on the pencil M v = lambda A v, so the eigenvalues are
 those of the local solution operator directly (descending lambda convention).
 """
 
+import itertools
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import fem
+from . import fem, msbasis
 from .errors import CapExceeded
 from .msbasis import m_orthonormalize
 
@@ -58,17 +59,6 @@ def local_eig(sys, count, cap=DENSE_CAP, method="auto"):
         order = np.argsort(w)[::-1]
         return EigPairs(w[order], v[:, order])
     raise ValueError(f"unknown eig method: {method}")
-
-
-def subspace_iterate(op, X0, steps):
-    """Block iteration X <- op(X) with QR re-orthonormalization each step."""
-    X = np.array(X0, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    for _ in range(steps):
-        X = np.column_stack([op(X[:, k]) for k in range(X.shape[1])])
-        X, _ = np.linalg.qr(X)
-    return X
 
 
 @dataclass
@@ -166,9 +156,10 @@ def _lumped_mass_inverse(M):
     return 1.0 / d
 
 
-def check_interp_bound(pair, field, kind, systems, pou, L, u_full, global_system=None):
+def check_interp_bound(pair, field, kind, systems, pou, eigs, u_full, global_system=None):
     """Evaluate both sides of the eigenfunction-interpolation energy bound.
 
+    eigs[i] holds the leading L+1 eigenpairs of systems[i] (from local_eig).
     lhs = energy norm of u minus its local-eigenfunction interpolant; rhs =
     sqrt(max_i lambda_i^{L+1}) * sum_i ||discrete-operator(chi_i u)||_{L2},
     with the discrete operator realized as lumped-mass-inverse times stiffness
@@ -181,12 +172,12 @@ def check_interp_bound(pair, field, kind, systems, pou, L, u_full, global_system
     interp = np.zeros_like(u_full)
     lam_next = 0.0
     rhs_sum = 0.0
-    for i, sys in enumerate(systems):
+    for i, (sys, eig) in enumerate(zip(systems, eigs)):
         chi = pou.dense(i)
         chi_dof = np.repeat(chi, nb) if nb > 1 else chi
         w_full = chi_dof * u_full
         w = sys.restrict(w_full)
-        eig = local_eig(sys, L + 1)
+        L = eig.count - 1
         lam_next = max(lam_next, eig.values[L])
         phi = eig.l2_normalized()[:, :L]
         coeffs = phi.T @ (sys.M @ w)
@@ -233,18 +224,19 @@ def _fit_rate(rounds, angles):
     return float(np.exp(slope))
 
 
-def rate_report(sys, seeds_local, n_max, method="lssi"):
-    """Per-round principal angles of an iterated local space to the leading
-    eigenspace, with the eigenvalue-ratio envelope."""
-    from .localsolve import ConstraintSet, solve_saddle_block
+def rate_report(sys, eig, n_max, method="lssi"):
+    """Per-round principal angles of a method's iterated local space to the
+    leading eigenspace, with the eigenvalue-ratio envelope.
 
-    Phi = np.asarray(seeds_local, dtype=float)
-    if Phi.ndim == 1:
-        Phi = Phi[:, None]
-    L = Phi.shape[1]
-    eig = local_eig(sys, min(L + 1, sys.ndof))
+    eig holds the leading L+1 eigenpairs of the patch pencil; L is the LSSI
+    block width, or 1 to follow LKSI towards the leading eigenvector.  The
+    rounds come from the method's iteration kernel and seed in msbasis, so
+    they are the iterates its basis is built from; an LKSI chain that breaks
+    down or stagnates ends the table early.
+    """
+    L = eig.count - 1
     lead = eig.vectors[:, :L]
-    gap = float(eig.values[L] / eig.values[L - 1]) if eig.count > L else 0.0
+    gap = float(eig.values[L] / eig.values[L - 1])
     gamma = (eig.values[:-1] - eig.values[1:]) / eig.values[1:]
     clustered = bool(np.any(gamma < 1e-10))
     alphas = np.ones(L)
@@ -252,27 +244,19 @@ def rate_report(sys, seeds_local, n_max, method="lssi"):
         alphas[j] = np.prod(eig.values[:j] / (eig.values[:j] - eig.values[j])) \
             if not clustered else np.nan
 
-    rounds, angles = [], []
-    if method == "lssi":
-        cur = Phi
-        for n in range(1, n_max + 1):
-            cur = solve_saddle_block(sys, ConstraintSet.from_local_functions(sys, cur))
-            rounds.append(n)
-            angles.append(principal_angles(cur, lead, inner=sys.M).max_angle)
-    elif method == "lksi":
-        psi = Phi[:, 0]
-        collected = []
-        for n in range(1, n_max + 1):
-            b = sys.M @ psi
-            y = sys.solve(b)
-            psi = y / (b @ y)
-            collected.append(psi)
-            rounds.append(n)
-            angles.append(
-                principal_angles(np.column_stack(collected), lead[:, :min(n, L)],
-                                 inner=sys.M).max_angle)
+    seed = msbasis.method_seed(sys, method)
+    if method == msbasis.LSSI:
+        blocks = msbasis.lssi_kernel(sys, seed)
+    elif method == msbasis.LKSI:
+        chain = msbasis.lksi_kernel(sys, seed[:, 0])
+        blocks = map(np.column_stack, itertools.accumulate([psi] for psi in chain))
     else:
         raise ValueError(f"unknown method: {method}")
+    rounds, angles = [], []
+    for n, block in enumerate(itertools.islice(blocks, n_max), 1):
+        target = lead if method == msbasis.LSSI else lead[:, :min(n, L)]
+        rounds.append(n)
+        angles.append(principal_angles(block, target, inner=sys.M).max_angle)
 
     rounds = np.asarray(rounds)
     angles = np.asarray(angles)

@@ -124,14 +124,16 @@ def test_criterion_5_krylov_span_oracle():
         n = int(rng.integers(2, 5))
         patch = grid.build_patch(pair, center, int(rng.integers(1, 3)))
         sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
-        pb = msbasis._lksi_patch(sys, pair, fem.DIFFUSION, n)
+        [(_, basis, _, _)] = msbasis.build_bases(pair, field, fem.DIFFUSION, patch.m,
+                                                 [("lksi", n)], patches=[patch])
         seed_vec = msbasis.restrict_entry(
             msbasis.seed_constant(pair, center), sys, fem.DIFFUSION)[:, 0]
         explicit, v = [], seed_vec
         for _ in range(n):
             v = localsolve.apply_local_inverse(sys, v)
             explicit.append(v)
-        rep = specdiag.principal_angles(pb.vectors, np.column_stack(explicit),
+        rep = specdiag.principal_angles(basis.patch_bases[0].vectors,
+                                        np.column_stack(explicit),
                                         inner=sys.M)
         worst = max(worst, rep.max_angle)
     ok = worst < 1e-8
@@ -156,7 +158,8 @@ def test_criterion_6_saddle_solver_oracle():
         L = int(rng.integers(1, 5))
         B = rng.standard_normal((sys.ndof, L))
         k = int(rng.integers(L))
-        phi, mu = localsolve.solve_saddle(sys, localsolve.ConstraintSet(B), k)
+        phi = localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(B),
+                                            targets=[k])[:, 0]
         A = sys.A.toarray()
         KKT = np.block([[A, B], [B.T, np.zeros((L, L))]])
         rhs = np.zeros(sys.ndof + L)
@@ -185,9 +188,7 @@ def test_criterion_7_angle_decay_tracks_gap():
     sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
     eig = specdiag.local_eig(sys, 5)
     gap = eig.values[4] / eig.values[3]
-    seeds = msbasis.restrict_entry(msbasis.seed_bilinear(pair, center),
-                                   sys, fem.DIFFUSION)
-    rep = specdiag.rate_report(sys, seeds, 7, method="lssi")
+    rep = specdiag.rate_report(sys, eig, 7, method="lssi")
     monotone = bool(np.all(np.diff(rep.angles[2:]) <= 1e-12))
     rate = rep.fitted_rate
     within = rate is not None and gap / 3.0 <= rate <= gap * 3.0
@@ -212,11 +213,12 @@ def test_criterion_8_interp_bound_holds():
                    for p in patches]
         pou = grid.build_pou(pair, patches)
         gsys = fem.assemble(pair, field, fem.DIFFUSION)
+        eigs = [specdiag.local_eig(s, 5) for s in systems]
         for k in range(10):
             u = np.zeros(pair.fine.n_nodes)
             u[gsys.dofs] = rng.standard_normal(gsys.ndof)
             lhs, rhs = specdiag.check_interp_bound(
-                pair, field, fem.DIFFUSION, systems, pou, 4, u,
+                pair, field, fem.DIFFUSION, systems, pou, eigs, u,
                 global_system=gsys)
             count += 1
             ok = ok and (lhs <= rhs)

@@ -57,6 +57,37 @@ def test_config_validation(tmp_path):
         cli.RunConfig(write_config(tmp_path, bad, "bad.ini"))
 
 
+@pytest.mark.parametrize("methods", ["lssi-0", "lksi-0", "lssi"])
+def test_iteration_count_validated(tmp_path, methods):
+    """n < 1, or a bare name outside an n sweep, is a config error (exit 2)."""
+    text = BASE_CONFIG.replace("methods = lod, lssi-1, lksi-2", f"methods = {methods}")
+    p = write_config(tmp_path, text, "n.ini")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(p), "--out", str(out)]) == 2
+    assert not (out / "results.csv").exists()
+
+
+def test_bare_method_names_in_n_sweep(tmp_path):
+    text = BASE_CONFIG.replace("methods = lod, lssi-1, lksi-2", "methods = lod, lssi, lksi")
+    p = write_config(tmp_path, text + "\n[sweep]\naxis = n\nvalues = 1, 2\n", "n.ini")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(p), "--out", str(out)]) == 0
+    lines = (out / "sweep_n.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines[1:]] == ["lssi-1", "lksi-1", "lssi-2", "lksi-2"]
+
+
+def test_solve_channels_writes_channel_len(tmp_path):
+    text = BASE_CONFIG.replace("generator = inclusions",
+                               "generator = channels\nchannel_len = 3\n"
+                               "thickness = 1\ncount = 1")
+    text = text.replace("methods = lod, lssi-1, lksi-2", "methods = lssi-1")
+    p = write_config(tmp_path, text, "chan.ini")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(p), "--out", str(out)]) == 0
+    header, row = (out / "results.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["channel_len"] == "3"
+
+
 def test_config_m_rule(tmp_path):
     text = BASE_CONFIG.replace("m = 1", "m = ceil2log")
     cfg = cli.RunConfig(write_config(tmp_path, text, "rule.ini"))

@@ -104,14 +104,6 @@ def test_interior_dofs_block2():
     np.testing.assert_array_equal(d[1::2], 2 * p.interior_nodes + 1)
 
 
-def test_local_index_roundtrip():
-    pair = grid.NestedPair(4, 12)
-    p = grid.build_patch(pair, 5, 1)
-    loc = p.local_index(p.interior_nodes[:5])
-    np.testing.assert_array_equal(loc, np.arange(5))
-    assert p.local_index([0])[0] == -1
-
-
 def test_pou_sums_to_one():
     pair = grid.NestedPair(4, 12)
     patches = grid.build_all_patches(pair, 1)

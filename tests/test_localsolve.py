@@ -15,7 +15,7 @@ def make_patch_system(N=4, n=16, center=5, m=1, seed=0, contrast=1e3):
 
 
 def dense_kkt(sys, B, k):
-    """Oracle: factor the full KKT block system densely."""
+    """Oracle: factor the full KKT block system densely; returns phi."""
     A = sys.A.toarray()
     nd, L = B.shape
     K = np.zeros((nd + L, nd + L))
@@ -24,8 +24,7 @@ def dense_kkt(sys, B, k):
     K[nd:, :nd] = B.T
     rhs = np.zeros(nd + L)
     rhs[nd + k] = 1.0
-    sol = np.linalg.solve(K, rhs)
-    return sol[:nd], sol[nd:]
+    return np.linalg.solve(K, rhs)[:nd]
 
 
 def test_saddle_matches_dense_kkt():
@@ -36,23 +35,18 @@ def test_saddle_matches_dense_kkt():
         B = sys.M @ rng.standard_normal((sys.ndof, 3))
         cons = localsolve.ConstraintSet(B)
         k = int(rng.integers(0, 3))
-        phi, mu = localsolve.solve_saddle(sys, cons, k)
-        phi_o, mu_o = dense_kkt(sys, B, k)
+        phi = localsolve.solve_saddle_block(sys, cons, targets=[k])[:, 0]
+        phi_o = dense_kkt(sys, B, k)
         scale = max(np.abs(phi_o).max(), 1.0)
         np.testing.assert_allclose(phi, phi_o, atol=1e-10 * scale)
-        np.testing.assert_allclose(mu, mu_o, atol=1e-8 * max(np.abs(mu_o).max(), 1.0))
 
 
 def test_saddle_satisfies_constraints():
     _, sys = make_patch_system()
     rng = np.random.default_rng(1)
     B = sys.M @ rng.standard_normal((sys.ndof, 4))
-    cons = localsolve.ConstraintSet(B)
-    for k in range(4):
-        phi, _ = localsolve.solve_saddle(sys, cons, k)
-        e = np.zeros(4)
-        e[k] = 1.0
-        np.testing.assert_allclose(B.T @ phi, e, atol=1e-10)
+    Phi = localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(B))
+    np.testing.assert_allclose(B.T @ Phi, np.eye(4), atol=1e-10)
 
 
 def test_saddle_residual_orthogonal_to_constraint_complement():
@@ -60,22 +54,11 @@ def test_saddle_residual_orthogonal_to_constraint_complement():
     _, sys = make_patch_system()
     rng = np.random.default_rng(2)
     B = sys.M @ rng.standard_normal((sys.ndof, 3))
-    phi, _ = localsolve.solve_saddle(sys, localsolve.ConstraintSet(B), 0)
+    phi = localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(B))[:, 0]
     r = sys.A @ phi
     # residual must lie in span(B)
     coefs, *_ = np.linalg.lstsq(B, r, rcond=None)
     np.testing.assert_allclose(B @ coefs, r, atol=1e-8 * np.abs(r).max())
-
-
-def test_saddle_block_matches_single():
-    _, sys = make_patch_system()
-    rng = np.random.default_rng(3)
-    B = sys.M @ rng.standard_normal((sys.ndof, 3))
-    cons = localsolve.ConstraintSet(B)
-    block = localsolve.solve_saddle_block(sys, cons)
-    for k in range(3):
-        phi, _ = localsolve.solve_saddle(sys, cons, k)
-        np.testing.assert_allclose(block[:, k], phi, atol=1e-12)
 
 
 def test_saddle_block_targets_subset():
@@ -94,7 +77,7 @@ def test_dependent_constraints_detected():
     b = sys.M @ rng.standard_normal(sys.ndof)
     B = np.column_stack([b, 2.0 * b])
     with pytest.raises(DependentConstraints):
-        localsolve.solve_saddle(sys, localsolve.ConstraintSet(B), 0)
+        localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(B))
 
 
 def test_constraint_set_from_local_functions():

@@ -1,5 +1,7 @@
 """Basis construction tests: seeds, supports, spans and accounting."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ def small_setup():
 
 def test_bilinear_seeds_partition_cell(small_setup):
     pair, _ = small_setup
-    dofs, V = msbasis.seed_bilinear(pair, 5)
+    dofs, V = msbasis.element_shape_functions(pair, 5)
     assert V.shape[1] == 4
     np.testing.assert_allclose(V.sum(axis=1), 1.0, atol=1e-14)   # shapes sum to 1
     # corner values are Kronecker
@@ -27,7 +29,7 @@ def test_bilinear_seeds_partition_cell(small_setup):
 
 def test_bilinear_seeds_elasticity(small_setup):
     pair, _ = small_setup
-    dofs, V = msbasis.seed_bilinear(pair, 5, fem.ELASTICITY)
+    dofs, V = msbasis.element_shape_functions(pair, 5, fem.ELASTICITY)
     assert V.shape[1] == 8
     # components do not mix
     assert np.all(V[0::2, 1::2] == 0.0)
@@ -47,7 +49,7 @@ def test_seed_gram_rank(small_setup):
     pair, field = small_setup
     patch = grid.build_patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
-    S = msbasis.restrict_entry(msbasis.seed_bilinear(pair, 5), sys, fem.DIFFUSION)
+    S = msbasis.restrict_entry(msbasis.element_shape_functions(pair, 5), sys, fem.DIFFUSION)
     G = S.T @ (sys.M @ S)
     assert np.linalg.matrix_rank(G, tol=1e-12) == 4
 
@@ -67,10 +69,16 @@ def test_m_orthonormalize_properties(small_setup):
     assert rep.max_angle < 1e-10
 
 
+def build_one(pair, field, method, n, m=1, patches=None):
+    """(basis, stats) of a single method from build_bases."""
+    [(_, basis, stats, _)] = msbasis.build_bases(pair, field, fem.DIFFUSION, m,
+                                                 [(method, n)], patches=patches)
+    return basis, stats
+
+
 def test_lssi_accounting_and_support(small_setup):
     pair, field = small_setup
-    stats = msbasis.BuildStats()
-    basis = msbasis.build_lssi(pair, field, fem.DIFFUSION, 1, 2, stats=stats)
+    basis, stats = build_one(pair, field, "lssi", 2)
     N_c = pair.coarse.n_elems
     assert basis.total_dofs == 4 * N_c
     assert stats.n_local_problems == 2 * 4 * N_c
@@ -85,8 +93,7 @@ def test_lssi_accounting_and_support(small_setup):
 
 def test_lksi_accounting(small_setup):
     pair, field = small_setup
-    stats = msbasis.BuildStats()
-    basis = msbasis.build_lksi(pair, field, fem.DIFFUSION, 1, 3, stats=stats)
+    basis, stats = build_one(pair, field, "lksi", 3)
     N_c = pair.coarse.n_elems
     assert basis.total_dofs == 3 * N_c
     assert stats.n_local_problems == 3 * N_c
@@ -94,8 +101,7 @@ def test_lksi_accounting(small_setup):
 
 def test_lod_accounting(small_setup):
     pair, field = small_setup
-    stats = msbasis.BuildStats()
-    basis = msbasis.build_lod(pair, field, fem.DIFFUSION, 1, stats=stats)
+    basis, stats = build_one(pair, field, "lod", 1)
     N_c = pair.coarse.n_elems
     assert basis.total_dofs == 4 * N_c
     assert stats.n_local_problems == 4 * N_c
@@ -106,7 +112,7 @@ def test_lod_reproduces_constraint_values_of_center_shapes(small_setup):
     element's Q1 shapes against every coarse shape in the patch, which is what
     makes it decay away from the center element."""
     pair, field = small_setup
-    basis = msbasis.build_lod(pair, field, fem.DIFFUSION, 1)
+    basis, _ = build_one(pair, field, "lod", 1)
     pb = basis.patch_bases[len(basis.patch_bases) // 2]
     sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, pb.patch)
     cols = []
@@ -115,7 +121,7 @@ def test_lod_reproduces_constraint_values_of_center_shapes(small_setup):
         cols.append(sys.system.m_pair[:, dofs] @ V)
     B = np.hstack(cols)
     lam = msbasis.restrict_entry(
-        msbasis.seed_bilinear(pair, pb.patch.center), sys, fem.DIFFUSION)
+        msbasis.element_shape_functions(pair, pb.patch.center), sys, fem.DIFFUSION)
     raw = localsolve.solve_saddle_block(
         sys, localsolve.ConstraintSet(B), rhs=B.T @ lam)
     # same constraint values ...
@@ -130,7 +136,7 @@ def test_lod_beats_plain_coarse_space_on_smooth_problem(small_setup):
     a 1-layer localization must not degrade it into something wild."""
     pair, _ = small_setup
     field = coeff.CoefficientField(np.ones((pair.fine.n, pair.fine.n)))
-    basis = msbasis.build_lod(pair, field, fem.DIFFUSION, 2)
+    basis, _ = build_one(pair, field, "lod", 1, m=2)
     for pb in basis.patch_bases:
         assert pb.vectors.shape[1] == 4
         assert np.all(np.isfinite(pb.vectors))
@@ -140,7 +146,7 @@ def test_lksi_span_matches_explicit_krylov(small_setup):
     """The collected iterates span the Krylov space of A^{-1}M applied to the seed."""
     pair, field = small_setup
     n = 3
-    basis = msbasis.build_lksi(pair, field, fem.DIFFUSION, 1, n)
+    basis, _ = build_one(pair, field, "lksi", n)
     for pb in basis.patch_bases:
         sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, pb.patch)
         seed = msbasis.restrict_entry(
@@ -155,15 +161,6 @@ def test_lksi_span_matches_explicit_krylov(small_setup):
         assert rep.max_angle < 1e-8
 
 
-def test_lksi_include_seed(small_setup):
-    pair, field = small_setup
-    b0 = msbasis.build_lksi(pair, field, fem.DIFFUSION, 1, 2)
-    b1 = msbasis.build_lksi(pair, field, fem.DIFFUSION, 1, 2, include_seed=True)
-    N_c = pair.coarse.n_elems
-    assert b0.total_dofs == 2 * N_c
-    assert b1.total_dofs == 3 * N_c
-
-
 def test_lksi_breakdown_truncates():
     """A seed that is already an eigenvector stagnates after one step."""
     pair = grid.NestedPair(4, 16)
@@ -171,20 +168,18 @@ def test_lksi_breakdown_truncates():
     patch = grid.build_patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
     eig = specdiag.local_eig(sys, 1)
-    seeds = {5: (patch.interior_dofs(1), eig.vectors[:, :1])}
-    basis = msbasis.build_lksi(pair, field, fem.DIFFUSION, 1, 4,
-                               seeds=seeds, systems=[sys])
-    assert basis.patch_bases[0].count == 1                      # truncated chain
+    chain = list(itertools.islice(msbasis.lksi_kernel(sys, eig.vectors[:, 0]), 4))
+    assert len(chain) == 1                                      # truncated chain
 
 
 def test_lssi_one_round_equals_saddle(small_setup):
     """LSSI-1 vectors span the single-round saddle solutions."""
     pair, field = small_setup
-    basis = msbasis.build_lssi(pair, field, fem.DIFFUSION, 1, 1)
+    basis, _ = build_one(pair, field, "lssi", 1)
     pb = basis.patch_bases[3]
     sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, pb.patch)
     S = msbasis.restrict_entry(
-        msbasis.seed_bilinear(pair, pb.patch.center), sys, fem.DIFFUSION)
+        msbasis.element_shape_functions(pair, pb.patch.center), sys, fem.DIFFUSION)
     cons = localsolve.ConstraintSet.from_local_functions(sys, S)
     Phi = localsolve.solve_saddle_block(sys, cons)
     rep = specdiag.principal_angles(pb.vectors, Phi, inner=sys.M)
@@ -199,9 +194,7 @@ def test_nested_iterates_improve_eigenspace_angle(small_setup):
     eig = specdiag.local_eig(sys, 4)
     angles = []
     for n in (1, 3):
-        basis = msbasis.build_lssi(pair, field, fem.DIFFUSION, 1, n,
-                                   systems=[localsolve.PatchSystem.build(
-                                       pair, field, fem.DIFFUSION, patch)])
+        basis, _ = build_one(pair, field, "lssi", n, patches=[patch])
         rep = specdiag.principal_angles(basis.patch_bases[0].vectors,
                                         eig.vectors, inner=sys.M)
         angles.append(rep.max_angle)
@@ -214,26 +207,15 @@ def test_build_bases_matches_individual(small_setup):
                               [("lod", 1), ("lssi", 2), ("lksi", 3)])
     labels = [o[0] for o in out]
     assert labels == ["lod", "lssi-2", "lksi-3"]
-    ref = msbasis.build_lssi(pair, field, fem.DIFFUSION, 1, 2)
+    ref, _ = build_one(pair, field, "lssi", 2)
     got = out[1][1]
     for pb_r, pb_g in zip(ref.patch_bases, got.patch_bases):
         np.testing.assert_allclose(pb_r.vectors, pb_g.vectors, atol=1e-12)
 
 
-def test_basis_save_format(tmp_path, small_setup):
-    pair, field = small_setup
-    basis = msbasis.build_lksi(pair, field, fem.DIFFUSION, 1, 2)
-    path = tmp_path / "basis.txt"
-    basis.save(path)
-    text = path.read_text().splitlines()
-    headers = [l for l in text if l.startswith("#")]
-    assert len(headers) == basis.total_dofs
-    assert "method lksi" in headers[0]
-
-
 def test_invalid_iteration_count(small_setup):
     pair, field = small_setup
     with pytest.raises(ValueError):
-        msbasis.build_lssi(pair, field, fem.DIFFUSION, 1, 0)
+        build_one(pair, field, "lssi", 0)
     with pytest.raises(ValueError):
-        msbasis.build_lksi(pair, field, fem.DIFFUSION, 1, 0)
+        build_one(pair, field, "lksi", 0)

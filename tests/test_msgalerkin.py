@@ -14,7 +14,7 @@ def setup():
     system = fem.assemble(pair, field, fem.DIFFUSION)
     f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     b = fem.assemble_rhs(pair, fem.DIFFUSION, f)[system.dofs]
-    basis = msbasis.build_lssi(pair, field, fem.DIFFUSION, 1, 1)
+    [(_, basis, _, _)] = msbasis.build_bases(pair, field, fem.DIFFUSION, 1, [("lssi", 1)])
     return pair, field, system, b, basis
 
 

@@ -64,19 +64,6 @@ def test_dense_cap_enforced():
         specdiag.local_eig(sys, 2, cap=10, method="dense")
 
 
-def test_subspace_iterate_converges():
-    """Iterate 3 vectors: the top-3 eigenspace is well separated (the 2nd and
-    3rd eigenvalues are a degenerate pair, so a 2-dim target would be ambiguous)."""
-    _, sys = whole_domain_system(16)
-    eig = specdiag.local_eig(sys, 3)
-    rng = np.random.default_rng(0)
-    X0 = rng.standard_normal((sys.ndof, 3))
-    X = specdiag.subspace_iterate(lambda v: localsolve.apply_local_inverse(sys, v),
-                                  X0, 30)
-    rep = specdiag.principal_angles(X, eig.vectors, inner=sys.M)
-    assert rep.max_angle < 1e-6
-
-
 def test_arnoldi_tridiagonal_in_energy_inner_product():
     """With the stiffness inner product the operator is self-adjoint, so the
     Hessenberg matrix must be tridiagonal."""
@@ -137,12 +124,13 @@ def test_interp_bound_holds_on_random_instances():
                for p in patches]
     pou = grid.build_pou(pair, patches)
     gsys = fem.assemble(pair, field, fem.DIFFUSION)
+    eigs = [specdiag.local_eig(s, 5) for s in systems]
     rng = np.random.default_rng(2)
     for k in range(10):
         u = np.zeros(pair.fine.n_nodes)
         u[gsys.dofs] = rng.standard_normal(gsys.ndof)
         lhs, rhs = specdiag.check_interp_bound(
-            pair, field, fem.DIFFUSION, systems, pou, 4, u, global_system=gsys)
+            pair, field, fem.DIFFUSION, systems, pou, eigs, u, global_system=gsys)
         assert lhs <= rhs
 
 
@@ -152,9 +140,7 @@ def test_rate_report_lssi_decay():
     field = unit_field(pair)
     patch = grid.build_patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
-    seeds = msbasis.restrict_entry(msbasis.seed_bilinear(pair, 5), sys,
-                                   fem.DIFFUSION)
-    rep = specdiag.rate_report(sys, seeds, 6, method="lssi")
+    rep = specdiag.rate_report(sys, specdiag.local_eig(sys, 5), 6, method="lssi")
     assert rep.gap < 1.0
     assert np.all(np.diff(rep.angles[1:]) <= 1e-12)           # monotone after round 1
     if rep.fitted_rate is not None:
@@ -166,9 +152,24 @@ def test_rate_report_alphas_start_at_one():
     field = unit_field(pair)
     patch = grid.build_patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
-    seeds = msbasis.restrict_entry(msbasis.seed_bilinear(pair, 5), sys,
-                                   fem.DIFFUSION)
-    rep = specdiag.rate_report(sys, seeds, 3, method="lssi")
+    rep = specdiag.rate_report(sys, specdiag.local_eig(sys, 5), 3, method="lssi")
     if not rep.clustered:
         assert rep.alphas[0] == 1.0
         assert np.all(rep.alphas[1:] >= 1.0)
+
+
+def test_rate_report_lksi_follows_lksi_basis():
+    """Round n of the lksi angle table is the angle between the LKSI-n basis
+    and the leading eigenvector, so the table follows the chain LKSI builds."""
+    pair = grid.NestedPair(4, 16)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=2)
+    patch = grid.build_patch(pair, 5, 1)
+    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+    eig = specdiag.local_eig(sys, 2)
+    rep = specdiag.rate_report(sys, eig, 4, method="lksi")
+    built = msbasis.build_bases(pair, field, fem.DIFFUSION, 1,
+                                [("lksi", n) for n in range(1, 5)], patches=[patch])
+    for n, (_, basis, _, _) in enumerate(built, 1):
+        want = specdiag.principal_angles(basis.patch_bases[0].vectors,
+                                         eig.vectors[:, :1], inner=sys.M).max_angle
+        assert abs(rep.angles[n - 1] - want) < 1e-8
