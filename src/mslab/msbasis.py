@@ -14,6 +14,7 @@ import logging
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .errors import DependentConstraints
@@ -103,6 +104,24 @@ def element_shape_functions(pair, coarse_elem, kind=fem.DIFFUSION):
     return fem._expand_dofs(nodes, nb), np.kron(shapes, np.eye(nb))
 
 
+def _cell_shapes_matrix(pair, coarse_elems, kind):
+    """element_shape_functions of several coarse elements as one sparse
+    full-DOF matrix, 4 (scalar) or 8 (elasticity) columns per element in the
+    given order.  Every cell carries the same shapes, shifted by its origin."""
+    dofs, V = element_shape_functions(pair, 0, kind)
+    elems = np.asarray(coarse_elems, dtype=np.int64)
+    N, r, nb = pair.coarse.n, pair.r, fem.nblock(kind)
+    shift = nb * r * ((elems // N) * (pair.fine.n + 1) + elems % N)
+    d, c = np.nonzero(V)
+    w = V.shape[1]
+    rows = dofs[d][None, :] + shift[:, None]
+    cols = c[None, :] + w * np.arange(elems.size)[:, None]
+    vals = np.broadcast_to(V[d, c], rows.shape)
+    n_full = nb * pair.fine.n_nodes
+    return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n_full, w * elems.size))
+
+
 def seed_constant(pair, i, kind=fem.DIFFUSION):
     """LKSI seed: indicator of the fine nodes strictly inside K_i (1 scalar / 2 elasticity)."""
     nodes, _, _ = _cell_nodes(pair, i, 1)
@@ -167,11 +186,8 @@ def lod_kernel(sys, lam):
     element, so moderate oversampling suffices.
     """
     pair, kind = sys.patch.pair, sys.system.kind
-    cols = []
-    for T in sys.patch.coarse_elems:
-        dofs, V = element_shape_functions(pair, int(T), kind)
-        cols.append(sys.system.m_pair[:, dofs] @ V)
-    B = np.hstack(cols)
+    shapes = _cell_shapes_matrix(pair, sys.patch.coarse_elems, kind)
+    B = (sys.system.m_pair @ shapes).toarray()
     try:
         Phi = solve_saddle_block(sys, ConstraintSet(B), rhs=B.T @ lam)
     except DependentConstraints as exc:

@@ -36,6 +36,20 @@ def test_bilinear_seeds_elasticity(small_setup):
     assert np.all(V[1::2, 0::2] == 0.0)
 
 
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_cell_shapes_matrix_matches_per_element(small_setup, kind):
+    """The LOD constraint shapes equal element_shape_functions cell by cell."""
+    pair, _ = small_setup
+    elems = [5, 0, 15, 6]
+    W = msbasis._cell_shapes_matrix(pair, elems, kind).toarray()
+    w = 4 * fem.nblock(kind)
+    for t, T in enumerate(elems):
+        dofs, V = msbasis.element_shape_functions(pair, T, kind)
+        want = np.zeros((W.shape[0], w))
+        want[dofs] = V
+        np.testing.assert_array_equal(W[:, t * w:(t + 1) * w], want)
+
+
 def test_constant_seed_interior_only(small_setup):
     pair, _ = small_setup
     dofs, V = msbasis.seed_constant(pair, 5)
