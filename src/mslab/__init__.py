@@ -6,6 +6,14 @@ subspace iteration (lssi-n) and a local Krylov space of the patch solution
 operator (lksi-n).  Spectral diagnostics verify the convergence theory.
 """
 
+import os
+
+# One BLAS thread unless the caller chose otherwise: the dense kernels are
+# small, and on shared CPUs OpenBLAS's spin-waiting threads slow the patch
+# solves about fourfold.  This must run before numpy loads its BLAS.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import coeff, fem, grid, localsolve, msbasis, msgalerkin, specdiag
 from .errors import MsLabError
 

@@ -132,13 +132,11 @@ def seed_constant(pair, i, kind=fem.DIFFUSION):
 def restrict_entry(entry, sys, kind):
     """Restrict full-grid seed columns to the interior DOFs of a patch system."""
     dofs, V = entry
-    nb = fem.nblock(kind)
-    pos = {int(d): k for k, d in enumerate(sys.patch.interior_dofs(nb))}
+    interior = sys.patch.interior_dofs(fem.nblock(kind))     # sorted
+    k = np.minimum(np.searchsorted(interior, dofs), interior.size - 1)
+    hit = interior[k] == dofs
     out = np.zeros((sys.ndof, V.shape[1]))
-    for row, d in enumerate(dofs):
-        k = pos.get(int(d))
-        if k is not None:
-            out[k] = V[row]
+    out[k[hit]] = V[hit]
     return out
 
 

@@ -52,14 +52,57 @@ class CoarseSystem:
         return self.A_ms.shape[0]
 
 
+def _row_bands(system, basis):
+    """Row boundaries of Phi, one band per row of coarse elements.
+
+    Free DOFs are numbered lexicographically, so the fine node rows of coarse
+    row j are one contiguous range of Phi's rows."""
+    pair = basis.patch_bases[0].patch.pair
+    N, n, r = pair.coarse.n, pair.fine.n, pair.r
+    nb = fem.nblock(basis.kind)
+    starts = np.searchsorted(system.dofs, nb * (n + 1) * r * np.arange(N))
+    return np.append(starts, system.ndof)
+
+
+def _dense_band(X, s, e):
+    """Rows s:e of a CSR matrix as (first column, dense block spanning the
+    columns from its first to its last nonzero)."""
+    rows = X[s:e]
+    if rows.nnz == 0:
+        return 0, np.zeros((e - s, 0))
+    c0 = rows.indices.min()
+    width = rows.indices.max() + 1 - c0
+    block = sp.csr_matrix((rows.data, rows.indices - c0, rows.indptr),
+                          shape=(e - s, width))
+    return c0, block.toarray()
+
+
+def _galerkin_matrix(Phi, APhi, bounds):
+    """Phi^T (A Phi) as a sum of one dense product per row band of Phi.
+
+    Patches are numbered by their centre cell, so the basis columns living on
+    one band form a short contiguous range; any partition of the rows into
+    bands gives the same sum."""
+    A_ms = np.zeros((Phi.shape[1], Phi.shape[1]))
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        a, P = _dense_band(Phi, s, e)
+        c, Q = _dense_band(APhi, s, e)
+        A_ms[a:a + P.shape[1], c:c + Q.shape[1]] += P.T @ Q
+    return A_ms
+
+
 def assemble_coarse(system, b, basis_or_phi):
-    """Form Phi^T A Phi and Phi^T b; SPD-checked by attempted factorization."""
+    """Form Phi^T A Phi and Phi^T b; SPD-checked by attempted factorization.
+
+    A basis is assembled band by band over rows of coarse elements; a raw Phi
+    (ndarray or sparse) is a single band."""
     if sp.issparse(basis_or_phi) or isinstance(basis_or_phi, np.ndarray):
         Phi = sp.csr_matrix(basis_or_phi)
+        bounds = np.array([0, system.ndof])
     else:
         Phi = basis_matrix(system, basis_or_phi)
-    A = system.stiffness
-    A_ms = (Phi.T @ (A @ Phi)).toarray()
+        bounds = _row_bands(system, basis_or_phi)
+    A_ms = _galerkin_matrix(Phi, system.stiffness @ Phi, bounds)
     A_ms = 0.5 * (A_ms + A_ms.T)
     b_ms = Phi.T @ np.asarray(b)
     try:

@@ -1,8 +1,14 @@
 """Driver tests: config parsing, subcommands, artifacts, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mslab
 from mslab import cli, coeff, grid
 
 
@@ -238,3 +244,21 @@ def test_write_pgm_orientation(tmp_path):
     rows = path.read_text().splitlines()[3:]
     assert rows[-1].split() == ["255"] * 4    # bottom of image = y min
     assert rows[0].split() == ["0"] * 4
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_import_caps_blas_threads(preset, want):
+    """Importing mslab sets one BLAS thread before numpy loads; a value the
+    caller set wins."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(mslab.__file__).resolve().parents[1])
+    if preset is not None:
+        env.update({k: preset for k in THREAD_VARS})
+    code = ("import os; import mslab.cli; "
+            "print(' '.join(os.environ[k] for k in %r))" % (THREAD_VARS,))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.split()
+    assert out == [want] * len(THREAD_VARS)

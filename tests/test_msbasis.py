@@ -58,6 +58,33 @@ def test_constant_seed_interior_only(small_setup):
     assert np.all((coords > 0.25) & (coords < 0.5))
 
 
+def _restrict_rowwise(entry, sys, kind):
+    """Row-by-row reference for restrict_entry."""
+    dofs, V = entry
+    pos = {int(d): k for k, d in enumerate(sys.patch.interior_dofs(fem.nblock(kind)))}
+    out = np.zeros((sys.ndof, V.shape[1]))
+    for row, d in enumerate(dofs):
+        if int(d) in pos:
+            out[pos[int(d)]] = V[row]
+    return out
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_restrict_entry_matches_rowwise(small_setup, kind):
+    """On a patch clipped at the corner: the centre cell (boundary nodes
+    dropped), a neighbour cut by the patch edge, and a cell outside."""
+    pair, field = small_setup
+    sys = localsolve.PatchSystem.build(pair, field, kind, grid.build_patch(pair, 0, 1))
+    for entry in [msbasis.element_shape_functions(pair, 0, kind),
+                  msbasis.seed_constant(pair, 0, kind),
+                  msbasis.element_shape_functions(pair, 5, kind),
+                  msbasis.element_shape_functions(pair, 15, kind)]:
+        got = msbasis.restrict_entry(entry, sys, kind)
+        assert np.array_equal(got, _restrict_rowwise(entry, sys, kind))
+    assert np.any(msbasis.restrict_entry(
+        msbasis.element_shape_functions(pair, 5, kind), sys, kind))
+
+
 def test_seed_gram_rank(small_setup):
     """The 4 bilinear seeds restricted to a patch are independent in L2."""
     pair, field = small_setup

@@ -1,4 +1,5 @@
-"""Coarse Galerkin solve tests: triple-product oracle, orthogonality, reporting."""
+"""Coarse Galerkin solve tests: dense triple-product oracle for the band
+assembly, orthogonality, reporting."""
 
 import numpy as np
 import pytest
@@ -31,6 +32,66 @@ def test_coarse_matrix_is_triple_product(setup):
     Phi = cs.Phi.toarray()
     oracle = Phi.T @ system.stiffness.toarray() @ Phi
     np.testing.assert_allclose(cs.A_ms, oracle, atol=1e-10 * np.abs(oracle).max())
+    np.testing.assert_allclose(cs.b_ms, Phi.T @ b, atol=1e-14)
+
+
+@pytest.fixture(scope="module", params=[fem.DIFFUSION, fem.ELASTICITY])
+def banded(request):
+    """Five coarse row bands, patches clipped at the boundary, three methods."""
+    kind = request.param
+    pair = grid.NestedPair(5, 20)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=4)
+    system = fem.assemble(pair, field, kind)
+    if kind == fem.DIFFUSION:
+        f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    else:
+        f = lambda x, y: (np.sin(np.pi * x), np.cos(np.pi * y))
+    b = fem.assemble_rhs(pair, kind, f)[system.dofs]
+    built = msbasis.build_bases(pair, field, kind, 1,
+                                [("lod", None), ("lssi", 2), ("lksi", 3)])
+    return system, b, {lab: basis for lab, basis, _, _ in built}
+
+
+def _assert_dense_oracle(cs, system, Phi):
+    oracle = Phi.T @ system.stiffness.toarray() @ Phi
+    assert np.abs(cs.A_ms - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("label", ["lod", "lssi-2", "lksi-3"])
+def test_band_assembly_dense_oracle(banded, label):
+    system, b, bases = banded
+    basis = bases[label]
+    cs = msgalerkin.assemble_coarse(system, b, basis)
+    _assert_dense_oracle(cs, system, basis.padded_vectors(system.n_full)[system.dofs])
+
+
+def test_band_assembly_uneven_column_counts(banded):
+    """Patches that keep 1, 2 or 3 of their LKSI iterates, as after a
+    Krylov breakdown, still give the triple product."""
+    system, b, bases = banded
+    basis = bases["lksi-3"]
+    cut = msbasis.MsBasis(basis.method, basis.kind, [
+        msbasis.PatchBasis(pb.patch, pb.vectors[:, :1 + i % 3])
+        for i, pb in enumerate(basis.patch_bases)])
+    cs = msgalerkin.assemble_coarse(system, b, cut)
+    _assert_dense_oracle(cs, system, cut.padded_vectors(system.n_full)[system.dofs])
+
+
+@pytest.mark.parametrize("label", ["lod", "lssi-2", "lksi-3"])
+def test_band_assembly_reversed_patch_order(banded, label):
+    """Correctness does not rely on the columns being ordered by patch centre."""
+    system, b, bases = banded
+    basis = bases[label]
+    rev = msbasis.MsBasis(basis.method, basis.kind, basis.patch_bases[::-1])
+    cs = msgalerkin.assemble_coarse(system, b, rev)
+    _assert_dense_oracle(cs, system, rev.padded_vectors(system.n_full)[system.dofs])
+
+
+def test_band_assembly_raw_phi(banded):
+    system, b, bases = banded
+    Phi = bases["lssi-2"].padded_vectors(system.n_full)[system.dofs]
+    cs = msgalerkin.assemble_coarse(system, b, Phi)
+    _assert_dense_oracle(cs, system, Phi)
     np.testing.assert_allclose(cs.b_ms, Phi.T @ b, atol=1e-14)
 
 
