@@ -1,13 +1,16 @@
 """Q1 finite element kernels on structured meshes.
 
 Element matrices, global/patch sparse assembly with homogeneous Dirichlet
-elimination, SPD solvers, norms and the fine-grid reference solution.
+elimination, a banded Cholesky factor for the SPD systems (patch and fine
+grid alike: lexicographic DOFs on a box give a band one grid row wide), norms
+and the fine-grid reference solution.
 Elasticity DOFs are node-major: dof = 2*node + component.
 """
 
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -186,29 +189,54 @@ def assemble(pair, field, kind=DIFFUSION, patch=None):
 
 
 class SpdFactor:
-    """Sparse LU factorization of an SPD matrix with a pivot sign check.
+    """Banded Cholesky factor A = L L^T of a sparse SPD matrix (LAPACK pbtrf).
 
-    Symmetric mode with diagonal pivoting makes the U diagonal carry the
-    inertia, so a nonpositive pivot certifies the matrix is not SPD.
+    The bandwidth is read off the lower triangle of A.  Lexicographic DOFs on a
+    box make it about one grid row (times the block size) wide, so the band is
+    a small multiple of the nonzeros.  A failed factorization certifies that A
+    is not SPD.  Besides full solves, the factor applies its two triangular
+    halves L^{-1} and L^{-T} (LAPACK tbtrs on the same band).
     """
 
     def __init__(self, A):
-        A = sp.csc_matrix(A)
-        if A.diagonal().min() <= 0.0:
-            raise NotSPD("nonpositive diagonal entry")
-        self._lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True})
-        du = self._lu.U.diagonal()
-        if np.any(du <= 0.0) or np.any(~np.isfinite(du)):
+        A = sp.csr_matrix(A, copy=True)
+        A.sum_duplicates()
+        A = A.tocoo()
+        low = A.row >= A.col
+        offset = A.row[low] - A.col[low]
+        band = np.zeros((offset.max(initial=0) + 1, A.shape[0]))
+        band[offset, A.col[low]] = A.data[low]
+        try:
+            self._band = sla.cholesky_banded(band, lower=True, check_finite=False)
+        except sla.LinAlgError:
             raise NotSPD("nonpositive pivot in factorization")
+        piv = self._band[0]
+        if not np.all(np.isfinite(piv) & (piv > 0.0)):
+            raise NotSPD("nonpositive or non-finite pivot in factorization")
 
     def solve(self, b):
-        return self._lu.solve(np.asarray(b))
+        """A^{-1} b for a vector or a column block."""
+        return sla.cho_solve_banded((self._band, True), np.asarray(b, dtype=float),
+                                    check_finite=False)
+
+    def _tbtrs(self, b, trans):
+        x, info = sla.lapack.dtbtrs(self._band, np.asarray(b, dtype=float),
+                                    uplo="L", trans=trans)
+        if info != 0:
+            raise ValueError(f"dtbtrs failed with info={info}")
+        return x
+
+    def solve_lower(self, b):
+        """L^{-1} b, the forward half of a solve."""
+        return self._tbtrs(b, "N")
+
+    def solve_upper(self, b):
+        """L^{-T} b, the backward half of a solve."""
+        return self._tbtrs(b, "T")
 
 
 def solve_spd(A, b, method="direct", tol=1e-10, maxiter=None):
-    """Solve A x = b for SPD A, by sparse factorization or conjugate gradients."""
+    """Solve A x = b for SPD A, by banded Cholesky or conjugate gradients."""
     b = np.asarray(b, dtype=float)
     if method == "direct":
         return SpdFactor(A).solve(b)

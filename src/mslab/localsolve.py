@@ -1,8 +1,10 @@
 """Constrained local solver shared by the multiscale basis constructions.
 
 A PatchSystem holds the patch stiffness/mass on the interior DOFs together
-with a cached factorization; saddle problems with L2 constraints are solved
-through the Schur complement of the factorized stiffness.
+with its banded Cholesky factor A = L L^T.  Saddle problems with L2
+constraints B are solved through the Schur complement S = B^T A^{-1} B,
+formed as W^T W from the forward half W = L^{-1} B; the backward half is then
+applied only to the few solution columns, never to all of B.
 """
 
 import numpy as np
@@ -33,6 +35,14 @@ class PatchSystem:
     def solve(self, b):
         """A_omega^{-1} b for a vector or a column block."""
         return self._factor.solve(b)
+
+    def solve_lower(self, b):
+        """L^{-1} b for the Cholesky factor A_omega = L L^T."""
+        return self._factor.solve_lower(b)
+
+    def solve_upper(self, b):
+        """L^{-T} b for the Cholesky factor A_omega = L L^T."""
+        return self._factor.solve_upper(b)
 
     def pair_full(self, v_full):
         """Exact L2 pairing of a full fine-grid function against interior tests."""
@@ -68,10 +78,10 @@ class ConstraintSet:
 
 
 def _schur_solve(sys, B, rtol=1e-12):
-    """Y = A^{-1}B and a Cholesky factor of S = B^T Y; raises on dependence."""
-    Y = sys.solve(B)
-    S = B.T @ Y
-    S = 0.5 * (S + S.T)
+    """W = L^{-1}B and a Cholesky factor of S = B^T A^{-1} B = W^T W; raises
+    on dependence."""
+    W = sys.solve_lower(B)
+    S = W.T @ W
     try:
         cf = sla.cho_factor(S, lower=True)
     except sla.LinAlgError:
@@ -79,17 +89,19 @@ def _schur_solve(sys, B, rtol=1e-12):
     piv = np.diag(cf[0]) ** 2
     if piv.min() <= rtol * np.abs(S).max():
         raise DependentConstraints("constraint vectors dependent to tolerance")
-    return Y, cf
+    return W, cf
 
 
 def solve_saddle_block(sys, constraints, targets=None, rhs=None, rtol=1e-12):
     """All saddle solutions at once: column k solves the RHS e_{targets[k]},
     or the columns of ``rhs`` (L x p) when given.
 
-    Shares one factorization and one Schur complement across the block.
+    Shares one factorization and one Schur complement across the block; the
+    solution A^{-1} B C is applied as L^{-T} (W C), so the backward half runs
+    on the p solution columns only.
     """
     B = constraints.B
-    Y, cf = _schur_solve(sys, B, rtol)
+    W, cf = _schur_solve(sys, B, rtol)
     L = B.shape[1]
     if rhs is None:
         if targets is None:
@@ -97,7 +109,7 @@ def solve_saddle_block(sys, constraints, targets=None, rhs=None, rtol=1e-12):
         rhs = np.zeros((L, len(targets)))
         rhs[targets, np.arange(len(targets))] = 1.0
     C = sla.cho_solve(cf, rhs)
-    return Y @ C
+    return sys.solve_upper(W @ C)
 
 
 def apply_local_inverse(sys, g):

@@ -14,27 +14,28 @@ CSV_COLUMNS = ["method", "n", "m", "H", "h", "contrast", "channel_len",
 
 
 def basis_matrix(system, basis):
-    """Sparse fine-DOF x coarse-DoF matrix of all basis vectors."""
+    """Sparse fine-DOF x coarse-DoF matrix of all basis vectors.
+
+    Filled column-major into preallocated CSC arrays: the columns of a patch
+    share its interior rows, so no per-column index array is ever formed."""
     free_index = np.full(system.n_full, -1, dtype=np.int64)
     free_index[system.dofs] = np.arange(system.ndof)
     nb = fem.nblock(basis.kind)
-    rows, cols, vals = [], [], []
-    col0 = 0
-    for pb in basis.patch_bases:
-        dofs = pb.patch.interior_dofs(nb)
-        r = free_index[dofs]
-        if np.any(r < 0):
-            raise ValueError("basis vector supported outside the free DOFs")
-        for k in range(pb.count):
-            rows.append(r)
-            cols.append(np.full(r.size, col0 + k, dtype=np.int64))
-            vals.append(pb.vectors[:, k])
-        col0 += pb.count
-    Phi = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(system.ndof, col0),
-    ).tocsr()
-    return Phi
+    rows = [free_index[pb.patch.interior_dofs(nb)] for pb in basis.patch_bases]
+    if any(np.any(r < 0) for r in rows):
+        raise ValueError("basis vector supported outside the free DOFs")
+    counts = [pb.count for pb in basis.patch_bases]
+    indptr = np.zeros(sum(counts) + 1, dtype=np.int64)
+    np.cumsum(np.repeat([r.size for r in rows], counts), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    start = 0
+    for r, pb in zip(rows, basis.patch_bases):
+        end = start + r.size * pb.count
+        indices[start:end].reshape(pb.count, r.size)[:] = r
+        data[start:end].reshape(pb.count, r.size)[:] = pb.vectors.T
+        start = end
+    return sp.csc_matrix((data, indices, indptr), shape=(system.ndof, indptr.size - 1)).tocsr()
 
 
 class CoarseSystem:
@@ -111,8 +112,11 @@ def assemble_coarse(system, b, basis_or_phi):
         w = sla.eigvalsh(A_ms, subset_by_index=[0, 0])[0]
         raise SingularCoarse(
             f"coarse matrix not SPD (smallest eigenvalue ~ {w:.3e})")
-    piv = np.diag(factor[0])
-    cond = float((piv.max() / piv.min()) ** 2) if piv.size else 1.0
+    cond = 1.0
+    if A_ms.size:
+        # 1-norm condition number, ||A_ms^{-1}|| estimated by LAPACK on the factor
+        rcond, _ = sla.lapack.dpocon(factor[0], np.abs(A_ms).sum(axis=0).max(), uplo="L")
+        cond = 1.0 / rcond
     return CoarseSystem(Phi, A_ms, b_ms, factor, cond)
 
 

@@ -39,8 +39,9 @@ class EigPairs:
 def local_eig(sys, count, cap=DENSE_CAP, method="auto"):
     """Leading eigenpairs of M_omega v = lambda A_omega v.
 
-    Dense path (Cholesky reduction inside eigh) below the size cap, Lanczos
-    otherwise; method='dense' past the cap raises CapExceeded.
+    Dense path (Cholesky reduction inside eigh, computing only the `count`
+    largest pairs) below the size cap, Lanczos otherwise; method='dense' past
+    the cap raises CapExceeded.
     """
     ndof = sys.ndof
     if count < 1 or count > ndof:
@@ -51,9 +52,9 @@ def local_eig(sys, count, cap=DENSE_CAP, method="auto"):
         if ndof > cap:
             raise CapExceeded(
                 f"{ndof} DOFs exceed the dense cap {cap}; use the iterative path")
-        w, v = sla.eigh(sys.M.toarray(), sys.A.toarray())
-        order = np.argsort(w)[::-1][:count]
-        return EigPairs(w[order], v[:, order])
+        w, v = sla.eigh(sys.M.toarray(), sys.A.toarray(),
+                        subset_by_index=[ndof - count, ndof - 1])
+        return EigPairs(w[::-1], v[:, ::-1])
     if method == "iterative":
         w, v = spla.eigsh(sys.M.tocsc(), k=count, M=sys.A.tocsc(), which="LM")
         order = np.argsort(w)[::-1]

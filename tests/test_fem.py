@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mslab import coeff, fem, grid
@@ -93,10 +94,65 @@ def test_m_pair_consistent_with_mass():
 
 
 def test_spd_factor_rejects_indefinite():
-    import scipy.sparse as sp
     A = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))        # eigenvalues 3, -1
     with pytest.raises(NotSPD):
         fem.SpdFactor(A)
+
+
+@pytest.mark.parametrize("dense", [
+    [[4.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 4.0]],         # zero diagonal entry
+    [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]],         # positive diagonal, pivot 2 is 0
+], ids=["zero-diagonal", "pivot-2"])
+def test_spd_factor_rejects_singular_pivot(dense):
+    with pytest.raises(NotSPD):
+        fem.SpdFactor(sp.csc_matrix(np.array(dense)))
+
+
+def patch_stiffness(kind, center, m=1):
+    """Stiffness of a clipped corner (center 0) or interior (center 12) patch."""
+    pair = grid.NestedPair(5, 20)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
+    return fem.assemble(pair, field, kind, patch=grid.build_patch(pair, center, m)).stiffness
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+@pytest.mark.parametrize("center", [0, 12], ids=["corner", "centre"])
+@pytest.mark.parametrize("ncols", [None, 7], ids=["vector", "block"])
+def test_spd_factor_solve_dense_oracle(kind, center, ncols):
+    A = patch_stiffness(kind, center)
+    rng = np.random.default_rng(center)
+    b = rng.standard_normal(A.shape[0] if ncols is None else (A.shape[0], ncols))
+    x = fem.SpdFactor(A).solve(b)
+    oracle = np.linalg.solve(A.toarray(), b)
+    assert x.shape == b.shape
+    assert np.abs(x - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_spd_factor_halves_compose_to_solve(kind):
+    A = patch_stiffness(kind, 12)
+    f = fem.SpdFactor(A)
+    b = np.random.default_rng(1).standard_normal((A.shape[0], 3))
+    x = f.solve(b)
+    np.testing.assert_allclose(f.solve_upper(f.solve_lower(b)), x,
+                               atol=1e-12 * np.abs(x).max())
+    # W = L^{-1} b gives the energy form: b^T A^{-1} b = W^T W
+    W = f.solve_lower(b)
+    np.testing.assert_allclose(W.T @ W, b.T @ x, rtol=1e-12)
+
+
+def test_spd_factor_reads_bandwidth_from_matrix():
+    """A symmetric permutation spreads the band over the whole matrix; the
+    factor must still solve it exactly."""
+    A = patch_stiffness(fem.DIFFUSION, 12).tocsr()
+    perm = np.random.default_rng(2).permutation(A.shape[0])
+    Ap = A[perm][:, perm]
+    low = sp.tril(Ap).tocoo()
+    assert (low.row - low.col).max() > A.shape[0] // 2
+    b = np.cos(np.arange(A.shape[0]))
+    oracle = np.linalg.solve(Ap.toarray(), b)
+    x = fem.SpdFactor(Ap).solve(b)
+    assert np.abs(x - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 def test_solve_spd_direct_vs_cg():

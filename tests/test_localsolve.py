@@ -41,6 +41,17 @@ def test_saddle_matches_dense_kkt():
         np.testing.assert_allclose(phi, phi_o, atol=1e-10 * scale)
 
 
+def test_schur_complement_matches_dense():
+    """S = W^T W with W = L^{-1} B equals B^T A^{-1} B."""
+    _, sys = make_patch_system()
+    rng = np.random.default_rng(3)
+    B = sys.M @ rng.standard_normal((sys.ndof, 5))
+    _, cf = localsolve._schur_solve(sys, B)
+    Ls = np.tril(cf[0])
+    oracle = B.T @ np.linalg.solve(sys.A.toarray(), B)
+    np.testing.assert_allclose(Ls @ Ls.T, oracle, atol=1e-10 * np.abs(oracle).max())
+
+
 def test_saddle_satisfies_constraints():
     _, sys = make_patch_system()
     rng = np.random.default_rng(1)

@@ -3,6 +3,7 @@ assembly, orthogonality, reporting."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mslab import coeff, fem, grid, msbasis, msgalerkin
 from mslab.errors import SingularCoarse
@@ -24,6 +25,24 @@ def test_basis_matrix_dense_oracle(setup):
     Phi = msgalerkin.basis_matrix(system, basis)
     dense = basis.padded_vectors(system.n_full)[system.dofs]
     np.testing.assert_allclose(Phi.toarray(), dense, atol=1e-14)
+
+
+def _basis_matrix_loop(system, basis):
+    """Oracle: Phi built column by column."""
+    free_index = np.full(system.n_full, -1, dtype=np.int64)
+    free_index[system.dofs] = np.arange(system.ndof)
+    nb = fem.nblock(basis.kind)
+    rows, cols, vals = [], [], []
+    col0 = 0
+    for pb in basis.patch_bases:
+        r = free_index[pb.patch.interior_dofs(nb)]
+        for k in range(pb.count):
+            rows.append(r)
+            cols.append(np.full(r.size, col0 + k, dtype=np.int64))
+            vals.append(pb.vectors[:, k])
+        col0 += pb.count
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(system.ndof, col0))
 
 
 def test_coarse_matrix_is_triple_product(setup):
@@ -65,14 +84,26 @@ def test_band_assembly_dense_oracle(banded, label):
     _assert_dense_oracle(cs, system, basis.padded_vectors(system.n_full)[system.dofs])
 
 
+def _cut(basis):
+    """Patches keep 1, 2 or 3 of their columns, as after a Krylov breakdown."""
+    return msbasis.MsBasis(basis.method, basis.kind, [
+        msbasis.PatchBasis(pb.patch, pb.vectors[:, :1 + i % 3])
+        for i, pb in enumerate(basis.patch_bases)])
+
+
+@pytest.mark.parametrize("label", ["lod", "lksi-3", "lksi-3-cut"])
+def test_basis_matrix_matches_column_loop(banded, label):
+    system, _, bases = banded
+    basis = _cut(bases["lksi-3"]) if label == "lksi-3-cut" else bases[label]
+    Phi = msgalerkin.basis_matrix(system, basis)
+    assert np.array_equal(Phi.toarray(), _basis_matrix_loop(system, basis).toarray())
+
+
 def test_band_assembly_uneven_column_counts(banded):
     """Patches that keep 1, 2 or 3 of their LKSI iterates, as after a
     Krylov breakdown, still give the triple product."""
     system, b, bases = banded
-    basis = bases["lksi-3"]
-    cut = msbasis.MsBasis(basis.method, basis.kind, [
-        msbasis.PatchBasis(pb.patch, pb.vectors[:, :1 + i % 3])
-        for i, pb in enumerate(basis.patch_bases)])
+    cut = _cut(bases["lksi-3"])
     cs = msgalerkin.assemble_coarse(system, b, cut)
     _assert_dense_oracle(cs, system, cut.padded_vectors(system.n_full)[system.dofs])
 
@@ -167,3 +198,5 @@ def test_cond_estimate_positive(setup):
     _, _, system, b, basis = setup
     cs = msgalerkin.assemble_coarse(system, b, basis)
     assert cs.cond_estimate >= 1.0
+    exact = np.linalg.cond(cs.A_ms, 1)
+    assert exact / 10 <= cs.cond_estimate <= exact * (1 + 1e-8)

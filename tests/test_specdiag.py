@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
 from mslab.errors import CapExceeded
@@ -49,6 +50,21 @@ def test_pencil_residual():
     for k in range(4):
         r = sys.M @ eig.vectors[:, k] - eig.values[k] * (sys.A @ eig.vectors[:, k])
         assert np.linalg.norm(r) < 1e-9
+
+
+def test_dense_subset_matches_full_eigh():
+    """The leading pairs computed alone match those of the full pencil
+    (eig-diag grid H=1/8, h=1/40, m=2, inclusion field)."""
+    pair = grid.NestedPair(8, 40)
+    field = coeff.gen_inclusions(pair, 0.12, 1e4, seed=1)
+    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION,
+                                       grid.build_patch(pair, 27, 2))
+    eig = specdiag.local_eig(sys, 5, method="dense")
+    w, v = sla.eigh(sys.M.toarray(), sys.A.toarray())
+    np.testing.assert_allclose(eig.values, w[::-1][:5], rtol=1e-12)
+    full = v[:, ::-1][:, :5]
+    signs = np.sign(np.sum(full * eig.vectors, axis=0))
+    np.testing.assert_allclose(eig.vectors, full * signs, atol=1e-10 * np.abs(full).max())
 
 
 def test_iterative_matches_dense():
