@@ -195,7 +195,8 @@ class SpdFactor:
     box make it about one grid row (times the block size) wide, so the band is
     a small multiple of the nonzeros.  A failed factorization certifies that A
     is not SPD.  Besides full solves, the factor applies its two triangular
-    halves L^{-1} and L^{-T} (LAPACK tbtrs on the same band).
+    halves L^{-1} and L^{-T} (LAPACK tbtrs on the same band) and forms the
+    energy Gram matrix B^T A^{-1} B of a sparse column block (gram).
     """
 
     def __init__(self, A):
@@ -207,7 +208,8 @@ class SpdFactor:
         band = np.zeros((offset.max(initial=0) + 1, A.shape[0]))
         band[offset, A.col[low]] = A.data[low]
         try:
-            self._band = sla.cholesky_banded(band, lower=True, check_finite=False)
+            self._band = np.asfortranarray(
+                sla.cholesky_banded(band, lower=True, check_finite=False))
         except sla.LinAlgError:
             raise NotSPD("nonpositive pivot in factorization")
         piv = self._band[0]
@@ -233,6 +235,55 @@ class SpdFactor:
     def solve_upper(self, b):
         """L^{-T} b, the backward half of a solve."""
         return self._tbtrs(b, "T")
+
+    def _dense(self, r0, r1, c0, c1):
+        """Strided view of L[r0:r1, c0:c1].  In the Fortran-ordered band L[i, j]
+        sits at flat offset i + j*bw; entries outside the band read other
+        band entries and must not be used."""
+        bw, item = self._band.shape[0] - 1, self._band.itemsize
+        return np.ndarray((r1 - r0, c1 - c0), buffer=self._band,
+                          offset=(r0 + c0 * bw) * item, strides=(item, bw * item))
+
+    def gram(self, B):
+        """B^T A^{-1} B = X^T X with X = L^{-1} B, for a sparse column block B.
+
+        The forward half runs over dense row blocks of the band, as high as
+        the band (k = bw + 1 rows): X_b = D_b^{-1} (B_b - P_b X_{b-1}), with
+        D_b the diagonal triangle of L and P_b its strictly upper coupling to
+        the previous block, one GEMM and one TRSM per block (on the transposes,
+        where OpenBLAS solves faster); X_b^T X_b is added to the result at
+        once, so neither X nor a dense B is ever stored.  Column c is zero
+        above row min(first nonzero row of columns c, c+1, ...), so each block
+        works only on the prefix of columns that has reached it.
+        """
+        B = sp.csr_matrix(B)
+        if not B.has_canonical_format:
+            B = B.copy()
+            B.sum_duplicates()
+        n, ncols = B.shape
+        k = self._band.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(B.indptr))
+        first = np.full(ncols, n)
+        np.minimum.at(first, B.indices, rows)
+        reach = np.minimum.accumulate(first[::-1])[::-1]
+        strict_upper = np.triu(np.ones((k, k)), 1)
+        S = np.zeros((ncols, ncols))
+        Xt = np.zeros((0, k))
+        for r0 in range(0, n, k):
+            r1 = min(r0 + k, n)
+            p = int(np.searchsorted(reach, r1))
+            if p == 0:
+                continue
+            s, e = B.indptr[r0], B.indptr[r1]
+            Bt = np.zeros((p, r1 - r0), order="F")
+            Bt[B.indices[s:e], rows[s:e] - r0] = B.data[s:e]
+            if Xt.shape[0] > 0:
+                P = self._dense(r0, r1, r0 - k, r0) * strict_upper[:r1 - r0]
+                Bt[:Xt.shape[0]] -= Xt @ P.T
+            Xt = sla.blas.dtrsm(1.0, self._dense(r0, r1, r0, r1), Bt, side=1,
+                                lower=1, trans_a=1, overwrite_b=1)
+            S[:p, :p] += Xt @ Xt.T
+        return S
 
 
 def solve_spd(A, b, method="direct", tol=1e-10, maxiter=None):

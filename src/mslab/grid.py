@@ -40,17 +40,6 @@ class StructuredMesh:
         yi = self.coords[:, 1]
         self.boundary = (xi == 0.0) | (xi == 1.0) | (yi == 0.0) | (yi == 1.0)
 
-    def node_index(self, i, j):
-        return j * (self.n + 1) + i
-
-    def elem_index(self, i, j):
-        return j * self.n + i
-
-
-def build_mesh(n_per_side):
-    """Build a StructuredMesh with n_per_side elements along each axis."""
-    return StructuredMesh(n_per_side)
-
 
 class NestedPair:
     """A coarse mesh T_H and a fine mesh T_h with h dividing H."""
@@ -159,12 +148,6 @@ class PartitionOfUnity:
         idx, val = self.weights[i]
         chi[idx] = val
         return chi
-
-    def sum_all(self):
-        s = np.zeros(self.n_nodes)
-        for idx, val in self.weights:
-            s[idx] += val
-        return s
 
 
 def _bump(pair, patch):

@@ -181,11 +181,12 @@ def lod_kernel(sys, lam):
     block `lam` against the Q1 shapes of every coarse element in the patch
     (the localized kernel-space constraints of the baseline).  Seeded with the
     center element's shapes, it decays exponentially away from the center
-    element, so moderate oversampling suffices.
+    element, so moderate oversampling suffices.  The constraint block stays
+    sparse, which sends the saddle solve down the block-row Schur path.
     """
     pair, kind = sys.patch.pair, sys.system.kind
     shapes = _cell_shapes_matrix(pair, sys.patch.coarse_elems, kind)
-    B = (sys.system.m_pair @ shapes).toarray()
+    B = sys.system.m_pair @ shapes
     try:
         Phi = solve_saddle_block(sys, ConstraintSet(B), rhs=B.T @ lam)
     except DependentConstraints as exc:

@@ -3,7 +3,9 @@
 Each test prints exactly one PASS/FAIL line for its criterion before
 asserting, so a full run yields a 10-line scoreboard.  The first four
 criteria reproduce study-scale behavior on generated high-contrast fields
-and solve fine meshes up to 200x200; expect several minutes.
+and solve fine meshes up to 200x200; expect several minutes.  Criteria 3
+and 4 take nearly all of that and carry the `slow` marker, so
+`pytest -m "not slow"` is the quick loop; a plain run selects every test.
 """
 
 import time
@@ -67,6 +69,7 @@ def test_criterion_2_error_levels(desk_run):
 # ------------------------------------------------------------------ criterion 3
 
 
+@pytest.mark.slow
 def test_criterion_3_contrast_independence():
     pair = grid.NestedPair(10, 100)
     methods = [("lod", 1), ("lssi", 2), ("lksi", 4)]
@@ -89,6 +92,7 @@ def test_criterion_3_contrast_independence():
 # ------------------------------------------------------------------ criterion 4
 
 
+@pytest.mark.slow
 def test_criterion_4_channel_length_stability():
     pair = grid.NestedPair(20, 200)
     methods = [("lod", 1), ("lssi", 2), ("lksi", 4)]

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mslab import coeff, fem, grid
+from mslab import coeff, fem, grid, msbasis
 from mslab.errors import NoConvergence, NotSPD
 
 
@@ -153,6 +153,87 @@ def test_spd_factor_reads_bandwidth_from_matrix():
     oracle = np.linalg.solve(Ap.toarray(), b)
     x = fem.SpdFactor(Ap).solve(b)
     assert np.abs(x - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+def patch_lod_block(kind, center, m=1):
+    """Stiffness and the sparse LOD constraint block (mass pairings with the
+    Q1 shapes of every coarse cell) of a corner or interior patch."""
+    pair = grid.NestedPair(5, 20)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
+    patch = grid.build_patch(pair, center, m)
+    sys_ = fem.assemble(pair, field, kind, patch=patch)
+    shapes = msbasis._cell_shapes_matrix(pair, patch.coarse_elems, kind)
+    return sys_.stiffness, (sys_.m_pair @ shapes).tocsr()
+
+
+def gram_oracle(A, B):
+    B = B.toarray()
+    return B.T @ np.linalg.solve(A.toarray(), B)
+
+
+def assert_gram(A, B):
+    S = fem.SpdFactor(A).gram(B)
+    oracle = gram_oracle(A, B)
+    assert S.shape == oracle.shape
+    assert np.abs(S - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+@pytest.mark.parametrize("center", [0, 12], ids=["corner", "centre"])
+@pytest.mark.parametrize("order", ["natural", "reversed", "random"])
+def test_spd_factor_gram_dense_oracle(kind, center, order):
+    A, B = patch_lod_block(kind, center)
+    # the patch does not fill whole row blocks: the last block is short
+    assert A.shape[0] % (fem.SpdFactor(A)._band.shape[0]) != 0
+    perm = {"natural": np.arange(B.shape[1]),
+            "reversed": np.arange(B.shape[1])[::-1],
+            "random": np.random.default_rng(center).permutation(B.shape[1])}[order]
+    assert_gram(A, B[:, perm])
+
+
+@pytest.mark.parametrize("where", [0, 7, -1], ids=["first", "middle", "last"])
+def test_spd_factor_gram_zero_column(where):
+    A, B = patch_lod_block(fem.DIFFUSION, 12)
+    cols = list(range(B.shape[1]))
+    cols.insert(where % (B.shape[1] + 1), B.shape[1])
+    Bz = sp.hstack([B, sp.csr_matrix((B.shape[0], 1))]).tocsr()[:, cols]
+    S = fem.SpdFactor(A).gram(Bz)
+    z = cols.index(B.shape[1])
+    assert np.all(S[z] == 0.0) and np.all(S[:, z] == 0.0)
+    assert_gram(A, Bz)
+
+
+def banded_spd(n, bw, seed):
+    """Random sparse SPD matrix with exactly bw subdiagonals."""
+    rng = np.random.default_rng(seed)
+    A = sp.identity(n) * (2.0 * bw + 1.0)
+    for d in range(1, bw + 1):
+        low = sp.diags(rng.uniform(-1, 1, n - d), -d, shape=(n, n))
+        A = A + low + low.T
+    return A.tocsr()
+
+
+@pytest.mark.parametrize("n, bw", [(12, 2), (13, 2), (6, 5), (5, 0), (1, 0)],
+                         ids=["whole-blocks", "short-last-block", "single-block",
+                              "diagonal", "one-dof"])
+def test_spd_factor_gram_block_layouts(n, bw):
+    """Blocks are bw + 1 rows: 12 rows fill 4 blocks, 13 leave a short last
+    one, and ndof <= bw + 1 is a single block."""
+    A = banded_spd(n, bw, seed=n)
+    assert fem.SpdFactor(A)._band.shape[0] == bw + 1
+    B = sp.random(n, 4, density=0.5, random_state=n, format="csr") + \
+        sp.csr_matrix(np.eye(n, 4))
+    assert_gram(A, B)
+
+
+def test_spd_factor_gram_accepts_duplicate_entries():
+    """Every entry stored twice, as two halves."""
+    A, B = patch_lod_block(fem.DIFFUSION, 0)
+    twice = sp.csr_matrix((np.repeat(B.data / 2, 2), np.repeat(B.indices, 2),
+                           2 * B.indptr), shape=B.shape)
+    assert not twice.has_canonical_format
+    S = fem.SpdFactor(A).gram(twice)
+    np.testing.assert_allclose(S, gram_oracle(A, B), atol=1e-10 * np.abs(S).max())
 
 
 def test_solve_spd_direct_vs_cg():

@@ -7,25 +7,39 @@ from mslab import grid
 from mslab.errors import CoverGap, PatchEmptyInterior
 
 
+def node_index(mesh, i, j):
+    """Lexicographic node numbering, x fastest."""
+    return j * (mesh.n + 1) + i
+
+
+def elem_index(mesh, i, j):
+    return j * mesh.n + i
+
+
 def test_mesh_counts_and_coords():
-    mesh = grid.build_mesh(4)
+    mesh = grid.StructuredMesh(4)
     assert mesh.n_nodes == 25
     assert mesh.n_elems == 16
     assert mesh.h == 0.25
-    # lexicographic numbering, x fastest
-    assert mesh.node_index(2, 1) == 7
+    assert node_index(mesh, 2, 1) == 7
     np.testing.assert_allclose(mesh.coords[7], [0.5, 0.25])
+    for i, j in [(0, 0), (4, 0), (1, 3), (4, 4)]:
+        np.testing.assert_allclose(mesh.coords[node_index(mesh, i, j)], [i / 4, j / 4])
 
 
 def test_elem_connectivity_ccw():
-    mesh = grid.build_mesh(3)
+    mesh = grid.StructuredMesh(3)
     # element (1, 1): LL node (1,1)=5, LR 6, UR 10, UL 9
-    e = mesh.elem_index(1, 1)
+    e = elem_index(mesh, 1, 1)
     np.testing.assert_array_equal(mesh.elem_nodes[e], [5, 6, 10, 9])
+    # every element's LL corner is node (i, j)
+    for j in range(3):
+        for i in range(3):
+            assert mesh.elem_nodes[elem_index(mesh, i, j), 0] == node_index(mesh, i, j)
 
 
 def test_boundary_mask():
-    mesh = grid.build_mesh(3)
+    mesh = grid.StructuredMesh(3)
     inner = ~mesh.boundary
     assert inner.sum() == 4      # the (n-1)^2 interior nodes
     for i in (5, 6, 9, 10):
@@ -108,7 +122,10 @@ def test_pou_sums_to_one():
     pair = grid.NestedPair(4, 12)
     patches = grid.build_all_patches(pair, 1)
     pou = grid.build_pou(pair, patches)
-    np.testing.assert_allclose(pou.sum_all(), 1.0, atol=1e-13)
+    total = np.zeros(pou.n_nodes)
+    for idx, val in pou.weights:
+        total[idx] += val
+    np.testing.assert_allclose(total, 1.0, atol=1e-13)
 
 
 def test_pou_supported_inside_patch():

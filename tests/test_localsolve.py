@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mslab import coeff, fem, grid, localsolve
+from mslab import coeff, fem, grid, localsolve, msbasis
 from mslab.errors import DependentConstraints
 
 
@@ -91,6 +92,38 @@ def test_dependent_constraints_detected():
         localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(B))
 
 
+def lod_constraints(sys):
+    """The sparse LOD block: mass pairings with every coarse cell's Q1 shapes."""
+    pair = sys.patch.pair
+    shapes = msbasis._cell_shapes_matrix(pair, sys.patch.coarse_elems, fem.DIFFUSION)
+    return (sys.system.m_pair @ shapes).tocsr()
+
+
+def test_sparse_constraints_take_gram_path_and_match_dense():
+    """A sparse block is solved through SpdFactor.gram and A^{-1}(B C); it
+    agrees with the dense W = L^{-1} B path and with the dense KKT oracle."""
+    _, sys = make_patch_system()
+    B = lod_constraints(sys)
+    cons = localsolve.ConstraintSet(B)
+    assert sp.issparse(cons.B) and cons.count == B.shape[1]
+    rhs = np.random.default_rng(8).standard_normal((B.shape[1], 4))
+    sparse = localsolve.solve_saddle_block(sys, cons, rhs=rhs)
+    dense = localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(B.toarray()), rhs=rhs)
+    assert isinstance(sparse, np.ndarray) and sparse.shape == dense.shape
+    np.testing.assert_allclose(sparse, dense, atol=1e-10 * np.abs(dense).max())
+    phi = localsolve.solve_saddle_block(sys, cons, targets=[5])[:, 0]
+    phi_o = dense_kkt(sys, B.toarray(), 5)
+    np.testing.assert_allclose(phi, phi_o, atol=1e-10 * np.abs(phi_o).max())
+
+
+def test_sparse_duplicate_column_detected():
+    _, sys = make_patch_system()
+    B = lod_constraints(sys)
+    dup = sp.hstack([B, B[:, 3]]).tocsr()
+    with pytest.raises(DependentConstraints):
+        localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(dup))
+
+
 def test_constraint_set_from_local_functions():
     _, sys = make_patch_system()
     rng = np.random.default_rng(6)
@@ -109,9 +142,11 @@ def test_apply_local_inverse_is_a_inv_m():
 
 
 def test_pair_full_matches_mass_on_interior():
+    """m_pair pairs a full fine-grid function against the interior tests; on
+    a function supported in the interior that is the patch mass matrix."""
     pair, sys = make_patch_system()
     v_full = np.zeros(pair.fine.n_nodes)
     v_full[sys.patch.interior_nodes] = np.arange(sys.ndof, dtype=float)
-    lhs = sys.pair_full(v_full)
+    lhs = sys.system.m_pair @ v_full
     rhs = sys.M @ v_full[sys.patch.interior_nodes]
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)

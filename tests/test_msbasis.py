@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
 from mslab.errors import DependentConstraints
@@ -170,6 +171,29 @@ def test_lod_reproduces_constraint_values_of_center_shapes(small_setup):
     # ... and the stored (orthonormalized) block spans the same 4 directions
     rep = specdiag.principal_angles(pb.vectors, raw, inner=sys.M)
     assert rep.max_angle < 1e-7
+
+
+def lod_kernel_by_forward_half(sys, lam):
+    """The LOD round through a stored W = L^{-1} B for a dense B, with
+    S = W^T W and the solution L^{-T} (W C)."""
+    shapes = msbasis._cell_shapes_matrix(sys.patch.pair, sys.patch.coarse_elems,
+                                         sys.system.kind)
+    B = (sys.system.m_pair @ shapes).toarray()
+    W = sys.solve_lower(B)
+    C = sla.cho_solve(sla.cho_factor(W.T @ W, lower=True), B.T @ lam)
+    return sys.solve_upper(W @ C)
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+@pytest.mark.parametrize("center", [0, 5], ids=["corner", "centre"])
+def test_lod_kernel_matches_forward_half_path(small_setup, kind, center):
+    pair, field = small_setup
+    sys = localsolve.PatchSystem.build(pair, field, kind, grid.build_patch(pair, center, 1))
+    lam = msbasis.method_seed(sys, msbasis.LOD)
+    Phi = next(msbasis.lod_kernel(sys, lam))
+    ref = lod_kernel_by_forward_half(sys, lam)
+    assert Phi.shape == ref.shape
+    assert np.abs(Phi - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_lod_beats_plain_coarse_space_on_smooth_problem(small_setup):
