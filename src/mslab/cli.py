@@ -19,6 +19,8 @@ from . import coeff, fem, grid, msbasis, msgalerkin, specdiag
 from .errors import ConfigError, MsLabError
 
 DEFAULT_METHODS = "lod, lssi-1, lssi-2, lssi-4, lksi-4"
+EIG_ROUNDS = 6              # rounds per eig-diag angle table
+EIG_BOUND_CHECKS = 10       # eig-diag interpolation-bound instances
 
 
 def default_rhs(kind):
@@ -112,6 +114,7 @@ class RunConfig:
             if n is not None and n < 1:
                 raise ConfigError(f"method {name}-{n}: iteration count must be >= 1")
 
+        # unused by the direct solves; read only because bench/study.py passes it
         sol = cp["solver"] if cp.has_section("solver") else {}
         self.tol = float(sol.get("tol", 1e-10))
 
@@ -160,15 +163,16 @@ def write_pgm(path, values, log10=False):
             f.write(" ".join(str(p) for p in row) + "\n")
 
 
-def run_methods(pair, field, kind, m, methods, tol=1e-10, channel_len=0):
+def run_methods(pair, field, kind, m, methods, tol=None, channel_len=0):
     """Reference solve plus one coarse solve per method.
 
     Returns (rows, context): rows are ResultRow objects carrying channel_len,
     the length of the field's channels; context carries the reference
-    solution and padded multiscale solutions for plotting.
+    solution and padded multiscale solutions for plotting.  `tol` is ignored
+    (the reference solve is direct); bench/study.py still passes it.
     """
     f = default_rhs(kind)
-    u_ref_pad, system, b = fem.reference_solve(pair, field, kind, f, tol=tol)
+    u_ref_pad, system, b = fem.reference_solve(pair, field, kind, f)
     u_ref = system.restrict(u_ref_pad)
 
     built = msbasis.build_bases(pair, field, kind, m, methods)
@@ -215,7 +219,7 @@ def cmd_gen_coeff(cfg, out):
 def cmd_solve(cfg, out, with_timing=True):
     pair = cfg.make_pair()
     field = cfg.make_field(pair)
-    rows, ctx = run_methods(pair, field, cfg.kind, cfg.m, cfg.methods, tol=cfg.tol,
+    rows, ctx = run_methods(pair, field, cfg.kind, cfg.m, cfg.methods,
                             channel_len=cfg.channel_length())
     write_csv(out / "results.csv", rows, with_timing=with_timing)
     if cfg.heatmaps:
@@ -250,15 +254,16 @@ def cmd_sweep(cfg, out, with_timing=True):
         elif axis == "n":
             methods = [(name, int(val)) for name, _ in cfg.methods
                        if name != msbasis.LOD]
-        res, _ = run_methods(pair, field, cfg.kind, m, methods, tol=cfg.tol,
+        res, _ = run_methods(pair, field, cfg.kind, m, methods,
                              channel_len=cfg.channel_length(channel_len))
         rows.extend(res)
     write_csv(out / f"sweep_{axis}.csv", rows, with_timing=with_timing)
     return 0
 
 
-def cmd_eig_diag(cfg, out, n_max=6, n_check=10):
-    """Angle tables, interpolation-bound pairs and Ritz tables for the config."""
+def cmd_eig_diag(cfg, out):
+    """Angle tables over EIG_ROUNDS rounds, EIG_BOUND_CHECKS interpolation-bound
+    pairs and Ritz tables for the config."""
     pair = cfg.make_pair()
     field = cfg.make_field(pair)
     kind = cfg.kind
@@ -275,25 +280,24 @@ def cmd_eig_diag(cfg, out, n_max=6, n_check=10):
                 # lksi follows one chain towards the leading eigenvector
                 pairs = eig if method == "lssi" else \
                     specdiag.EigPairs(eig.values[:2], eig.vectors[:, :2])
-                rep = specdiag.rate_report(sys_, pairs, n_max, method=method)
+                rep = specdiag.rate_report(sys_, pairs, EIG_ROUNDS, method=method)
                 fit = "" if rep.fitted_rate is None else f"{rep.fitted_rate:.6e}"
                 for rnd, ang, env in rep.rows():
                     f.write(f"{sys_.patch.center},{method},{rnd},{ang:.10e},"
                             f"{env:.10e},{rep.gap:.10e},{fit}\n")
 
     f_rhs = default_rhs(kind)
-    u_pad, gsys, _ = fem.reference_solve(pair, field, kind, f_rhs, tol=cfg.tol)
+    u_pad, gsys, _ = fem.reference_solve(pair, field, kind, f_rhs)
     rng = np.random.default_rng(cfg.seed)
     with open(out / "interp_bound.csv", "w") as f:
         f.write("instance,lhs,rhs\n")
-        for k in range(n_check):
+        for k in range(EIG_BOUND_CHECKS):
             if k == 0:
                 u = u_pad
             else:
                 u = np.zeros(pair.fine.n_nodes * nb)
                 u[gsys.dofs] = rng.standard_normal(gsys.ndof)
-            lhs, rhs = specdiag.check_interp_bound(
-                pair, field, kind, systems, pou, eigs, u, global_system=gsys)
+            lhs, rhs = specdiag.check_interp_bound(systems, pou, eigs, u, gsys)
             f.write(f"{k},{lhs:.10e},{rhs:.10e}\n")
 
     with open(out / "ritz.csv", "w") as f:

@@ -48,14 +48,13 @@ class ChannelSpec:
     contrast: float = 1e4
 
 
-def gen_inclusions(pair, density, contrast, seed, max_block=5, streak_fraction=0.3,
-                   streak_len=(1, 3)):
+def gen_inclusions(pair, density, contrast, seed, streak_len=(1, 3)):
     """Scatter high-value rectangular blocks on background 1.
 
-    A fraction of the blocks are elongated streaks whose length is drawn from
-    streak_len (in coarse-cell units), so the field has features crossing
-    coarse-element boundaries.  Reproducible per seed; covered area fraction
-    ~ density.
+    Plain blocks are 2 to 5 fine cells a side.  About 30% of the blocks are
+    elongated streaks whose length is drawn from streak_len (in coarse-cell
+    units), so the field has features crossing coarse-element boundaries.
+    Reproducible per seed; covered area fraction ~ density.
     """
     if not 0.0 <= density < 1.0:
         raise ValueError("density must be in [0, 1)")
@@ -70,13 +69,13 @@ def gen_inclusions(pair, density, contrast, seed, max_block=5, streak_fraction=0
         covered = 0.0
         mask = np.zeros((n, n), dtype=bool)
         while covered < target:
-            if rng.random() < streak_fraction:
+            if rng.random() < 0.3:
                 w = int(rng.integers(streak_len[0] * r, streak_len[1] * r + 1))
                 t = int(rng.integers(2, max(3, r // 3) + 1))
                 bw, bh = (w, t) if rng.random() < 0.5 else (t, w)
             else:
-                bw = int(rng.integers(2, max_block + 1))
-                bh = int(rng.integers(2, max_block + 1))
+                bw = int(rng.integers(2, 6))
+                bh = int(rng.integers(2, 6))
             i0 = int(rng.integers(0, max(1, n - bw)))
             j0 = int(rng.integers(0, max(1, n - bh)))
             mask[j0:j0 + bh, i0:i0 + bw] = True

@@ -37,26 +37,12 @@ class NotSPD(MsLabError):
     """Matrix expected to be symmetric positive definite is not."""
 
 
-class NoConvergence(MsLabError):
-    """Iterative solver hit its iteration cap."""
-
-    def __init__(self, message, residual=None):
-        self.residual = residual
-        if residual is not None:
-            message = f"{message} (final residual {residual:.3e})"
-        super().__init__(message)
-
-
 class DependentConstraints(MsLabError):
     """Constraint vectors of a saddle problem are (numerically) dependent."""
 
 
 class SingularCoarse(MsLabError):
     """Coarse Galerkin matrix failed the SPD check (degenerate basis)."""
-
-
-class CapExceeded(MsLabError):
-    """Dense eigensolver size cap exceeded; use the iterative path."""
 
 
 class ConfigError(MsLabError):

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import EmptySystem, NoConvergence, NotSPD
+from .errors import EmptySystem, NotSPD
 
 DIFFUSION = "diffusion"
 ELASTICITY = "elasticity"
@@ -72,12 +71,14 @@ _K_LAM, _K_MU = _elasticity_parts()
 
 
 def element_stiffness(kind, coeff, h):
-    """Dense element stiffness: 4x4 scalar (coeff=kappa) or 8x8 (coeff=(lam, mu))."""
+    """Dense element stiffness: 4x4 scalar (coeff=kappa) or 8x8 (coeff=(lam, mu)).
+
+    Coefficient arrays give one matrix per entry, stacked along leading axes."""
     if kind == DIFFUSION:
-        return coeff * _K_SCALAR
+        return np.multiply.outer(coeff, _K_SCALAR)
     if kind == ELASTICITY:
         lam, mu = coeff
-        return lam * _K_LAM + mu * _K_MU
+        return np.multiply.outer(lam, _K_LAM) + np.multiply.outer(mu, _K_MU)
     raise ValueError(f"unknown operator kind: {kind}")
 
 
@@ -160,16 +161,11 @@ def assemble(pair, field, kind=DIFFUSION, patch=None):
     conn = mesh.elem_nodes[elems]                       # (ne, 4)
     edofs = _expand_dofs(conn.ravel(), nb).reshape(len(elems), 4 * nb)
 
-    vals = field.per_elem()[elems]
-    if kind == DIFFUSION:
-        ke = vals[:, None, None] * _K_SCALAR[None]
-    elif kind == ELASTICITY:
-        lam_f, mu_f = field.lame()
-        lam = lam_f.ravel()[elems]
-        mu = mu_f.ravel()[elems]
-        ke = lam[:, None, None] * _K_LAM[None] + mu[:, None, None] * _K_MU[None]
+    if kind == ELASTICITY:
+        coeff = tuple(c.ravel()[elems] for c in field.lame())
     else:
-        raise ValueError(f"unknown operator kind: {kind}")
+        coeff = field.per_elem()[elems]
+    ke = element_stiffness(kind, coeff, h)
     me = np.broadcast_to(element_mass(h, kind), ke.shape)
 
     nloc = 4 * nb
@@ -286,22 +282,6 @@ class SpdFactor:
         return S
 
 
-def solve_spd(A, b, method="direct", tol=1e-10, maxiter=None):
-    """Solve A x = b for SPD A, by banded Cholesky or conjugate gradients."""
-    b = np.asarray(b, dtype=float)
-    if method == "direct":
-        return SpdFactor(A).solve(b)
-    if method == "cg":
-        if maxiter is None:
-            maxiter = 10 * A.shape[0]
-        x, info = spla.cg(A, b, rtol=tol, maxiter=maxiter)
-        if info != 0:
-            res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
-            raise NoConvergence(f"cg failed after {maxiter} iterations", residual=res)
-        return x
-    raise ValueError(f"unknown solve method: {method}")
-
-
 def assemble_rhs(pair, kind, f):
     """Full-grid load vector for f(x, y) by 2x2 Gauss quadrature per element.
 
@@ -332,12 +312,11 @@ def assemble_rhs(pair, kind, f):
     return b_full
 
 
-def reference_solve(pair, field, kind, f, method="direct", tol=1e-10):
+def reference_solve(pair, field, kind, f):
     """Fine-grid Galerkin reference solution; returns (padded solution, system, rhs_free)."""
     system = assemble(pair, field, kind)
-    b_full = assemble_rhs(pair, kind, f)
-    b = b_full[system.dofs]
-    u = solve_spd(system.stiffness, b, method=method, tol=tol)
+    b = assemble_rhs(pair, kind, f)[system.dofs]
+    u = SpdFactor(system.stiffness).solve(b)
     return system.pad(u), system, b
 
 

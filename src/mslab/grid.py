@@ -12,6 +12,12 @@ from . import fem
 from .errors import CoverGap, PatchEmptyInterior
 
 
+def box_indices(i0, i1, j0, j1, width):
+    """Lexicographic indices (x fastest) of the box [i0, i1) x [j0, j1) on a
+    grid whose rows are `width` entries long."""
+    return (np.arange(j0, j1)[:, None] * width + np.arange(i0, i1)).ravel()
+
+
 class StructuredMesh:
     """Uniform n x n quadrilateral mesh of [0,1]^2."""
 
@@ -24,17 +30,12 @@ class StructuredMesh:
         self.n_nodes = (n + 1) ** 2
         self.n_elems = n ** 2
 
-        ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
-        self.coords = np.column_stack([ii.ravel() / n, jj.ravel() / n])
+        jj, ii = np.divmod(np.arange(self.n_nodes), n + 1)
+        self.coords = np.column_stack([ii / n, jj / n])
 
-        ei, ej = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-        ei = ei.ravel()
-        ej = ej.ravel()
-        nd = lambda i, j: j * (n + 1) + i
+        ll = box_indices(0, n, 0, n, n + 1)
         # counter-clockwise: LL, LR, UR, UL
-        self.elem_nodes = np.column_stack(
-            [nd(ei, ej), nd(ei + 1, ej), nd(ei + 1, ej + 1), nd(ei, ej + 1)]
-        )
+        self.elem_nodes = np.column_stack([ll, ll + 1, ll + n + 2, ll + n + 1])
 
         xi = self.coords[:, 0]
         yi = self.coords[:, 1]
@@ -58,15 +59,6 @@ class NestedPair:
     @property
     def h(self):
         return self.fine.h
-
-    def fine_elems_of(self, coarse_elem):
-        """Fine-element indices covering one coarse element (r^2 of them)."""
-        N, n, r = self.coarse.n, self.fine.n, self.r
-        ci, cj = coarse_elem % N, coarse_elem // N
-        fi = np.arange(ci * r, (ci + 1) * r)
-        fj = np.arange(cj * r, (cj + 1) * r)
-        FI, FJ = np.meshgrid(fi, fj, indexing="xy")
-        return (FJ * n + FI).ravel()
 
 
 class Patch:
@@ -97,27 +89,17 @@ class Patch:
             jhi = min(jhi + 1, N - 1)
         self.box = (ilo, ihi, jlo, jhi)
 
-        CI, CJ = np.meshgrid(np.arange(ilo, ihi + 1), np.arange(jlo, jhi + 1), indexing="xy")
-        self.coarse_elems = (CJ * N + CI).ravel()
+        self.coarse_elems = box_indices(ilo, ihi + 1, jlo, jhi + 1, N)
 
         n, r = pair.fine.n, pair.r
-        fi = np.arange(ilo * r, (ihi + 1) * r + 1)
-        fj = np.arange(jlo * r, (jhi + 1) * r + 1)
-        FI, FJ = np.meshgrid(fi, fj, indexing="xy")
-        self.fine_nodes = (FJ * (n + 1) + FI).ravel()
-
-        gi = np.arange(ilo * r + 1, (ihi + 1) * r)
-        gj = np.arange(jlo * r + 1, (jhi + 1) * r)
-        GI, GJ = np.meshgrid(gi, gj, indexing="xy")
-        self.interior_nodes = (GJ * (n + 1) + GI).ravel()
+        i0, i1, j0, j1 = ilo * r, (ihi + 1) * r, jlo * r, (jhi + 1) * r
+        self.fine_nodes = box_indices(i0, i1 + 1, j0, j1 + 1, n + 1)
+        self.interior_nodes = box_indices(i0 + 1, i1, j0 + 1, j1, n + 1)
         if self.interior_nodes.size == 0:
             raise PatchEmptyInterior(
                 f"patch around coarse element {center} with m={m} has no interior fine DOFs"
             )
-
-        EI, EJ = np.meshgrid(np.arange(ilo * r, (ihi + 1) * r),
-                             np.arange(jlo * r, (jhi + 1) * r), indexing="xy")
-        self.fine_elems = (EJ * n + EI).ravel()
+        self.fine_elems = box_indices(i0, i1, j0, j1, n)
 
     def interior_dofs(self, nblock=1):
         """Interior DOF indices in the full fine numbering (block size 1 or 2)."""
@@ -175,10 +157,8 @@ def _bump(pair, patch):
     return np.maximum(wx, 0.0) * np.maximum(wy, 0.0)
 
 
-def build_pou(pair, patches, kind="bilinear"):
+def build_pou(pair, patches):
     """Shepard normalization of per-patch bilinear bumps; sums to 1 at every node."""
-    if kind != "bilinear":
-        raise ValueError(f"unknown partition-of-unity kind: {kind}")
     n_nodes = pair.fine.n_nodes
     raw = []
     denom = np.zeros(n_nodes)

@@ -65,9 +65,6 @@ class PatchSystem:
     def restrict(self, v_full):
         return self.system.restrict(v_full)
 
-    def pad(self, v):
-        return self.system.pad(v)
-
 
 class ConstraintSet:
     """Mass-weighted constraint vectors b_j for a patch saddle problem, as a
@@ -95,7 +92,7 @@ class ConstraintSet:
         return self.B.shape[1]
 
 
-def _schur_solve(sys, B, rtol=1e-12):
+def _schur_solve(sys, B):
     """A Cholesky factor of S = B^T A^{-1} B and the map C -> A^{-1} B C;
     raises on dependence."""
     if sp.issparse(B):
@@ -110,19 +107,19 @@ def _schur_solve(sys, B, rtol=1e-12):
     except sla.LinAlgError:
         raise DependentConstraints("constraint Schur complement is not positive definite")
     piv = np.diag(cf[0]) ** 2
-    if piv.min() <= rtol * np.abs(S).max():
+    if piv.min() <= 1e-12 * np.abs(S).max():
         raise DependentConstraints("constraint vectors dependent to tolerance")
     return apply, cf
 
 
-def solve_saddle_block(sys, constraints, targets=None, rhs=None, rtol=1e-12):
+def solve_saddle_block(sys, constraints, targets=None, rhs=None):
     """All saddle solutions at once: column k solves the RHS e_{targets[k]},
     or the columns of ``rhs`` (L x p) when given.
 
     Shares one factorization and one Schur complement across the block; the
     solution A^{-1} B C is applied to the p solution columns only.
     """
-    apply, cf = _schur_solve(sys, constraints.B, rtol)
+    apply, cf = _schur_solve(sys, constraints.B)
     if rhs is None:
         if targets is None:
             targets = np.arange(constraints.count)

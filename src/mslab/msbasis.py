@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from . import fem
 from .errors import DependentConstraints
+from .grid import box_indices, build_all_patches
 from .localsolve import ConstraintSet, PatchSystem, solve_saddle_block
 
 log = logging.getLogger(__name__)
@@ -68,13 +69,9 @@ class MsBasis:
         return out
 
 
-def build_patch_systems(pair, field, kind, m, patches=None):
+def build_patch_systems(pair, field, kind, m):
     """All patch systems as a list; only for desk-scale problems."""
-    from .grid import build_all_patches
-
-    if patches is None:
-        patches = build_all_patches(pair, m)
-    return [PatchSystem.build(pair, field, kind, p) for p in patches]
+    return [PatchSystem.build(pair, field, kind, p) for p in build_all_patches(pair, m)]
 
 
 def _cell_nodes(pair, coarse_elem, inset):
@@ -82,11 +79,10 @@ def _cell_nodes(pair, coarse_elem, inset):
     nodes strictly inside it.  Returns (nodes, xi, eta) with cell coordinates."""
     N, r, n = pair.coarse.n, pair.r, pair.fine.n
     ci, cj = coarse_elem % N, coarse_elem // N
-    fi = np.arange(ci * r + inset, (ci + 1) * r + 1 - inset)
-    fj = np.arange(cj * r + inset, (cj + 1) * r + 1 - inset)
-    FI, FJ = np.meshgrid(fi, fj, indexing="xy")
-    FI, FJ = FI.ravel(), FJ.ravel()
-    return FJ * (n + 1) + FI, (FI - ci * r) / r, (FJ - cj * r) / r
+    nodes = box_indices(ci * r + inset, (ci + 1) * r + 1 - inset,
+                        cj * r + inset, (cj + 1) * r + 1 - inset, n + 1)
+    fj, fi = np.divmod(nodes, n + 1)
+    return nodes, (fi - ci * r) / r, (fj - cj * r) / r
 
 
 def element_shape_functions(pair, coarse_elem, kind=fem.DIFFUSION):
@@ -272,8 +268,6 @@ def build_bases(pair, field, kind, m, requests, patches=None):
     stats = {lab: BuildStats() for lab in labels}
     secs = {lab: 0.0 for lab in labels}
     t_shared = 0.0
-    from .grid import build_all_patches
-
     if patches is None:
         patches = build_all_patches(pair, m)
     for p in patches:

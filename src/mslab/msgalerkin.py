@@ -92,17 +92,11 @@ def _galerkin_matrix(Phi, APhi, bounds):
     return A_ms
 
 
-def assemble_coarse(system, b, basis_or_phi):
-    """Form Phi^T A Phi and Phi^T b; SPD-checked by attempted factorization.
-
-    A basis is assembled band by band over rows of coarse elements; a raw Phi
-    (ndarray or sparse) is a single band."""
-    if sp.issparse(basis_or_phi) or isinstance(basis_or_phi, np.ndarray):
-        Phi = sp.csr_matrix(basis_or_phi)
-        bounds = np.array([0, system.ndof])
-    else:
-        Phi = basis_matrix(system, basis_or_phi)
-        bounds = _row_bands(system, basis_or_phi)
+def assemble_coarse(system, b, basis):
+    """Form Phi^T A Phi and Phi^T b, band by band over rows of coarse
+    elements; SPD-checked by attempted factorization."""
+    Phi = basis_matrix(system, basis)
+    bounds = _row_bands(system, basis)
     A_ms = _galerkin_matrix(Phi, system.stiffness @ Phi, bounds)
     A_ms = 0.5 * (A_ms + A_ms.T)
     b_ms = Phi.T @ np.asarray(b)

@@ -6,7 +6,7 @@ those of the local solution operator directly (descending lambda convention).
 """
 
 import itertools
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -14,7 +14,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem, msbasis
-from .errors import CapExceeded
 from .msbasis import m_orthonormalize
 
 DENSE_CAP = 4000
@@ -36,30 +35,22 @@ class EigPairs:
         return self.vectors / np.sqrt(self.values)[None, :]
 
 
-def local_eig(sys, count, cap=DENSE_CAP, method="auto"):
+def local_eig(sys, count, cap=DENSE_CAP):
     """Leading eigenpairs of M_omega v = lambda A_omega v.
 
-    Dense path (Cholesky reduction inside eigh, computing only the `count`
-    largest pairs) below the size cap, Lanczos otherwise; method='dense' past
-    the cap raises CapExceeded.
+    Dense (Cholesky reduction inside eigh, computing only the `count` largest
+    pairs) up to `cap` DOFs, Lanczos above.
     """
     ndof = sys.ndof
     if count < 1 or count > ndof:
         raise ValueError("eigenpair count out of range")
-    if method == "auto":
-        method = "dense" if ndof <= cap else "iterative"
-    if method == "dense":
-        if ndof > cap:
-            raise CapExceeded(
-                f"{ndof} DOFs exceed the dense cap {cap}; use the iterative path")
+    if ndof <= cap:
         w, v = sla.eigh(sys.M.toarray(), sys.A.toarray(),
                         subset_by_index=[ndof - count, ndof - 1])
         return EigPairs(w[::-1], v[:, ::-1])
-    if method == "iterative":
-        w, v = spla.eigsh(sys.M.tocsc(), k=count, M=sys.A.tocsc(), which="LM")
-        order = np.argsort(w)[::-1]
-        return EigPairs(w[order], v[:, order])
-    raise ValueError(f"unknown eig method: {method}")
+    w, v = spla.eigsh(sys.M.tocsc(), k=count, M=sys.A.tocsc(), which="LM")
+    order = np.argsort(w)[::-1]
+    return EigPairs(w[order], v[:, order])
 
 
 @dataclass
@@ -67,11 +58,10 @@ class ArnoldiResult:
     basis: np.ndarray          # orthonormal columns (in the chosen inner product)
     hess: np.ndarray           # (j+1) x j Hessenberg data
     ritz_values: np.ndarray
-    ritz_vectors: np.ndarray
     breakdown: bool
 
 
-def arnoldi(op, x1, l, inner=None, breakdown_tol=1e-14):
+def arnoldi(op, x1, l, inner=None):
     """Arnoldi orthogonalization of the Krylov space of `op`, plus Ritz pairs.
 
     `inner` is an optional SPD matrix defining the inner product (pass the
@@ -95,7 +85,7 @@ def arnoldi(op, x1, l, inner=None, breakdown_tol=1e-14):
             w = w - H[i, j] * V[i]
         h = np.sqrt(max(dot(w, w), 0.0))
         H[j + 1, j] = h
-        if h <= breakdown_tol * max(1.0, abs(H[: j + 1, j]).max()):
+        if h <= 1e-14 * max(1.0, abs(H[: j + 1, j]).max()):
             breakdown = True
             break
         V.append(w / h)
@@ -106,17 +96,13 @@ def arnoldi(op, x1, l, inner=None, breakdown_tol=1e-14):
     w = op(V[-1])
     for i in range(k):
         Hm[i, k - 1] = dot(w, V[i])
-    w_ritz, y = np.linalg.eig(Hm)
-    order = np.argsort(w_ritz.real)[::-1]
-    w_ritz = w_ritz.real[order]
-    y = y.real[:, order]
-    return ArnoldiResult(Vm, H[: k + 1, :k], w_ritz, Vm @ y, breakdown)
+    w_ritz = np.sort(np.linalg.eig(Hm)[0].real)[::-1]
+    return ArnoldiResult(Vm, H[: k + 1, :k], w_ritz, breakdown)
 
 
 @dataclass
 class AngleReport:
     angles: np.ndarray
-    inner: str = "l2"
 
     @property
     def max_angle(self):
@@ -149,7 +135,7 @@ def principal_angles(U, V, inner=None):
         sines = np.sqrt(np.clip(np.sort(np.linalg.eigvalsh(G))[:k], 0.0, 1.0))
         fine = np.arcsin(sines)
         angles[small] = fine[small]
-    return AngleReport(angles, inner="l2" if inner is None else "custom")
+    return AngleReport(angles)
 
 
 def _lumped_mass_inverse(M):
@@ -157,18 +143,17 @@ def _lumped_mass_inverse(M):
     return 1.0 / d
 
 
-def check_interp_bound(pair, field, kind, systems, pou, eigs, u_full, global_system=None):
+def check_interp_bound(systems, pou, eigs, u_full, global_system):
     """Evaluate both sides of the eigenfunction-interpolation energy bound.
 
     eigs[i] holds the leading L+1 eigenpairs of systems[i] (from local_eig).
     lhs = energy norm of u minus its local-eigenfunction interpolant; rhs =
     sqrt(max_i lambda_i^{L+1}) * sum_i ||discrete-operator(chi_i u)||_{L2},
     with the discrete operator realized as lumped-mass-inverse times stiffness
-    on each patch.  Returns (lhs, rhs).
+    on each patch; global_system is the fine-grid system the energy norm is
+    taken in.  Returns (lhs, rhs).
     """
-    if global_system is None:
-        global_system = fem.assemble(pair, field, kind)
-    nb = fem.nblock(kind)
+    nb = fem.nblock(global_system.kind)
     u_full = np.asarray(u_full, dtype=float)
     interp = np.zeros_like(u_full)
     lam_next = 0.0
@@ -204,7 +189,6 @@ class RateReport:
     gap: float
     fitted_rate: float = None
     clustered: bool = False
-    alphas: np.ndarray = dfield(default=None)
 
     def rows(self):
         return list(zip(self.rounds, self.angles, self.envelope))
@@ -240,10 +224,6 @@ def rate_report(sys, eig, n_max, method="lssi"):
     gap = float(eig.values[L] / eig.values[L - 1])
     gamma = (eig.values[:-1] - eig.values[1:]) / eig.values[1:]
     clustered = bool(np.any(gamma < 1e-10))
-    alphas = np.ones(L)
-    for j in range(1, L):
-        alphas[j] = np.prod(eig.values[:j] / (eig.values[:j] - eig.values[j])) \
-            if not clustered else np.nan
 
     seed = msbasis.method_seed(sys, method)
     if method == msbasis.LSSI:
@@ -269,4 +249,4 @@ def rate_report(sys, eig, n_max, method="lssi"):
     if n_max > 1 and not clustered:
         fitted = _fit_rate(rounds, angles)
     return RateReport(method, rounds, angles, envelope, gap,
-                      fitted_rate=fitted, clustered=clustered, alphas=alphas)
+                      fitted_rate=fitted, clustered=clustered)

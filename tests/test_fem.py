@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mslab import coeff, fem, grid, msbasis
-from mslab.errors import NoConvergence, NotSPD
+from mslab.errors import NotSPD
 
 
 def unit_field(pair):
@@ -30,6 +30,21 @@ def test_element_stiffness_quadrature_oracle():
             G = np.vstack([dxi, deta])
             K += 0.25 * G.T @ G
     np.testing.assert_allclose(K, fem._K_SCALAR, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_element_stiffness_on_coefficient_arrays(kind):
+    """An array of coefficients gives the stack of per-element matrices, bit
+    for bit; assemble relies on this."""
+    rng = np.random.default_rng(4)
+    lam, mu = 10.0 ** rng.uniform(0, 4, (2, 7))
+    if kind == fem.DIFFUSION:
+        stacked = fem.element_stiffness(kind, lam, 0.1)
+        single = [fem.element_stiffness(kind, a, 0.1) for a in lam]
+    else:
+        stacked = fem.element_stiffness(kind, (lam, mu), 0.1)
+        single = [fem.element_stiffness(kind, (a, b), 0.1) for a, b in zip(lam, mu)]
+    assert np.array_equal(stacked, np.stack(single))
 
 
 def test_element_mass_integrates_constants():
@@ -234,24 +249,6 @@ def test_spd_factor_gram_accepts_duplicate_entries():
     assert not twice.has_canonical_format
     S = fem.SpdFactor(A).gram(twice)
     np.testing.assert_allclose(S, gram_oracle(A, B), atol=1e-10 * np.abs(S).max())
-
-
-def test_solve_spd_direct_vs_cg():
-    pair = grid.NestedPair(2, 8)
-    sys_ = fem.assemble(pair, unit_field(pair), fem.DIFFUSION)
-    b = np.sin(np.arange(sys_.ndof) * 0.3)
-    xd = fem.solve_spd(sys_.stiffness, b, method="direct")
-    xc = fem.solve_spd(sys_.stiffness, b, method="cg", tol=1e-12)
-    np.testing.assert_allclose(xd, xc, atol=1e-8)
-
-
-def test_cg_no_convergence_reports_residual():
-    pair = grid.NestedPair(2, 16)
-    sys_ = fem.assemble(pair, unit_field(pair), fem.DIFFUSION)
-    b = np.ones(sys_.ndof)
-    with pytest.raises(NoConvergence) as err:
-        fem.solve_spd(sys_.stiffness, b, method="cg", tol=1e-14, maxiter=2)
-    assert err.value.residual > 0
 
 
 def test_rhs_integrates_exactly_for_bilinear_f():

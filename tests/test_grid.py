@@ -55,10 +55,17 @@ def test_nested_pair_requires_divisibility():
     assert pair.h == 0.0625
 
 
-def test_fine_elems_of_cover_partition():
+def test_box_indices_lexicographic():
+    np.testing.assert_array_equal(grid.box_indices(1, 3, 2, 4, 5), [11, 12, 16, 17])
+    assert grid.box_indices(2, 2, 0, 3, 5).size == 0
+
+
+def test_patch_fine_elems_cover_partition():
+    """The fine elements of the m=0 patches partition the fine mesh, r^2 each."""
     pair = grid.NestedPair(3, 9)
-    seen = np.concatenate([pair.fine_elems_of(c) for c in range(9)])
-    seen.sort()
+    parts = [grid.build_patch(pair, c, 0).fine_elems for c in range(9)]
+    assert all(p.size == 9 for p in parts)
+    seen = np.sort(np.concatenate(parts))
     np.testing.assert_array_equal(seen, np.arange(81))
 
 

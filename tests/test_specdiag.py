@@ -1,11 +1,9 @@
 """Spectral diagnostics tests: eigenpairs, Arnoldi, angles, bounds and rates."""
 
 import numpy as np
-import pytest
 import scipy.linalg as sla
 
 from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
-from mslab.errors import CapExceeded
 
 
 def unit_field(pair):
@@ -59,7 +57,7 @@ def test_dense_subset_matches_full_eigh():
     field = coeff.gen_inclusions(pair, 0.12, 1e4, seed=1)
     sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION,
                                        grid.build_patch(pair, 27, 2))
-    eig = specdiag.local_eig(sys, 5, method="dense")
+    eig = specdiag.local_eig(sys, 5)
     w, v = sla.eigh(sys.M.toarray(), sys.A.toarray())
     np.testing.assert_allclose(eig.values, w[::-1][:5], rtol=1e-12)
     full = v[:, ::-1][:, :5]
@@ -69,15 +67,9 @@ def test_dense_subset_matches_full_eigh():
 
 def test_iterative_matches_dense():
     _, sys = whole_domain_system(16)
-    d = specdiag.local_eig(sys, 4, method="dense")
-    it = specdiag.local_eig(sys, 4, method="iterative")
+    d = specdiag.local_eig(sys, 4)
+    it = specdiag.local_eig(sys, 4, cap=0)          # Lanczos above the cap
     np.testing.assert_allclose(d.values, it.values, rtol=1e-8)
-
-
-def test_dense_cap_enforced():
-    _, sys = whole_domain_system(16)
-    with pytest.raises(CapExceeded):
-        specdiag.local_eig(sys, 2, cap=10, method="dense")
 
 
 def test_arnoldi_tridiagonal_in_energy_inner_product():
@@ -145,8 +137,7 @@ def test_interp_bound_holds_on_random_instances():
     for k in range(10):
         u = np.zeros(pair.fine.n_nodes)
         u[gsys.dofs] = rng.standard_normal(gsys.ndof)
-        lhs, rhs = specdiag.check_interp_bound(
-            pair, field, fem.DIFFUSION, systems, pou, eigs, u, global_system=gsys)
+        lhs, rhs = specdiag.check_interp_bound(systems, pou, eigs, u, gsys)
         assert lhs <= rhs
 
 
@@ -161,17 +152,6 @@ def test_rate_report_lssi_decay():
     assert np.all(np.diff(rep.angles[1:]) <= 1e-12)           # monotone after round 1
     if rep.fitted_rate is not None:
         assert rep.fitted_rate < 1.0
-
-
-def test_rate_report_alphas_start_at_one():
-    pair = grid.NestedPair(4, 24)
-    field = unit_field(pair)
-    patch = grid.build_patch(pair, 5, 1)
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
-    rep = specdiag.rate_report(sys, specdiag.local_eig(sys, 5), 3, method="lssi")
-    if not rep.clustered:
-        assert rep.alphas[0] == 1.0
-        assert np.all(rep.alphas[1:] >= 1.0)
 
 
 def test_rate_report_lksi_follows_lksi_basis():
