@@ -175,7 +175,7 @@ def run_methods(pair, field, kind, m, methods, tol=None, channel_len=0):
     u_ref_pad, system, b = fem.reference_solve(pair, field, kind, f)
     u_ref = system.restrict(u_ref_pad)
 
-    built = msbasis.build_bases(pair, field, kind, m, methods)
+    built = msbasis.build_bases(pair, system, m, methods)
 
     rows = []
     solutions = {}
@@ -267,7 +267,8 @@ def cmd_eig_diag(cfg, out):
     pair = cfg.make_pair()
     field = cfg.make_field(pair)
     kind = cfg.kind
-    systems = msbasis.build_patch_systems(pair, field, kind, cfg.m)
+    u_pad, gsys, _ = fem.reference_solve(pair, field, kind, default_rhs(kind))
+    systems = msbasis.build_patch_systems(pair, gsys, cfg.m)
     pou = grid.build_pou(pair, [s.patch for s in systems])
     nb = fem.nblock(kind)
     L = 4 * nb
@@ -286,8 +287,6 @@ def cmd_eig_diag(cfg, out):
                     f.write(f"{sys_.patch.center},{method},{rnd},{ang:.10e},"
                             f"{env:.10e},{rep.gap:.10e},{fit}\n")
 
-    f_rhs = default_rhs(kind)
-    u_pad, gsys, _ = fem.reference_solve(pair, field, kind, f_rhs)
     rng = np.random.default_rng(cfg.seed)
     with open(out / "interp_bound.csv", "w") as f:
         f.write("instance,lhs,rhs\n")

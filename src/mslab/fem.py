@@ -1,9 +1,10 @@
 """Q1 finite element kernels on structured meshes.
 
-Element matrices, global/patch sparse assembly with homogeneous Dirichlet
-elimination, a banded Cholesky factor for the SPD systems (patch and fine
-grid alike: lexicographic DOFs on a box give a band one grid row wide), norms
-and the fine-grid reference solution.
+Element matrices, global sparse assembly with homogeneous Dirichlet
+elimination, patch systems sliced out of the global one
+(AssembledSystem.on_patch), a banded Cholesky factor for the SPD systems
+(patch and fine grid alike: lexicographic DOFs on a box give a band one grid
+row wide), norms and the fine-grid reference solution.
 Elasticity DOFs are node-major: dof = 2*node + component.
 """
 
@@ -70,7 +71,7 @@ def _elasticity_parts():
 _K_LAM, _K_MU = _elasticity_parts()
 
 
-def element_stiffness(kind, coeff, h):
+def element_stiffness(kind, coeff):
     """Dense element stiffness: 4x4 scalar (coeff=kappa) or 8x8 (coeff=(lam, mu)).
 
     Coefficient arrays give one matrix per entry, stacked along leading axes."""
@@ -128,6 +129,22 @@ class AssembledSystem:
     def restrict(self, v_full):
         return np.asarray(v_full)[self.dofs]
 
+    def on_patch(self, patch):
+        """The system on the interior DOFs of a patch, with homogeneous
+        Dirichlet conditions on the patch boundary.
+
+        Every element touching an interior node lies inside the patch, so the
+        patch matrices are exactly the rows and columns of the patch DOFs in
+        this system (and m_pair its rows), entries summed in the same order.
+        """
+        dofs = patch.interior_dofs(nblock(self.kind))
+        pos = np.minimum(np.searchsorted(self.dofs, dofs), self.ndof - 1)
+        if not np.array_equal(self.dofs[pos], dofs):
+            raise ValueError(f"patch around coarse element {patch.center} "
+                             "has DOFs that are not free in this system")
+        return AssembledSystem(self.stiffness[pos][:, pos], self.mass[pos][:, pos], dofs,
+                               self.n_full, self.kind, m_pair=self.m_pair[pos])
+
 
 def _expand_dofs(nodes, nb):
     if nb == 1:
@@ -139,34 +156,24 @@ def _expand_dofs(nodes, nb):
     return d
 
 
-def assemble(pair, field, kind=DIFFUSION, patch=None):
-    """Assemble stiffness and mass on the whole mesh or on a patch.
-
-    Homogeneous Dirichlet rows/columns are eliminated: on the outer boundary
-    for global assembly, on the patch boundary (and the outer boundary) for
-    patch assembly.
-    """
+def assemble(pair, field, kind=DIFFUSION):
+    """Assemble stiffness and mass on the whole mesh, with the homogeneous
+    Dirichlet rows/columns of the outer boundary eliminated."""
     mesh = pair.fine
-    h = mesh.h
     nb = nblock(kind)
-    if patch is None:
-        elems = np.arange(mesh.n_elems)
-        free_nodes = np.flatnonzero(~mesh.boundary)
-    else:
-        elems = patch.fine_elems
-        free_nodes = patch.interior_nodes
+    free_nodes = np.flatnonzero(~mesh.boundary)
     if free_nodes.size == 0:
         raise EmptySystem("assembly region has no free DOFs")
 
-    conn = mesh.elem_nodes[elems]                       # (ne, 4)
-    edofs = _expand_dofs(conn.ravel(), nb).reshape(len(elems), 4 * nb)
+    conn = mesh.elem_nodes                              # (ne, 4)
+    edofs = _expand_dofs(conn.ravel(), nb).reshape(mesh.n_elems, 4 * nb)
 
     if kind == ELASTICITY:
-        coeff = tuple(c.ravel()[elems] for c in field.lame())
+        coeff = tuple(c.ravel() for c in field.lame())
     else:
-        coeff = field.per_elem()[elems]
-    ke = element_stiffness(kind, coeff, h)
-    me = np.broadcast_to(element_mass(h, kind), ke.shape)
+        coeff = field.per_elem()
+    ke = element_stiffness(kind, coeff)
+    me = np.broadcast_to(element_mass(mesh.h, kind), ke.shape)
 
     nloc = 4 * nb
     rows = np.repeat(edofs, nloc, axis=1).ravel()
@@ -196,13 +203,16 @@ class SpdFactor:
     """
 
     def __init__(self, A):
-        A = sp.csr_matrix(A, copy=True)
-        A.sum_duplicates()
-        A = A.tocoo()
-        low = A.row >= A.col
-        offset = A.row[low] - A.col[low]
-        band = np.zeros((offset.max(initial=0) + 1, A.shape[0]))
-        band[offset, A.col[low]] = A.data[low]
+        A = sp.csr_matrix(A)
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
+        n = A.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        low = rows >= A.indices
+        offset = rows[low] - A.indices[low]
+        band = np.zeros((offset.max(initial=0) + 1, n))
+        band[offset, A.indices[low]] = A.data[low]
         try:
             self._band = np.asfortranarray(
                 sla.cholesky_banded(band, lower=True, check_finite=False))

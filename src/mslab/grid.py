@@ -99,7 +99,6 @@ class Patch:
             raise PatchEmptyInterior(
                 f"patch around coarse element {center} with m={m} has no interior fine DOFs"
             )
-        self.fine_elems = box_indices(i0, i1, j0, j1, n)
 
     def interior_dofs(self, nblock=1):
         """Interior DOF indices in the full fine numbering (block size 1 or 2)."""

@@ -1,9 +1,10 @@
 """Constrained local solver shared by the multiscale basis constructions.
 
-A PatchSystem holds the patch stiffness/mass on the interior DOFs together
-with its banded Cholesky factor A = L L^T.  Saddle problems with L2
-constraints B are solved through the Schur complement S = B^T A^{-1} B, on
-one of two paths chosen by the type of B:
+A PatchSystem holds the patch stiffness/mass on the interior DOFs, sliced
+out of the global system (homogeneous Dirichlet conditions on the patch
+boundary), together with its banded Cholesky factor A = L L^T.  Saddle
+problems with L2 constraints B are solved through the Schur complement
+S = B^T A^{-1} B, on one of two paths chosen by the type of B:
 
 - a sparse B (the LOD block: 4 or 8 columns per coarse cell of the patch, up
   to a few hundred, each zero above its cell) goes through
@@ -39,8 +40,9 @@ class PatchSystem:
         self._factor = fem.SpdFactor(self.A)
 
     @classmethod
-    def build(cls, pair, field, kind, patch):
-        return cls(patch, fem.assemble(pair, field, kind, patch=patch))
+    def build(cls, system, patch):
+        """The patch system cut out of the global system."""
+        return cls(patch, system.on_patch(patch))
 
     @property
     def ndof(self):

@@ -69,9 +69,10 @@ class MsBasis:
         return out
 
 
-def build_patch_systems(pair, field, kind, m):
-    """All patch systems as a list; only for desk-scale problems."""
-    return [PatchSystem.build(pair, field, kind, p) for p in build_all_patches(pair, m)]
+def build_patch_systems(pair, system, m):
+    """All patch systems of the global system as a list; only for desk-scale
+    problems."""
+    return [PatchSystem.build(system, p) for p in build_all_patches(pair, m)]
 
 
 def _cell_nodes(pair, coarse_elem, inset):
@@ -144,28 +145,34 @@ def method_seed(sys, name):
     return restrict_entry(shapes(pair, sys.patch.center, kind), sys, kind)
 
 
+def _mgs_append(M, v, cols, mcols, drop_tol=1e-10):
+    """One modified Gram-Schmidt step in the M inner product: M-orthogonalize
+    a copy of v against the kept columns `cols` (with `mcols` = M cols) and
+    append it, normalized, unless it is dependent on them.  Returns whether
+    it was kept."""
+    v = np.array(v, dtype=float)
+    norm0 = np.sqrt(max(v @ (M @ v), 0.0))
+    for q, mq in zip(cols, mcols):
+        v -= (mq @ v) * q
+    mv = M @ v
+    nrm = np.sqrt(max(v @ mv, 0.0))
+    if norm0 == 0.0 or nrm <= drop_tol * norm0:
+        return False
+    v /= nrm
+    cols.append(v)
+    mcols.append(mv / nrm)
+    return True
+
+
 def m_orthonormalize(M, V, drop_tol=1e-10):
     """Modified Gram-Schmidt in the M inner product; drops dependent columns.
 
     Returns (Q, kept_indices).
     """
-    V = np.array(V, dtype=float)
-    cols = []
-    kept = []
-    mcols = []
-    for k in range(V.shape[1]):
-        v = V[:, k].copy()
-        norm0 = np.sqrt(max(v @ (M @ v), 0.0))
-        for q, mq in zip(cols, mcols):
-            v -= (mq @ v) * q
-        mv = M @ v
-        nrm = np.sqrt(max(v @ mv, 0.0))
-        if norm0 == 0.0 or nrm <= drop_tol * norm0:
-            continue
-        v /= nrm
-        cols.append(v)
-        mcols.append(mv / nrm)
-        kept.append(k)
+    V = np.asarray(V, dtype=float)
+    cols, mcols = [], []
+    kept = [k for k in range(V.shape[1])
+            if _mgs_append(M, V[:, k], cols, mcols, drop_tol)]
     Q = np.column_stack(cols) if cols else np.zeros((V.shape[0], 0))
     return Q, kept
 
@@ -208,9 +215,11 @@ def lksi_kernel(sys, psi):
     the single-constraint solve A^{-1} M psi_{k-1} scaled to unit functional.
 
     Stops on breakdown (nonpositive functional) or once an iterate adds
-    nothing to the span of the earlier ones (the seed is not part of it).
+    nothing to the span of the earlier ones (the seed is not part of it):
+    each iterate is M-orthogonalized against the earlier ones as they were
+    kept, and the chain stagnates once one of them was dropped.
     """
-    hist = []
+    cols, mcols = [], []
     for k in itertools.count(1):
         b = sys.M @ psi
         y = sys.solve(b)
@@ -219,13 +228,11 @@ def lksi_kernel(sys, psi):
             log.info("patch %d: Krylov breakdown at step %d", sys.patch.center, k)
             return
         psi = y / s
-        if hist:
-            _, kept = m_orthonormalize(sys.M, np.column_stack(hist + [psi]))
-            if len(kept) <= len(hist):
-                log.info("patch %d: Krylov space stagnated at step %d",
-                         sys.patch.center, k)
-                return
-        hist.append(psi)
+        _mgs_append(sys.M, psi, cols, mcols)
+        if k > 1 and len(cols) < k:
+            log.info("patch %d: Krylov space stagnated at step %d",
+                     sys.patch.center, k)
+            return
         yield psi
 
 
@@ -253,8 +260,9 @@ def _raw_block(sys, name, n):
     raise ValueError(f"unknown method: {name}")
 
 
-def build_bases(pair, field, kind, m, requests, patches=None):
-    """Build several bases in one pass over the patches.
+def build_bases(pair, system, m, requests, patches=None):
+    """Build several bases in one pass over the patches, each patch system
+    sliced out of the global system.
 
     requests is a list of (method, n); returns a list of
     (label, MsBasis, BuildStats, wall_seconds) in request order, where each
@@ -272,7 +280,7 @@ def build_bases(pair, field, kind, m, requests, patches=None):
         patches = build_all_patches(pair, m)
     for p in patches:
         t0 = time.perf_counter()
-        sys = PatchSystem.build(pair, field, kind, p)
+        sys = PatchSystem.build(system, p)
         t_shared += time.perf_counter() - t0
         for lab, (name, n) in zip(labels, requests):
             t0 = time.perf_counter()
@@ -285,6 +293,6 @@ def build_bases(pair, field, kind, m, requests, patches=None):
             secs[lab] += time.perf_counter() - t0
     out = []
     for lab, (name, n) in zip(labels, requests):
-        basis = MsBasis(name, kind, per[lab])
+        basis = MsBasis(name, system.kind, per[lab])
         out.append((lab, basis, stats[lab], secs[lab] + t_shared))
     return out

@@ -35,7 +35,7 @@ def basis_matrix(system, basis):
         indices[start:end].reshape(pb.count, r.size)[:] = r
         data[start:end].reshape(pb.count, r.size)[:] = pb.vectors.T
         start = end
-    return sp.csc_matrix((data, indices, indptr), shape=(system.ndof, indptr.size - 1)).tocsr()
+    return sp.csc_matrix((data, indices, indptr), shape=(system.ndof, indptr.size - 1))
 
 
 class CoarseSystem:
@@ -53,51 +53,59 @@ class CoarseSystem:
         return self.A_ms.shape[0]
 
 
-def _row_bands(system, basis):
-    """Row boundaries of Phi, one band per row of coarse elements.
+def _galerkin_matrix(system, basis):
+    """Phi^T A Phi as a sum of one dense product per row of coarse elements.
 
-    Free DOFs are numbered lexicographically, so the fine node rows of coarse
-    row j are one contiguous range of Phi's rows."""
+    The free DOFs are the interior fine nodes in lexicographic order, so the
+    fine rows of one coarse row are one contiguous range of A's rows, and A
+    couples them only to the fine rows one above and one below.  The dense
+    block P of Phi on these extended rows is filled straight from the patch
+    vectors (each lives on an interior box of the fine grid); the band adds
+    P_core^T (A[core, ext] P) to the coarse matrix, P_core being the band's
+    own rows of P restricted to the columns nonzero on them.  Patches are
+    numbered by their centre cell, so the basis columns living on one band
+    form a short contiguous range; any column order gives the same sum."""
     pair = basis.patch_bases[0].patch.pair
     N, n, r = pair.coarse.n, pair.fine.n, pair.r
     nb = fem.nblock(basis.kind)
-    starts = np.searchsorted(system.dofs, nb * (n + 1) * r * np.arange(N))
-    return np.append(starts, system.ndof)
-
-
-def _dense_band(X, s, e):
-    """Rows s:e of a CSR matrix as (first column, dense block spanning the
-    columns from its first to its last nonzero)."""
-    rows = X[s:e]
-    if rows.nnz == 0:
-        return 0, np.zeros((e - s, 0))
-    c0 = rows.indices.min()
-    width = rows.indices.max() + 1 - c0
-    block = sp.csr_matrix((rows.data, rows.indices - c0, rows.indptr),
-                          shape=(e - s, width))
-    return c0, block.toarray()
-
-
-def _galerkin_matrix(Phi, APhi, bounds):
-    """Phi^T (A Phi) as a sum of one dense product per row band of Phi.
-
-    Patches are numbered by their centre cell, so the basis columns living on
-    one band form a short contiguous range; any partition of the rows into
-    bands gives the same sum."""
-    A_ms = np.zeros((Phi.shape[1], Phi.shape[1]))
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        a, P = _dense_band(Phi, s, e)
-        c, Q = _dense_band(APhi, s, e)
-        A_ms[a:a + P.shape[1], c:c + Q.shape[1]] += P.T @ Q
+    w = (n - 1) * nb                                    # free DOFs per fine row
+    if system.ndof != (n - 1) * w:
+        raise ValueError("coarse assembly needs the system on all free fine DOFs")
+    bases = basis.patch_bases
+    counts = np.array([pb.count for pb in bases])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    boxes = np.array([pb.patch.box for pb in bases]).reshape(-1, 4)
+    ylo, yhi = boxes[:, 2] * r + 1, (boxes[:, 3] + 1) * r - 1   # interior fine rows
+    A_ms = np.zeros((ends[-1], ends[-1]))
+    for j in range(N):
+        y0, y1 = max(j * r, 1), min((j + 1) * r, n) - 1           # band rows, inclusive
+        e0, e1 = max(y0 - 1, 1), min(y1 + 1, n - 1)
+        core = np.flatnonzero((counts > 0) & (ylo <= y1) & (yhi >= y0))
+        if y0 > y1 or core.size == 0:
+            continue
+        ext = np.flatnonzero((counts > 0) & (ylo <= e1) & (yhi >= e0))
+        c0, c1 = starts[ext].min(), ends[ext].max()
+        P = np.zeros((e1 - e0 + 1, n - 1, nb, c1 - c0))
+        for k in ext:
+            pb, s = bases[k], starts[k] - c0
+            x0, x1 = boxes[k, 0] * r + 1, (boxes[k, 1] + 1) * r - 1
+            V = pb.vectors.reshape(yhi[k] - ylo[k] + 1, x1 - x0 + 1, nb, pb.count)
+            t0, t1 = max(ylo[k], e0), min(yhi[k], e1) + 1
+            P[t0 - e0:t1 - e0, x0 - 1:x1, :, s:s + pb.count] = V[t0 - ylo[k]:t1 - ylo[k]]
+        P = P.reshape(-1, c1 - c0)
+        Q = system.stiffness[(y0 - 1) * w:y1 * w, (e0 - 1) * w:e1 * w] @ P
+        a0, a1 = starts[core].min(), ends[core].max()
+        P_core = P[(y0 - e0) * w:(y1 + 1 - e0) * w, a0 - c0:a1 - c0]
+        A_ms[a0:a1, c0:c1] += P_core.T @ Q
     return A_ms
 
 
 def assemble_coarse(system, b, basis):
-    """Form Phi^T A Phi and Phi^T b, band by band over rows of coarse
-    elements; SPD-checked by attempted factorization."""
+    """Form Phi^T A Phi, band by band over rows of coarse elements, and
+    Phi^T b; SPD-checked by attempted factorization."""
     Phi = basis_matrix(system, basis)
-    bounds = _row_bands(system, basis)
-    A_ms = _galerkin_matrix(Phi, system.stiffness @ Phi, bounds)
+    A_ms = _galerkin_matrix(system, basis)
     A_ms = 0.5 * (A_ms + A_ms.T)
     b_ms = Phi.T @ np.asarray(b)
     try:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mslab import cli, coeff, fem, grid, localsolve, msbasis, msgalerkin, specdiag
+from mslab import cli, coeff, fem, grid, localsolve, msbasis, specdiag
 
 
 def verdict(num, desc, ok, detail):
@@ -121,8 +121,9 @@ def test_criterion_5_krylov_span_oracle():
         center = int(rng.integers(pair.coarse.n_elems))
         n = int(rng.integers(2, 5))
         patch = grid.build_patch(pair, center, int(rng.integers(1, 3)))
-        sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
-        [(_, basis, _, _)] = msbasis.build_bases(pair, field, fem.DIFFUSION, patch.m,
+        system = fem.assemble(pair, field, fem.DIFFUSION)
+        sys = localsolve.PatchSystem.build(system, patch)
+        [(_, basis, _, _)] = msbasis.build_bases(pair, system, patch.m,
                                                  [("lksi", n)], patches=[patch])
         seed_vec = msbasis.restrict_entry(
             msbasis.seed_constant(pair, center), sys, fem.DIFFUSION)[:, 0]
@@ -151,7 +152,7 @@ def test_criterion_6_saddle_solver_oracle():
                                      seed=int(rng.integers(1 << 16)))
         center = int(rng.integers(pair.coarse.n_elems))
         patch = grid.build_patch(pair, center, 1)
-        sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+        sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
         assert sys.ndof <= 200
         L = int(rng.integers(1, 5))
         B = rng.standard_normal((sys.ndof, L))
@@ -183,7 +184,7 @@ def test_criterion_7_angle_decay_tracks_gap():
     field = coeff.CoefficientField(vals)
     center = pair.coarse.n * 3 + 3
     patch = grid.build_patch(pair, center, 2)
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     eig = specdiag.local_eig(sys, 5)
     gap = eig.values[4] / eig.values[3]
     rep = specdiag.rate_report(sys, eig, 7, method="lssi")
@@ -207,10 +208,9 @@ def test_criterion_8_interp_bound_holds():
         field = coeff.gen_inclusions(pair, 0.15, 10.0 ** rng.integers(1, 6),
                                      seed=int(rng.integers(1 << 16)))
         patches = grid.build_all_patches(pair, 1)
-        systems = [localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, p)
-                   for p in patches]
-        pou = grid.build_pou(pair, patches)
         gsys = fem.assemble(pair, field, fem.DIFFUSION)
+        systems = [localsolve.PatchSystem.build(gsys, p) for p in patches]
+        pou = grid.build_pou(pair, patches)
         eigs = [specdiag.local_eig(s, 5) for s in systems]
         for k in range(10):
             u = np.zeros(pair.fine.n_nodes)

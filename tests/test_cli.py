@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mslab
-from mslab import cli, coeff, grid
+from mslab import cli, coeff, fem
 
 
 BASE_CONFIG = """\
@@ -234,6 +234,36 @@ def test_eig_diag_artifacts(tmp_path):
         _, lhs, rhs = line.split(",")
         assert float(lhs) <= float(rhs)
     assert (out / "ritz.csv").exists()
+
+
+def count_assemble_calls(monkeypatch):
+    """Count the calls of fem.assemble (reference_solve looks it up at call time)."""
+    calls = []
+    assemble = fem.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "assemble", counting)
+    return calls
+
+
+def test_run_methods_assembles_once(tmp_path, monkeypatch):
+    """The patch systems are sliced out of the reference solve's system."""
+    cfg = cli.RunConfig(write_config(tmp_path))
+    pair = cfg.make_pair()
+    field = cfg.make_field(pair)
+    calls = count_assemble_calls(monkeypatch)
+    cli.run_methods(pair, field, cfg.kind, cfg.m, cfg.methods)
+    assert len(calls) == 1
+
+
+def test_eig_diag_assembles_once(tmp_path, monkeypatch):
+    cfg = cli.RunConfig(write_config(tmp_path))
+    calls = count_assemble_calls(monkeypatch)
+    assert cli.cmd_eig_diag(cfg, tmp_path) == 0
+    assert len(calls) == 1
 
 
 def test_write_pgm_orientation(tmp_path):

@@ -14,7 +14,7 @@ def unit_field(pair):
 
 
 def test_element_stiffness_scalar_properties():
-    K = fem.element_stiffness(fem.DIFFUSION, 1.0, 0.1)
+    K = fem.element_stiffness(fem.DIFFUSION, 1.0)
     np.testing.assert_allclose(K, K.T)
     np.testing.assert_allclose(K.sum(axis=1), 0.0, atol=1e-14)   # constants in kernel
     w = np.linalg.eigvalsh(K)
@@ -39,11 +39,11 @@ def test_element_stiffness_on_coefficient_arrays(kind):
     rng = np.random.default_rng(4)
     lam, mu = 10.0 ** rng.uniform(0, 4, (2, 7))
     if kind == fem.DIFFUSION:
-        stacked = fem.element_stiffness(kind, lam, 0.1)
-        single = [fem.element_stiffness(kind, a, 0.1) for a in lam]
+        stacked = fem.element_stiffness(kind, lam)
+        single = [fem.element_stiffness(kind, a) for a in lam]
     else:
-        stacked = fem.element_stiffness(kind, (lam, mu), 0.1)
-        single = [fem.element_stiffness(kind, (a, b), 0.1) for a, b in zip(lam, mu)]
+        stacked = fem.element_stiffness(kind, (lam, mu))
+        single = [fem.element_stiffness(kind, (a, b)) for a, b in zip(lam, mu)]
     assert np.array_equal(stacked, np.stack(single))
 
 
@@ -56,7 +56,7 @@ def test_element_mass_integrates_constants():
 
 
 def test_elasticity_element_rigid_body_modes():
-    Ke = fem.element_stiffness(fem.ELASTICITY, (1.0, 1.0), 0.5)
+    Ke = fem.element_stiffness(fem.ELASTICITY, (1.0, 1.0))
     np.testing.assert_allclose(Ke, Ke.T, atol=1e-14)
     w = np.linalg.eigvalsh(Ke)
     assert np.all(np.abs(w[:3]) < 1e-12)                         # 3 rigid body modes
@@ -82,17 +82,60 @@ def test_assemble_global_shapes():
     assert syse.ndof == 98
 
 
-def test_assemble_patch_matches_submatrix():
-    """Patch assembly equals the global matrix restricted to the patch DOFs
-    when the patch spans the whole mesh."""
-    pair = grid.NestedPair(3, 9)
-    field = coeff.gen_inclusions(pair, 0.1, 1e3, seed=1)
-    gsys = fem.assemble(pair, field, fem.DIFFUSION)
-    p = grid.build_patch(pair, 4, 5)                             # whole domain
-    psys = fem.assemble(pair, field, fem.DIFFUSION, patch=p)
-    np.testing.assert_array_equal(psys.dofs, gsys.dofs)
-    np.testing.assert_allclose(psys.stiffness.toarray(), gsys.stiffness.toarray())
-    np.testing.assert_allclose(psys.mass.toarray(), gsys.mass.toarray())
+def assemble_patch_by_elements(pair, field, kind, patch):
+    """Oracle: stiffness, mass and m_pair of a patch assembled element by
+    element over the fine elements of the patch box, then restricted to the
+    patch interior DOFs."""
+    mesh, r, nb = pair.fine, pair.r, fem.nblock(kind)
+    ilo, ihi, jlo, jhi = patch.box
+    elems = grid.box_indices(ilo * r, (ihi + 1) * r, jlo * r, (jhi + 1) * r, mesh.n)
+    edofs = fem._expand_dofs(mesh.elem_nodes[elems].ravel(), nb).reshape(elems.size, 4 * nb)
+    if kind == fem.ELASTICITY:
+        values = tuple(c.ravel()[elems] for c in field.lame())
+    else:
+        values = field.per_elem()[elems]
+    ke = fem.element_stiffness(kind, values)
+    me = np.broadcast_to(fem.element_mass(mesh.h, kind), ke.shape)
+    rows = np.repeat(edofs, 4 * nb, axis=1).ravel()
+    cols = np.tile(edofs, (1, 4 * nb)).ravel()
+    n_full = mesh.n_nodes * nb
+    A_full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n_full, n_full)).tocsr()
+    M_full = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n_full, n_full)).tocsr()
+    dofs = patch.interior_dofs(nb)
+    A = A_full[dofs][:, dofs].tocsr()
+    m_pair = M_full[dofs].tocsr()
+    M = m_pair[:, dofs].tocsr()
+    A.sum_duplicates()
+    M.sum_duplicates()
+    return A, M, m_pair
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+@pytest.mark.parametrize("center, m", [(0, 1), (12, 1), (12, 5)],
+                         ids=["corner", "centre", "whole"])
+def test_on_patch_matches_element_assembly(kind, center, m):
+    """The patch system sliced out of the global one is bit for bit the patch
+    assembled on its own: every element touching an interior node lies in
+    the patch and is summed in the same order."""
+    pair = grid.NestedPair(5, 20)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
+    patch = grid.build_patch(pair, center, m)
+    psys = fem.assemble(pair, field, kind).on_patch(patch)
+    np.testing.assert_array_equal(psys.dofs, patch.interior_dofs(fem.nblock(kind)))
+    assert psys.kind == kind and psys.n_full == pair.fine.n_nodes * fem.nblock(kind)
+    for got, want in zip((psys.stiffness, psys.mass, psys.m_pair),
+                         assemble_patch_by_elements(pair, field, kind, patch)):
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def test_on_patch_rejects_dofs_not_free():
+    pair = grid.NestedPair(5, 20)
+    gsys = fem.assemble(pair, unit_field(pair), fem.DIFFUSION)
+    small = gsys.on_patch(grid.build_patch(pair, 12, 0))
+    with pytest.raises(ValueError):
+        small.on_patch(grid.build_patch(pair, 12, 1))
 
 
 def test_m_pair_consistent_with_mass():
@@ -127,7 +170,7 @@ def patch_stiffness(kind, center, m=1):
     """Stiffness of a clipped corner (center 0) or interior (center 12) patch."""
     pair = grid.NestedPair(5, 20)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
-    return fem.assemble(pair, field, kind, patch=grid.build_patch(pair, center, m)).stiffness
+    return fem.assemble(pair, field, kind).on_patch(grid.build_patch(pair, center, m)).stiffness
 
 
 @pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
@@ -156,6 +199,25 @@ def test_spd_factor_halves_compose_to_solve(kind):
     np.testing.assert_allclose(W.T @ W, b.T @ x, rtol=1e-12)
 
 
+def test_spd_factor_non_canonical_input():
+    """Duplicate entries and unsorted column indices give the band of the
+    canonical copy, and the input is left as it was."""
+    A = patch_stiffness(fem.DIFFUSION, 12).tocoo()
+    half = 0.5 * A.data
+    rows = np.concatenate([A.row, A.row])
+    cols = np.concatenate([A.col, A.col])
+    vals = np.concatenate([half, A.data - half])
+    order = np.lexsort((np.random.default_rng(4).random(rows.size), rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=A.shape[0]))])
+    X = sp.csr_matrix((vals[order], cols[order], indptr), shape=A.shape)
+    indices = X.indices.copy()
+    assert not X.has_canonical_format
+    canonical = X.copy()
+    canonical.sum_duplicates()
+    assert np.array_equal(fem.SpdFactor(X)._band, fem.SpdFactor(canonical)._band)
+    assert np.array_equal(X.indices, indices)
+
+
 def test_spd_factor_reads_bandwidth_from_matrix():
     """A symmetric permutation spreads the band over the whole matrix; the
     factor must still solve it exactly."""
@@ -176,7 +238,7 @@ def patch_lod_block(kind, center, m=1):
     pair = grid.NestedPair(5, 20)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
     patch = grid.build_patch(pair, center, m)
-    sys_ = fem.assemble(pair, field, kind, patch=patch)
+    sys_ = fem.assemble(pair, field, kind).on_patch(patch)
     shapes = msbasis._cell_shapes_matrix(pair, patch.coarse_elems, kind)
     return sys_.stiffness, (sys_.m_pair @ shapes).tocsr()
 

@@ -60,15 +60,6 @@ def test_box_indices_lexicographic():
     assert grid.box_indices(2, 2, 0, 3, 5).size == 0
 
 
-def test_patch_fine_elems_cover_partition():
-    """The fine elements of the m=0 patches partition the fine mesh, r^2 each."""
-    pair = grid.NestedPair(3, 9)
-    parts = [grid.build_patch(pair, c, 0).fine_elems for c in range(9)]
-    assert all(p.size == 9 for p in parts)
-    seen = np.sort(np.concatenate(parts))
-    np.testing.assert_array_equal(seen, np.arange(81))
-
-
 def test_patch_box_growth_and_clipping():
     pair = grid.NestedPair(5, 10)
     # interior element: full (2m+1)^2 box

@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg as sla
 
 from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
-from mslab.errors import DependentConstraints
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +74,8 @@ def test_restrict_entry_matches_rowwise(small_setup, kind):
     """On a patch clipped at the corner: the centre cell (boundary nodes
     dropped), a neighbour cut by the patch edge, and a cell outside."""
     pair, field = small_setup
-    sys = localsolve.PatchSystem.build(pair, field, kind, grid.build_patch(pair, 0, 1))
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, kind),
+                                       grid.build_patch(pair, 0, 1))
     for entry in [msbasis.element_shape_functions(pair, 0, kind),
                   msbasis.seed_constant(pair, 0, kind),
                   msbasis.element_shape_functions(pair, 5, kind),
@@ -90,7 +90,7 @@ def test_seed_gram_rank(small_setup):
     """The 4 bilinear seeds restricted to a patch are independent in L2."""
     pair, field = small_setup
     patch = grid.build_patch(pair, 5, 1)
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     S = msbasis.restrict_entry(msbasis.element_shape_functions(pair, 5), sys, fem.DIFFUSION)
     G = S.T @ (sys.M @ S)
     assert np.linalg.matrix_rank(G, tol=1e-12) == 4
@@ -99,7 +99,7 @@ def test_seed_gram_rank(small_setup):
 def test_m_orthonormalize_properties(small_setup):
     pair, field = small_setup
     patch = grid.build_patch(pair, 5, 1)
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     rng = np.random.default_rng(0)
     V = rng.standard_normal((sys.ndof, 3))
     V = np.column_stack([V, V[:, 0] + V[:, 1]])                 # dependent column
@@ -113,8 +113,9 @@ def test_m_orthonormalize_properties(small_setup):
 
 def build_one(pair, field, method, n, m=1, patches=None):
     """(basis, stats) of a single method from build_bases."""
-    [(_, basis, stats, _)] = msbasis.build_bases(pair, field, fem.DIFFUSION, m,
-                                                 [(method, n)], patches=patches)
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    [(_, basis, stats, _)] = msbasis.build_bases(pair, system, m, [(method, n)],
+                                                 patches=patches)
     return basis, stats
 
 
@@ -156,7 +157,7 @@ def test_lod_reproduces_constraint_values_of_center_shapes(small_setup):
     pair, field = small_setup
     basis, _ = build_one(pair, field, "lod", 1)
     pb = basis.patch_bases[len(basis.patch_bases) // 2]
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, pb.patch)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), pb.patch)
     cols = []
     for T in pb.patch.coarse_elems:
         dofs, V = msbasis.element_shape_functions(pair, int(T), fem.DIFFUSION)
@@ -188,7 +189,8 @@ def lod_kernel_by_forward_half(sys, lam):
 @pytest.mark.parametrize("center", [0, 5], ids=["corner", "centre"])
 def test_lod_kernel_matches_forward_half_path(small_setup, kind, center):
     pair, field = small_setup
-    sys = localsolve.PatchSystem.build(pair, field, kind, grid.build_patch(pair, center, 1))
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, kind),
+                                       grid.build_patch(pair, center, 1))
     lam = msbasis.method_seed(sys, msbasis.LOD)
     Phi = next(msbasis.lod_kernel(sys, lam))
     ref = lod_kernel_by_forward_half(sys, lam)
@@ -212,8 +214,9 @@ def test_lksi_span_matches_explicit_krylov(small_setup):
     pair, field = small_setup
     n = 3
     basis, _ = build_one(pair, field, "lksi", n)
+    system = fem.assemble(pair, field, fem.DIFFUSION)
     for pb in basis.patch_bases:
-        sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, pb.patch)
+        sys = localsolve.PatchSystem.build(system, pb.patch)
         seed = msbasis.restrict_entry(
             msbasis.seed_constant(pair, pb.patch.center), sys, fem.DIFFUSION)[:, 0]
         explicit = []
@@ -231,7 +234,7 @@ def test_lksi_breakdown_truncates():
     pair = grid.NestedPair(4, 16)
     field = coeff.CoefficientField(np.ones((16, 16)))
     patch = grid.build_patch(pair, 5, 1)
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     eig = specdiag.local_eig(sys, 1)
     chain = list(itertools.islice(msbasis.lksi_kernel(sys, eig.vectors[:, 0]), 4))
     assert len(chain) == 1                                      # truncated chain
@@ -242,7 +245,7 @@ def test_lssi_one_round_equals_saddle(small_setup):
     pair, field = small_setup
     basis, _ = build_one(pair, field, "lssi", 1)
     pb = basis.patch_bases[3]
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, pb.patch)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), pb.patch)
     S = msbasis.restrict_entry(
         msbasis.element_shape_functions(pair, pb.patch.center), sys, fem.DIFFUSION)
     cons = localsolve.ConstraintSet.from_local_functions(sys, S)
@@ -255,7 +258,7 @@ def test_nested_iterates_improve_eigenspace_angle(small_setup):
     """More rounds move the span closer to the leading eigenspace."""
     pair, field = small_setup
     patch = grid.build_patch(pair, 5, 1)
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     eig = specdiag.local_eig(sys, 4)
     angles = []
     for n in (1, 3):
@@ -268,7 +271,7 @@ def test_nested_iterates_improve_eigenspace_angle(small_setup):
 
 def test_build_bases_matches_individual(small_setup):
     pair, field = small_setup
-    out = msbasis.build_bases(pair, field, fem.DIFFUSION, 1,
+    out = msbasis.build_bases(pair, fem.assemble(pair, field, fem.DIFFUSION), 1,
                               [("lod", 1), ("lssi", 2), ("lksi", 3)])
     labels = [o[0] for o in out]
     assert labels == ["lod", "lssi-2", "lksi-3"]

@@ -16,7 +16,7 @@ def setup():
     system = fem.assemble(pair, field, fem.DIFFUSION)
     f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     b = fem.assemble_rhs(pair, fem.DIFFUSION, f)[system.dofs]
-    [(_, basis, _, _)] = msbasis.build_bases(pair, field, fem.DIFFUSION, 1, [("lssi", 1)])
+    [(_, basis, _, _)] = msbasis.build_bases(pair, system, 1, [("lssi", 1)])
     return pair, field, system, b, basis
 
 
@@ -54,10 +54,15 @@ def test_coarse_matrix_is_triple_product(setup):
     np.testing.assert_allclose(cs.b_ms, Phi.T @ b, atol=1e-14)
 
 
-@pytest.fixture(scope="module", params=[fem.DIFFUSION, fem.ELASTICITY])
+@pytest.fixture(scope="module", params=[
+    pytest.param((kind, m), id=kind + suffix)
+    for suffix, m in [("", 1), ("-m0", 0), ("-whole", 5)]
+    for kind in (fem.DIFFUSION, fem.ELASTICITY)])
 def banded(request):
-    """Five coarse row bands, patches clipped at the boundary, three methods."""
-    kind = request.param
+    """Five coarse row bands, three methods, patches of one layer clipped at
+    the boundary, single-cell patches (m=0) or patches spanning the whole
+    domain (m >= N), whose columns live on every band."""
+    kind, m = request.param
     pair = grid.NestedPair(5, 20)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=4)
     system = fem.assemble(pair, field, kind)
@@ -66,7 +71,7 @@ def banded(request):
     else:
         f = lambda x, y: (np.sin(np.pi * x), np.cos(np.pi * y))
     b = fem.assemble_rhs(pair, kind, f)[system.dofs]
-    built = msbasis.build_bases(pair, field, kind, 1,
+    built = msbasis.build_bases(pair, system, m,
                                 [("lod", None), ("lssi", 2), ("lksi", 3)])
     return system, b, {lab: basis for lab, basis, _, _ in built}
 

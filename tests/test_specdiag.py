@@ -15,7 +15,7 @@ def whole_domain_system(n=24):
     pair = grid.NestedPair(4, n)
     field = unit_field(pair)
     patch = grid.build_patch(pair, 5, 4)
-    return pair, localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+    return pair, localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
 
 
 def test_laplace_leading_eigenvalue():
@@ -55,7 +55,7 @@ def test_dense_subset_matches_full_eigh():
     (eig-diag grid H=1/8, h=1/40, m=2, inclusion field)."""
     pair = grid.NestedPair(8, 40)
     field = coeff.gen_inclusions(pair, 0.12, 1e4, seed=1)
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION,
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION),
                                        grid.build_patch(pair, 27, 2))
     eig = specdiag.local_eig(sys, 5)
     w, v = sla.eigh(sys.M.toarray(), sys.A.toarray())
@@ -128,10 +128,9 @@ def test_interp_bound_holds_on_random_instances():
     pair = grid.NestedPair(4, 16)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=9)
     patches = grid.build_all_patches(pair, 1)
-    systems = [localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, p)
-               for p in patches]
-    pou = grid.build_pou(pair, patches)
     gsys = fem.assemble(pair, field, fem.DIFFUSION)
+    systems = [localsolve.PatchSystem.build(gsys, p) for p in patches]
+    pou = grid.build_pou(pair, patches)
     eigs = [specdiag.local_eig(s, 5) for s in systems]
     rng = np.random.default_rng(2)
     for k in range(10):
@@ -146,7 +145,7 @@ def test_rate_report_lssi_decay():
     pair = grid.NestedPair(4, 24)
     field = unit_field(pair)
     patch = grid.build_patch(pair, 5, 1)
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     rep = specdiag.rate_report(sys, specdiag.local_eig(sys, 5), 6, method="lssi")
     assert rep.gap < 1.0
     assert np.all(np.diff(rep.angles[1:]) <= 1e-12)           # monotone after round 1
@@ -160,10 +159,11 @@ def test_rate_report_lksi_follows_lksi_basis():
     pair = grid.NestedPair(4, 16)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=2)
     patch = grid.build_patch(pair, 5, 1)
-    sys = localsolve.PatchSystem.build(pair, field, fem.DIFFUSION, patch)
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    sys = localsolve.PatchSystem.build(system, patch)
     eig = specdiag.local_eig(sys, 2)
     rep = specdiag.rate_report(sys, eig, 4, method="lksi")
-    built = msbasis.build_bases(pair, field, fem.DIFFUSION, 1,
+    built = msbasis.build_bases(pair, system, 1,
                                 [("lksi", n) for n in range(1, 5)], patches=[patch])
     for n, (_, basis, _, _) in enumerate(built, 1):
         want = specdiag.principal_angles(basis.patch_bases[0].vectors,
