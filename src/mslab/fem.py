@@ -136,14 +136,38 @@ class AssembledSystem:
         Every element touching an interior node lies inside the patch, so the
         patch matrices are exactly the rows and columns of the patch DOFs in
         this system (and m_pair its rows), entries summed in the same order.
+        Stiffness and mass are assembled from the same element DOF pairs, so
+        they share one sparsity pattern: one gather serves both.
         """
         dofs = patch.interior_dofs(nblock(self.kind))
         pos = np.minimum(np.searchsorted(self.dofs, dofs), self.ndof - 1)
         if not np.array_equal(self.dofs[pos], dofs):
             raise ValueError(f"patch around coarse element {patch.center} "
                              "has DOFs that are not free in this system")
-        return AssembledSystem(self.stiffness[pos][:, pos], self.mass[pos][:, pos], dofs,
-                               self.n_full, self.kind, m_pair=self.m_pair[pos])
+        A, n = self.stiffness, dofs.size
+        take, bounds = _row_entries(A.indptr, pos)
+        local = np.full(self.ndof, -1, dtype=A.indices.dtype)
+        local[pos] = np.arange(n)
+        cols = local[A.indices[take]]
+        keep = cols >= 0
+        kept = np.zeros(take.size + 1, dtype=A.indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        take, pattern = take[keep], (cols[keep], kept[bounds])
+        mt, mbounds = _row_entries(self.m_pair.indptr, pos)
+        m_pair = sp.csr_matrix((self.m_pair.data[mt], self.m_pair.indices[mt], mbounds),
+                               shape=(n, self.n_full))
+        return AssembledSystem(sp.csr_matrix((A.data[take], *pattern), shape=(n, n)),
+                               sp.csr_matrix((self.mass.data[take], *pattern), shape=(n, n)),
+                               dofs, self.n_full, self.kind, m_pair=m_pair)
+
+
+def _row_entries(indptr, rows):
+    """Positions of the entries of the given CSR rows in its data array, row
+    after row, and where each row starts and ends in that list (an indptr)."""
+    start = indptr[rows]
+    bounds = np.zeros(rows.size + 1, dtype=indptr.dtype)
+    np.cumsum(indptr[rows + 1] - start, out=bounds[1:])
+    return np.repeat(start - bounds[:-1], np.diff(bounds)) + np.arange(bounds[-1]), bounds
 
 
 def _expand_dofs(nodes, nb):
@@ -199,7 +223,9 @@ class SpdFactor:
     a small multiple of the nonzeros.  A failed factorization certifies that A
     is not SPD.  Besides full solves, the factor applies its two triangular
     halves L^{-1} and L^{-T} (LAPACK tbtrs on the same band) and forms the
-    energy Gram matrix B^T A^{-1} B of a sparse column block (gram).
+    energy Gram matrix B^T A^{-1} B of a sparse column block (gram).  The
+    leading n x n block of L is the factor of the leading n x n block of A;
+    leading(n) serves it as a view on the band, without a new factorization.
     """
 
     def __init__(self, A):
@@ -221,6 +247,15 @@ class SpdFactor:
         piv = self._band[0]
         if not np.all(np.isfinite(piv) & (piv > 0.0)):
             raise NotSPD("nonpositive or non-finite pivot in factorization")
+
+    def leading(self, n):
+        """The factor of the leading n x n block of A: the first n columns of
+        the band (Fortran order keeps them contiguous), shared, not copied."""
+        if not 0 < n <= self._band.shape[1]:
+            raise ValueError(f"leading block of {n} rows in a factor of {self._band.shape[1]}")
+        block = object.__new__(SpdFactor)
+        block._band = self._band[:, :n]
+        return block
 
     def solve(self, b):
         """A^{-1} b for a vector or a column block."""
@@ -250,17 +285,27 @@ class SpdFactor:
         return np.ndarray((r1 - r0, c1 - c0), buffer=self._band,
                           offset=(r0 + c0 * bw) * item, strides=(item, bw * item))
 
-    def gram(self, B):
+    def gram(self, B, blocks=None):
         """B^T A^{-1} B = X^T X with X = L^{-1} B, for a sparse column block B.
+
+        With `blocks`, a list of (rows, cols) sizes, it returns instead the
+        list of the Grams of the leading blocks B[:rows, :cols], each against
+        the leading rows x rows block of A, from the same pass.
 
         The forward half runs over dense row blocks of the band, as high as
         the band (k = bw + 1 rows): X_b = D_b^{-1} (B_b - P_b X_{b-1}), with
         D_b the diagonal triangle of L and P_b its strictly upper coupling to
         the previous block, one GEMM and one TRSM per block (on the transposes,
-        where OpenBLAS solves faster); X_b^T X_b is added to the result at
-        once, so neither X nor a dense B is ever stored.  Column c is zero
-        above row min(first nonzero row of columns c, c+1, ...), so each block
-        works only on the prefix of columns that has reached it.
+        where OpenBLAS solves faster).  The X_b^T of up to _STACK_ROWS rows on
+        the same columns stay side by side in a stack Y and are added to the
+        running sum S = X^T X together, Y Y^T in one SYRK, so neither X nor a
+        dense B is ever stored.  The columns are taken in the order of their
+        first nonzero row (X is zero above it), so each block works only on
+        the prefix of columns that has reached it, whatever order the caller
+        gives them in.  L[:rows, :rows] factors the leading block of A, so the
+        Gram of a leading block is the running sum up to its last row:
+        S[q, q] + Y[q, :j] Y[q, :j]^T, where q are its columns and the first
+        j stacked rows reach down to that row.
         """
         B = sp.csr_matrix(B)
         if not B.has_canonical_format:
@@ -268,28 +313,65 @@ class SpdFactor:
             B.sum_duplicates()
         n, ncols = B.shape
         k = self._band.shape[0]
+        wanted = [(n, ncols)] if blocks is None else list(blocks)
+        due = {}
+        for i, (r, c) in enumerate(wanted):
+            if not (0 < r <= n and 0 <= c <= ncols):
+                raise ValueError(f"no leading {r} x {c} block in a {n} x {ncols} block")
+            due.setdefault((r - 1) // k * k, []).append(i)
         rows = np.repeat(np.arange(n), np.diff(B.indptr))
         first = np.full(ncols, n)
         np.minimum.at(first, B.indices, rows)
-        reach = np.minimum.accumulate(first[::-1])[::-1]
+        order = np.argsort(first, kind="stable")
+        first = first[order]
+        rank = np.empty(ncols, dtype=np.int64)
+        rank[order] = np.arange(ncols)
+        cols = rank[B.indices]
         strict_upper = np.triu(np.ones((k, k)), 1)
+        starts = np.arange(0, n, k)
+        ends = np.minimum(starts + k, n)
+        reach = np.searchsorted(first, ends)
+        most = max(1, _STACK_ROWS // k) * k
         S = np.zeros((ncols, ncols))
-        Xt = np.zeros((0, k))
-        for r0 in range(0, n, k):
-            r1 = min(r0 + k, n)
-            p = int(np.searchsorted(reach, r1))
-            if p == 0:
-                continue
-            s, e = B.indptr[r0], B.indptr[r1]
-            Bt = np.zeros((p, r1 - r0), order="F")
-            Bt[B.indices[s:e], rows[s:e] - r0] = B.data[s:e]
-            if Xt.shape[0] > 0:
-                P = self._dense(r0, r1, r0 - k, r0) * strict_upper[:r1 - r0]
-                Bt[:Xt.shape[0]] -= Xt @ P.T
-            Xt = sla.blas.dtrsm(1.0, self._dense(r0, r1, r0, r1), Bt, side=1,
-                                lower=1, trans_a=1, overwrite_b=1)
-            S[:p, :p] += Xt @ Xt.T
-        return S
+        stack, used = np.zeros((0, 0)), 0
+        Xt = stack
+        grams = [None] * len(wanted)
+        for r0, r1, p in zip(starts, ends, reach):
+            if p > 0:
+                if p != stack.shape[0] or used + r1 - r0 > stack.shape[1]:
+                    Y = stack[:, :used]
+                    S[:Y.shape[0], :Y.shape[0]] += Y @ Y.T
+                    last = np.searchsorted(reach, p, side="right") - 1
+                    stack = np.zeros((p, min(ends[last] - r0, most)), order="F")
+                    used = 0
+                s, e = B.indptr[r0], B.indptr[r1]
+                Bt = stack[:, used:used + r1 - r0]
+                Bt[cols[s:e], rows[s:e] - r0] = B.data[s:e]
+                if Xt.shape[0] > 0:
+                    P = self._dense(r0, r1, r0 - k, r0) * strict_upper[:r1 - r0]
+                    Bt[:Xt.shape[0]] -= Xt @ P.T
+                Xt = sla.blas.dtrsm(1.0, self._dense(r0, r1, r0, r1), Bt, side=1,
+                                    lower=1, trans_a=1, overwrite_b=1)
+                if Xt is not Bt:
+                    Bt[...] = Xt
+                    Xt = Bt
+                used += r1 - r0
+            for i in due.get(r0, ()):
+                r, c = wanted[i]
+                q = rank[:c]
+                G = S[np.ix_(q, q)]
+                live = q < stack.shape[0]
+                Y = stack[q[live], :used - (r1 - r)]
+                if live.all():
+                    G += Y @ Y.T
+                else:
+                    G[np.ix_(live, live)] += Y @ Y.T
+                grams[i] = G
+        return grams[0] if blocks is None else grams
+
+
+# rows of X = L^{-1} B that SpdFactor.gram stacks before adding them into S
+_STACK_ROWS = 1024
 
 
 def assemble_rhs(pair, kind, f):

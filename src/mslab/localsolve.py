@@ -2,15 +2,18 @@
 
 A PatchSystem holds the patch stiffness/mass on the interior DOFs, sliced
 out of the global system (homogeneous Dirichlet conditions on the patch
-boundary), together with its banded Cholesky factor A = L L^T.  Saddle
-problems with L2 constraints B are solved through the Schur complement
-S = B^T A^{-1} B, on one of two paths chosen by the type of B:
+boundary), together with its banded Cholesky factor A = L L^T, its own or
+the leading block of the factor of a patch it nests in (natural order, or
+reversed for patches that share the top edge).  Saddle problems with L2
+constraints B are solved through the Schur complement S = B^T A^{-1} B, on
+one of two paths chosen by the type of B:
 
 - a sparse B (the LOD block: 4 or 8 columns per coarse cell of the patch, up
   to a few hundred, each zero above its cell) goes through
   SpdFactor.gram, one pass over dense row blocks of the band with GEMM and
   TRSM that never stores L^{-1} B; the solution A^{-1} (B C) is one solve on
-  the few target columns;
+  the few target columns.  The same pass fills the Schur complements of
+  the constraint sets nested in B (ConstraintSet.nested);
 - a dense B (the LSSI block M Phi, a handful of columns) is solved forward
   as W = L^{-1} B with LAPACK tbtrs and S = W^T W; the backward half then
   runs on the solution columns only, L^{-T} (W C).  On so few columns the
@@ -30,47 +33,97 @@ from .errors import DependentConstraints
 
 
 class PatchSystem:
-    """Factorized local operator on the interior DOFs of one patch."""
+    """Factorized local operator on the interior DOFs of one patch.
 
-    def __init__(self, patch, system):
+    Patches clipped at the domain boundary nest: a patch whose DOFs are the
+    leading rows of a taller patch's DOFs, or its trailing rows, can run on a
+    leading block of that patch's factor (SpdFactor.leading).  For trailing
+    rows the factor is of the DOFs taken backwards, which turns them into
+    leading ones; solve, its halves and gram apply that reversal, so callers
+    always see natural order.
+    """
+
+    def __init__(self, patch, system, factor, reverse=False):
         self.patch = patch
         self.system = system
         self.A = system.stiffness
         self.M = system.mass
-        self._factor = fem.SpdFactor(self.A)
+        self._factor = factor
+        self.reverse = reverse
 
     @classmethod
-    def build(cls, system, patch):
-        """The patch system cut out of the global system."""
-        return cls(patch, system.on_patch(patch))
+    def build(cls, system, patch, reverse=False, within=None):
+        """The patch system cut out of the global system.  It gets its own
+        factor (of its DOFs taken backwards when `reverse`), or, given
+        `within`, the system of a patch it nests in, the leading block of that
+        system's factor, in that system's order."""
+        local = system.on_patch(patch)
+        if within is None:
+            A = _reversed(local.stiffness) if reverse else local.stiffness
+            return cls(patch, local, fem.SpdFactor(A), reverse)
+        n, outer = local.ndof, within.system.dofs
+        if not np.array_equal(local.dofs, outer[-n:] if within.reverse else outer[:n]):
+            raise ValueError(f"patch around coarse element {patch.center} does not nest "
+                             f"in the patch around coarse element {within.patch.center}")
+        return cls(patch, local, within._factor.leading(n), within.reverse)
 
     @property
     def ndof(self):
         return self.A.shape[0]
 
+    def _in(self, b):
+        return np.asarray(b, dtype=float)[::-1] if self.reverse else b
+
+    def _out(self, x):
+        return x[::-1] if self.reverse else x
+
     def solve(self, b):
         """A_omega^{-1} b for a vector or a column block."""
-        return self._factor.solve(b)
+        return self._out(self._factor.solve(self._in(b)))
 
     def solve_lower(self, b):
-        """L^{-1} b for the Cholesky factor A_omega = L L^T."""
-        return self._factor.solve_lower(b)
+        """L^{-1} b for the Cholesky factor A_omega = L L^T (of the reversed
+        DOFs in a reversed system, where b is reversed first)."""
+        return self._factor.solve_lower(self._in(b))
 
     def solve_upper(self, b):
-        """L^{-T} b for the Cholesky factor A_omega = L L^T."""
-        return self._factor.solve_upper(b)
+        """L^{-T} b for the Cholesky factor A_omega = L L^T (in a reversed
+        system, reversed after), so solve_upper(solve_lower(b)) solves."""
+        return self._out(self._factor.solve_upper(b))
 
-    def gram(self, B):
-        """B^T A_omega^{-1} B for a sparse column block B."""
-        return self._factor.gram(B)
+    def gram(self, B, blocks=None):
+        """B^T A_omega^{-1} B for a sparse column block B, or with `blocks`,
+        (rows, cols) sizes, the Grams of its nested blocks: the leading rows
+        and columns of B, or in a reversed system the trailing ones."""
+        if not self.reverse:
+            return self._factor.gram(B, blocks)
+        out = self._factor.gram(_reversed(B), blocks)
+        return out[::-1, ::-1] if blocks is None else [G[::-1, ::-1] for G in out]
 
     def restrict(self, v_full):
         return self.system.restrict(v_full)
 
 
+def _reversed(X):
+    """A sparse matrix with its rows and its columns taken backwards, as CSR;
+    reversing the entry arrays of a canonical CSR matrix keeps it canonical."""
+    X = sp.csr_matrix(X)
+    if not X.has_canonical_format:
+        X = X.copy()
+        X.sum_duplicates()
+    return sp.csr_matrix((X.data[::-1], X.shape[1] - 1 - X.indices[::-1],
+                          X.nnz - X.indptr[::-1]), shape=X.shape)
+
+
 class ConstraintSet:
     """Mass-weighted constraint vectors b_j for a patch saddle problem, as a
-    dense array or a sparse matrix (which selects the block-row Schur path)."""
+    dense array or a sparse matrix (which selects the block-row Schur path).
+
+    A sparse set may carry `nested` sets: the constraints of patch systems
+    nested in this set's system, each a nested block of B (PatchSystem.gram).
+    The pass that forms this set's Schur complement fills theirs (`schur`),
+    and their own saddle solves start from it.
+    """
 
     def __init__(self, B):
         if sp.issparse(B):
@@ -80,6 +133,8 @@ class ConstraintSet:
             if B.ndim == 1:
                 B = B[:, None]
         self.B = B
+        self.nested = []
+        self.schur = None
 
     @classmethod
     def from_local_functions(cls, sys, funcs):
@@ -94,11 +149,12 @@ class ConstraintSet:
         return self.B.shape[1]
 
 
-def _schur_solve(sys, B):
+def _schur_solve(sys, B, S=None):
     """A Cholesky factor of S = B^T A^{-1} B and the map C -> A^{-1} B C;
-    raises on dependence."""
+    raises on dependence.  For a sparse B, S may come already formed."""
     if sp.issparse(B):
-        S = sys.gram(B)
+        if S is None:
+            S = sys.gram(B)
         apply = lambda C: sys.solve(B @ C)
     else:
         W = sys.solve_lower(B)
@@ -119,9 +175,16 @@ def solve_saddle_block(sys, constraints, targets=None, rhs=None):
     or the columns of ``rhs`` (L x p) when given.
 
     Shares one factorization and one Schur complement across the block; the
-    solution A^{-1} B C is applied to the p solution columns only.
+    solution A^{-1} B C is applied to the p solution columns only.  A set
+    whose Schur complement is already filled starts from it; one that
+    carries nested sets fills theirs from its own pass.
     """
-    apply, cf = _schur_solve(sys, constraints.B)
+    B, S = constraints.B, constraints.schur
+    if S is None and constraints.nested:
+        S, *inner = sys.gram(B, [B.shape] + [c.B.shape for c in constraints.nested])
+        for c, G in zip(constraints.nested, inner):
+            c.schur = G
+    apply, cf = _schur_solve(sys, B, S)
     if rhs is None:
         if targets is None:
             targets = np.arange(constraints.count)

@@ -4,14 +4,18 @@ Each method is one iteration kernel on a patch system, seeded by the method's
 seed: LOD is a single round, LSSI-n takes round n of constrained subspace
 iteration, LKSI-n collects n Krylov iterates.  Every basis vector lives on the
 interior DOFs of its patch and is zero elsewhere by construction.  Patches
-are processed one at a time so that only one local factorization is alive at
-once; build_bases shares that factorization across all requested methods on
-the same coefficient field.
+are processed one nest at a time (patch_nests: the boundary-clipped patches
+of a coarse column whose DOFs are leading or trailing blocks of the tallest
+one's), so that only one local factorization, the nest master's, is alive
+at once; build_bases shares it across the nest and across all requested
+methods on the same coefficient field, and one LOD Schur pass serves the
+whole nest.
 """
 
 import itertools
 import logging
 import time
+from collections import defaultdict
 
 import numpy as np
 import scipy.sparse as sp
@@ -177,21 +181,43 @@ def m_orthonormalize(M, V, drop_tol=1e-10):
     return Q, kept
 
 
-def lod_kernel(sys, lam):
+def lod_constraints(systems):
+    """The LOD constraint sets of a nest of patch systems, master first: each
+    system's mass pairings with the Q1 shapes of every coarse element in its
+    patch (the localized kernel-space constraints of the baseline).  A member
+    nests in the master, so its coarse elements are the leading ones of the
+    master's (the trailing ones in a reversed nest) and its block is a nested
+    block of the master's; the master's set carries the others as nested
+    sets, so one Schur pass serves the whole nest.
+    """
+    master = systems[0]
+    outer = master.patch.coarse_elems
+    sets = []
+    for sys in systems:
+        elems = sys.patch.coarse_elems
+        c = elems.size
+        if not np.array_equal(elems, outer[-c:] if master.reverse else outer[:c]):
+            raise ValueError(f"coarse elements of patch {sys.patch.center} do not "
+                             f"nest in those of patch {master.patch.center}")
+        shapes = _cell_shapes_matrix(sys.patch.pair, elems, sys.system.kind)
+        sets.append(ConstraintSet(sys.system.m_pair @ shapes))
+    sets[0].nested = sets[1:]
+    return sets
+
+
+def lod_kernel(sys, lam, constraints):
     """LOD iteration kernel: yields its single round.
 
     The round is the energy minimizer that keeps the mass functionals of the
-    block `lam` against the Q1 shapes of every coarse element in the patch
-    (the localized kernel-space constraints of the baseline).  Seeded with the
-    center element's shapes, it decays exponentially away from the center
-    element, so moderate oversampling suffices.  The constraint block stays
-    sparse, which sends the saddle solve down the block-row Schur path.
+    block `lam` against the Q1 shapes of every coarse element in the patch,
+    the patch's set from lod_constraints.  Seeded with the center element's
+    shapes, it decays exponentially away from the center element, so
+    moderate oversampling suffices.  The constraint block stays sparse,
+    which sends the saddle solve down the block-row Schur path.
     """
-    pair, kind = sys.patch.pair, sys.system.kind
-    shapes = _cell_shapes_matrix(pair, sys.patch.coarse_elems, kind)
-    B = sys.system.m_pair @ shapes
+    B = constraints.B
     try:
-        Phi = solve_saddle_block(sys, ConstraintSet(B), rhs=B.T @ lam)
+        Phi = solve_saddle_block(sys, constraints, rhs=B.T @ lam)
     except DependentConstraints as exc:
         raise DependentConstraints(f"patch {sys.patch.center}: {exc}") from exc
     yield Phi
@@ -243,12 +269,13 @@ class BuildStats:
         self.n_local_problems = 0
 
 
-def _raw_block(sys, name, n):
+def _raw_block(sys, name, n, lod_set):
     """One method's block on one patch before orthonormalization, and the
-    number of local problems solved for it."""
+    number of local problems solved for it; lod_set is the patch's LOD
+    constraint set, when the method is LOD."""
     seed = method_seed(sys, name)
     if name == LOD:
-        return next(lod_kernel(sys, seed)), seed.shape[1]
+        return next(lod_kernel(sys, seed, lod_set)), seed.shape[1]
     if name == LSSI:
         Phi = next(itertools.islice(lssi_kernel(sys, seed), n - 1, None))   # round n
         return Phi, n * seed.shape[1]
@@ -260,37 +287,72 @@ def _raw_block(sys, name, n):
     raise ValueError(f"unknown method: {name}")
 
 
+def patch_nests(patches):
+    """Group patches whose interior DOFs nest, as (positions in `patches`,
+    reverse) pairs, the tallest patch (the master) first.
+
+    Lexicographic DOFs run along x, then y.  Patches with the same box x-range
+    and lower edge (ilo, ihi, jlo) are leading blocks of the tallest one's
+    DOFs; of the rest, those with the same (ilo, ihi, jhi) are trailing blocks
+    of it, leading ones once the DOFs are taken backwards (reverse).  Any
+    other patch is a group of one.  Groups come in order of their first
+    position.
+    """
+    low, high, nests = defaultdict(list), defaultdict(list), []
+    for k, p in enumerate(patches):
+        low[p.box[:3]].append(k)
+    for ks in low.values():
+        if len(ks) > 1:
+            nests.append((sorted(ks, key=lambda k: -patches[k].box[3]), False))
+        else:
+            ilo, ihi, _, jhi = patches[ks[0]].box
+            high[ilo, ihi, jhi].append(ks[0])
+    for ks in high.values():
+        nests.append((sorted(ks, key=lambda k: patches[k].box[2]), len(ks) > 1))
+    return sorted(nests, key=lambda nest: min(nest[0]))
+
+
 def build_bases(pair, system, m, requests, patches=None):
     """Build several bases in one pass over the patches, each patch system
     sliced out of the global system.
 
-    requests is a list of (method, n); returns a list of
-    (label, MsBasis, BuildStats, wall_seconds) in request order, where each
-    wall time includes the shared local-factorization cost.  LOD and LSSI
-    blocks must keep full rank; LKSI keeps the iterates its chains reach.
+    The patches go nest by nest (patch_nests): one factorization serves the
+    whole nest, and with LOD requested, the master's LOD saddle solve forms
+    every member's Schur block in the same pass.  requests is a list of
+    (method, n); returns a list of (label, MsBasis, BuildStats, wall_seconds)
+    in request order, the patch bases in the order of `patches`.  Each wall
+    time includes the shared slicing and factorization cost; the nest's LOD
+    Schur pass counts for LOD alone.  LOD and LSSI blocks must keep full
+    rank; LKSI keeps the iterates its chains reach.
     """
     if any(name != LOD and (n is None or n < 1) for name, n in requests):
         raise ValueError("iteration count must be >= 1")
     labels = [name if name == LOD else f"{name}-{n}" for name, n in requests]
-    per = {lab: [] for lab in labels}
+    patches = build_all_patches(pair, m) if patches is None else list(patches)
+    per = {lab: [None] * len(patches) for lab in labels}
     stats = {lab: BuildStats() for lab in labels}
     secs = {lab: 0.0 for lab in labels}
     t_shared = 0.0
-    if patches is None:
-        patches = build_all_patches(pair, m)
-    for p in patches:
+    for ks, reverse in patch_nests(patches):
         t0 = time.perf_counter()
-        sys = PatchSystem.build(system, p)
+        master = PatchSystem.build(system, patches[ks[0]], reverse=reverse)
+        systems = [master] + [PatchSystem.build(system, patches[k], within=master)
+                              for k in ks[1:]]
         t_shared += time.perf_counter() - t0
-        for lab, (name, n) in zip(labels, requests):
-            t0 = time.perf_counter()
-            V, solves = _raw_block(sys, name, n)
-            Q, kept = m_orthonormalize(sys.M, V)
-            if name != LKSI and len(kept) != V.shape[1]:
-                raise DependentConstraints(f"patch {p.center}: {lab} block degenerate")
-            per[lab].append(PatchBasis(p, Q))
-            stats[lab].n_local_problems += solves
-            secs[lab] += time.perf_counter() - t0
+        lod_sets = None
+        for i, (k, sys) in enumerate(zip(ks, systems)):
+            for lab, (name, n) in zip(labels, requests):
+                t0 = time.perf_counter()
+                if name == LOD and lod_sets is None:
+                    lod_sets = lod_constraints(systems)
+                V, solves = _raw_block(sys, name, n, lod_sets[i] if lod_sets else None)
+                Q, kept = m_orthonormalize(sys.M, V)
+                if name != LKSI and len(kept) != V.shape[1]:
+                    raise DependentConstraints(
+                        f"patch {sys.patch.center}: {lab} block degenerate")
+                per[lab][k] = PatchBasis(sys.patch, Q)
+                stats[lab].n_local_problems += solves
+                secs[lab] += time.perf_counter() - t0
     out = []
     for lab, (name, n) in zip(labels, requests):
         basis = MsBasis(name, system.kind, per[lab])

@@ -313,6 +313,71 @@ def test_spd_factor_gram_accepts_duplicate_entries():
     np.testing.assert_allclose(S, gram_oracle(A, B), atol=1e-10 * np.abs(S).max())
 
 
+def assert_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_spd_factor_leading_block_equals_fresh_factor(kind):
+    """The first n band columns factor A[:n, :n]: solve, both halves and gram
+    agree with a new factorization of that block, for n in a short first row
+    block, mid-block, on a block boundary and the whole matrix."""
+    A, B = patch_lod_block(kind, 0, m=2)
+    full = fem.SpdFactor(A)
+    k = full._band.shape[0]
+    rng = np.random.default_rng(11)
+    for n in (k // 3, 2 * k + 5, 3 * k, A.shape[0]):
+        lead = full.leading(n)
+        fresh = fem.SpdFactor(A[:n, :n])
+        assert lead._band.shape[1] == n and np.shares_memory(lead._band, full._band)
+        b = rng.standard_normal((n, 3))
+        assert_close(lead.solve(b), fresh.solve(b))
+        assert_close(lead.solve_lower(b), fresh.solve_lower(b))
+        assert_close(lead.solve_upper(b), fresh.solve_upper(b))
+        Bn = B[:n, :B.shape[1] // 2]
+        assert_close(lead.gram(Bn), fresh.gram(Bn))
+
+
+def test_spd_factor_leading_rejects_bad_size():
+    f = fem.SpdFactor(banded_spd(6, 2, seed=0))
+    for n in (0, 7):
+        with pytest.raises(ValueError):
+            f.leading(n)
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_spd_factor_gram_shuffled_columns_permute(kind):
+    """Columns in any order give the same Schur block, permuted alike."""
+    A, B = patch_lod_block(kind, 12)
+    perm = np.random.default_rng(5).permutation(B.shape[1])
+    f = fem.SpdFactor(A)
+    assert_close(f.gram(B[:, perm]), f.gram(B)[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_spd_factor_gram_of_leading_blocks(kind):
+    """Each requested (rows, cols) block gets B[:rows, :cols]^T A[:rows, :rows]^{-1}
+    B[:rows, :cols], from one pass, in the order asked; the whole block is
+    the plain gram."""
+    A, B = patch_lod_block(kind, 0, m=2)
+    n, p = B.shape
+    f = fem.SpdFactor(A)
+    k = f._band.shape[0]
+    blocks = [(n, p), (k, p // 4), (n // 2, p // 2), (2 * k, 0), (1, 3), (n // 2 + 1, p)]
+    grams = f.gram(B, blocks)
+    assert len(grams) == len(blocks)
+    for (r, c), G in zip(blocks, grams):
+        want = gram_oracle(A[:r, :r], B[:r, :c]) if c else np.zeros((0, 0))
+        assert G.shape == (c, c)
+        if c:
+            assert np.abs(G - want).max() <= 1e-10 * np.abs(want).max()
+    assert_close(grams[0], f.gram(B))
+    for bad in [(0, 1), (n + 1, 1), (n, p + 1)]:
+        with pytest.raises(ValueError):
+            f.gram(B, [bad])
+
+
 def test_rhs_integrates_exactly_for_bilinear_f():
     """2x2 Gauss is exact for bilinear integrands, so f=1 gives row sums of M."""
     pair = grid.NestedPair(2, 6)

@@ -150,3 +150,77 @@ def test_pair_full_matches_mass_on_interior():
     lhs = sys.system.m_pair @ v_full
     rhs = sys.M @ v_full[sys.patch.interior_nodes]
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+
+
+def column_nests(kind):
+    """The global system and both nests of coarse column 2 on a 5 x 5 coarse
+    grid at m=2: centres 2, 7, 12 share the bottom edge (natural order) and
+    17, 22 the top edge (reversed order)."""
+    pair = grid.NestedPair(5, 20)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
+    system = fem.assemble(pair, field, kind)
+    patches = grid.build_all_patches(pair, 2)
+    nests = [(ks, rev) for ks, rev in msbasis.patch_nests(patches) if ks[0] % 5 == 2]
+    assert sorted(nests) == [([12, 7, 2], False), ([17, 22], True)]
+    return system, [([patches[k] for k in ks], rev) for ks, rev in nests]
+
+
+def nest_systems(system, patches, reverse):
+    master = localsolve.PatchSystem.build(system, patches[0], reverse=reverse)
+    return [master] + [localsolve.PatchSystem.build(system, p, within=master)
+                       for p in patches[1:]]
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_nested_systems_solve_in_natural_order(kind):
+    """Members on a leading block of the master's factor, natural or reversed,
+    solve like a patch system with its own factor; only the master factors."""
+    system, nests = column_nests(kind)
+    rng = np.random.default_rng(9)
+    for patches, reverse in nests:
+        systems = nest_systems(system, patches, reverse)
+        for sys in systems:
+            own = localsolve.PatchSystem.build(system, sys.patch)
+            b = rng.standard_normal((sys.ndof, 3))
+            x = own.solve(b)
+            assert np.abs(sys.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+            assert np.abs(sys.solve(b[:, 0]) - x[:, 0]).max() <= 1e-12 * np.abs(x).max()
+            W = sys.solve_lower(b)
+            assert np.abs(sys.solve_upper(W) - x).max() <= 1e-12 * np.abs(x).max()
+            np.testing.assert_allclose(W.T @ W, b.T @ x, rtol=1e-10)
+        assert all(s._factor._band.base is systems[0]._factor._band for s in systems[1:])
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_nest_schur_blocks_match_per_member_gram(kind):
+    """The master's LOD saddle solve fills every member's Schur block, equal
+    to the member's own gram to 1e-12 relative, in natural and reversed
+    nests; the members' solves then match solves from scratch."""
+    system, nests = column_nests(kind)
+    for patches, reverse in nests:
+        systems = nest_systems(system, patches, reverse)
+        sets = msbasis.lod_constraints(systems)
+        assert sets[0].nested == sets[1:] and all(c.schur is None for c in sets)
+        rhs = np.ones((sets[0].count, 1))
+        localsolve.solve_saddle_block(systems[0], sets[0], rhs=rhs)
+        for sys, cons in zip(systems[1:], sets[1:]):
+            own = localsolve.PatchSystem.build(system, sys.patch)
+            want = own.gram(cons.B)
+            assert np.abs(cons.schur - want).max() <= 1e-12 * np.abs(want).max()
+            rhs = np.ones((cons.count, 2))
+            got = localsolve.solve_saddle_block(sys, cons, rhs=rhs)
+            ref = localsolve.solve_saddle_block(own, localsolve.ConstraintSet(cons.B), rhs=rhs)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_nesting_is_checked():
+    """A patch whose DOFs are not the leading (natural) or trailing (reversed)
+    block of the master's raises, as do coarse cells that do not nest."""
+    system, [(bottom, _), (top, _)] = column_nests(fem.DIFFUSION)
+    for master, other, reverse in [(bottom[0], top[1], False), (top[0], bottom[2], True)]:
+        msys = localsolve.PatchSystem.build(system, master, reverse=reverse)
+        with pytest.raises(ValueError):
+            localsolve.PatchSystem.build(system, other, within=msys)
+    natural = nest_systems(system, bottom, False)
+    with pytest.raises(ValueError):
+        msbasis.lod_constraints([natural[1], natural[0]])

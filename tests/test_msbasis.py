@@ -1,6 +1,7 @@
 """Basis construction tests: seeds, supports, spans and accounting."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -192,7 +193,8 @@ def test_lod_kernel_matches_forward_half_path(small_setup, kind, center):
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, kind),
                                        grid.build_patch(pair, center, 1))
     lam = msbasis.method_seed(sys, msbasis.LOD)
-    Phi = next(msbasis.lod_kernel(sys, lam))
+    [constraints] = msbasis.lod_constraints([sys])
+    Phi = next(msbasis.lod_kernel(sys, lam, constraints))
     ref = lod_kernel_by_forward_half(sys, lam)
     assert Phi.shape == ref.shape
     assert np.abs(Phi - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -287,3 +289,76 @@ def test_invalid_iteration_count(small_setup):
         build_one(pair, field, "lssi", 0)
     with pytest.raises(ValueError):
         build_one(pair, field, "lksi", 0)
+
+
+@pytest.mark.parametrize("N, m, groups", [(4, 0, 16), (4, 1, 8), (5, 2, 10), (4, 3, 1), (4, 7, 1)])
+def test_patch_nests_cover_every_patch_once(N, m, groups):
+    """Every patch is in exactly one nest, behind a master whose DOFs hold
+    its own as the leading (natural) or trailing (reversed) block; m=0
+    leaves every patch alone, m >= N - 1 makes one nest of equal boxes."""
+    pair = grid.NestedPair(N, 2 * N)
+    patches = grid.build_all_patches(pair, m)
+    nests = msbasis.patch_nests(patches)
+    assert len(nests) == groups
+    assert sorted(k for ks, _ in nests for k in ks) == list(range(N * N))
+    for ks, reverse in nests:
+        outer = patches[ks[0]].interior_dofs()
+        assert not reverse or len(ks) > 1
+        for k in ks:
+            own = patches[k].interior_dofs()
+            n = own.size
+            assert np.array_equal(own, outer[-n:] if reverse else outer[:n])
+    subset = [patches[k] for k in (5, 0, N * N - 1)]
+    assert sorted(k for ks, _ in msbasis.patch_nests(subset) for k in ks) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_build_bases_nests_match_single_patches(small_setup, kind):
+    """Bases built nest by nest equal bases built one patch at a time."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, kind)
+    requests = [("lod", None), ("lssi", 2), ("lksi", 3)]
+    patches = grid.build_all_patches(pair, 1)
+    out = msbasis.build_bases(pair, system, 1, requests)
+    for k, p in enumerate(patches):
+        alone = msbasis.build_bases(pair, system, 1, requests, patches=[p])
+        for (lab, basis, _, _), (lab1, basis1, _, _) in zip(out, alone):
+            assert lab == lab1 and basis.patch_bases[k].patch.center == p.center
+            got, want = basis.patch_bases[k].vectors, basis1.patch_bases[0].vectors
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (lab, k)
+
+
+def test_build_bases_factors_once_per_nest(small_setup, monkeypatch):
+    """Only nest masters factorize: SpdFactor is constructed once per nest."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    calls = []
+    init = fem.SpdFactor.__init__
+
+    def counting(self, A):
+        calls.append(A.shape[0])
+        init(self, A)
+
+    monkeypatch.setattr(fem.SpdFactor, "__init__", counting)
+    msbasis.build_bases(pair, system, 1, [("lod", None), ("lssi", 1), ("lksi", 2)])
+    assert len(calls) == len(msbasis.patch_nests(grid.build_all_patches(pair, 1))) == 8
+
+
+def test_nest_schur_pass_counts_for_lod_alone(small_setup, monkeypatch):
+    """The LOD Schur pass that serves a nest goes into LOD's wall time only,
+    not into the shared time every method carries."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    gram = localsolve.PatchSystem.gram
+    pause = 0.1
+
+    def slow(self, B, blocks=None):
+        time.sleep(pause)
+        return gram(self, B, blocks)
+
+    monkeypatch.setattr(localsolve.PatchSystem, "gram", slow)
+    out = msbasis.build_bases(pair, system, 1, [("lod", None), ("lssi", 1)])
+    slept = pause * len(msbasis.patch_nests(grid.build_all_patches(pair, 1)))
+    (_, _, _, lod_wall), (_, _, _, lssi_wall) = out
+    assert lod_wall >= slept > lssi_wall
