@@ -2,11 +2,12 @@
 
 A PatchSystem holds the patch stiffness/mass on the interior DOFs, sliced
 out of the global system (homogeneous Dirichlet conditions on the patch
-boundary), together with its banded Cholesky factor A = L L^T, its own or
-the leading block of the factor of a patch it nests in (natural order, or
-reversed for patches that share the top edge).  Saddle problems with L2
-constraints B are solved through the Schur complement S = B^T A^{-1} B, on
-one of two paths chosen by the type of B:
+boundary), or out of the system of a patch it nests in, together with its
+banded Cholesky factor A = L L^T, its own or the leading block of the
+factor of the patch it nests in (natural order, or reversed for patches
+that share the top edge).  Saddle problems with L2 constraints B are solved
+through the Schur complement S = B^T A^{-1} B, on one of two paths chosen
+by the type of B:
 
 - a sparse B (the LOD block: 4 or 8 columns per coarse cell of the patch, up
   to a few hundred, each zero above its cell) goes through
@@ -36,11 +37,11 @@ class PatchSystem:
     """Factorized local operator on the interior DOFs of one patch.
 
     Patches clipped at the domain boundary nest: a patch whose DOFs are the
-    leading rows of a taller patch's DOFs, or its trailing rows, can run on a
-    leading block of that patch's factor (SpdFactor.leading).  For trailing
-    rows the factor is of the DOFs taken backwards, which turns them into
-    leading ones; solve, its halves and gram apply that reversal, so callers
-    always see natural order.
+    leading rows of a taller patch's DOFs, or its trailing rows, is cut out
+    of that patch's system and runs on a leading block of its factor
+    (SpdFactor.leading).  For trailing rows the factor is of the DOFs taken
+    backwards, which turns them into leading ones; solve, its halves and
+    gram apply that reversal, so callers always see natural order.
     """
 
     def __init__(self, patch, system, factor, reverse=False):
@@ -53,19 +54,27 @@ class PatchSystem:
 
     @classmethod
     def build(cls, system, patch, reverse=False, within=None):
-        """The patch system cut out of the global system.  It gets its own
-        factor (of its DOFs taken backwards when `reverse`), or, given
-        `within`, the system of a patch it nests in, the leading block of that
-        system's factor, in that system's order."""
-        local = system.on_patch(patch)
+        """The patch system cut out of the global system, with its own factor
+        (of its DOFs taken backwards when `reverse`).  Given `within`, the
+        system of a patch it nests in (the master), it is cut instead from
+        the CSR arrays of the master's system, its leading rows and columns
+        (the trailing ones in a reversed master), exactly what the global
+        slice would give, and runs on the leading block of the master's
+        factor, in the master's order.  Raises if the patch's DOFs are not
+        that block of the master's."""
         if within is None:
+            local = system.on_patch(patch)
             A = _reversed(local.stiffness) if reverse else local.stiffness
             return cls(patch, local, fem.SpdFactor(A), reverse)
-        n, outer = local.ndof, within.system.dofs
-        if not np.array_equal(local.dofs, outer[-n:] if within.reverse else outer[:n]):
+        outer = within.system
+        dofs = patch.interior_dofs(fem.nblock(outer.kind))
+        n = dofs.size
+        lo = outer.ndof - n if within.reverse else 0
+        if not np.array_equal(dofs, outer.dofs[lo:lo + n]):
             raise ValueError(f"patch around coarse element {patch.center} does not nest "
                              f"in the patch around coarse element {within.patch.center}")
-        return cls(patch, local, within._factor.leading(n), within.reverse)
+        return cls(patch, outer.on_range(lo, lo + n), within._factor.leading(n),
+                   within.reverse)
 
     @property
     def ndof(self):
@@ -99,9 +108,6 @@ class PatchSystem:
             return self._factor.gram(B, blocks)
         out = self._factor.gram(_reversed(B), blocks)
         return out[::-1, ::-1] if blocks is None else [G[::-1, ::-1] for G in out]
-
-    def restrict(self, v_full):
-        return self.system.restrict(v_full)
 
 
 def _reversed(X):

@@ -7,9 +7,12 @@ interior DOFs of its patch and is zero elsewhere by construction.  Patches
 are processed one nest at a time (patch_nests: the boundary-clipped patches
 of a coarse column whose DOFs are leading or trailing blocks of the tallest
 one's), so that only one local factorization, the nest master's, is alive
-at once; build_bases shares it across the nest and across all requested
-methods on the same coefficient field, and one LOD Schur pass serves the
-whole nest.
+at once.  The members' systems and LOD blocks are cut from the master's.
+build_bases shares the factorization across the nest and across all
+requested methods on the same coefficient field, one LOD Schur pass serves
+the whole nest, and on each patch each method's kernel runs once, as deep
+as its deepest request: the requests of a method take their rounds from
+that one run, and each is charged the time of every round it takes.
 """
 
 import itertools
@@ -131,9 +134,10 @@ def seed_constant(pair, i, kind=fem.DIFFUSION):
 
 
 def restrict_entry(entry, sys, kind):
-    """Restrict full-grid seed columns to the interior DOFs of a patch system."""
+    """Restrict full-grid seed columns of operator `kind` to the interior
+    DOFs of a patch system, read from the system itself."""
     dofs, V = entry
-    interior = sys.patch.interior_dofs(fem.nblock(kind))     # sorted
+    interior = sys.system.dofs                               # sorted
     k = np.minimum(np.searchsorted(interior, dofs), interior.size - 1)
     hit = interior[k] == dofs
     out = np.zeros((sys.ndof, V.shape[1]))
@@ -184,23 +188,32 @@ def m_orthonormalize(M, V, drop_tol=1e-10):
 def lod_constraints(systems):
     """The LOD constraint sets of a nest of patch systems, master first: each
     system's mass pairings with the Q1 shapes of every coarse element in its
-    patch (the localized kernel-space constraints of the baseline).  A member
-    nests in the master, so its coarse elements are the leading ones of the
-    master's (the trailing ones in a reversed nest) and its block is a nested
-    block of the master's; the master's set carries the others as nested
-    sets, so one Schur pass serves the whole nest.
+    patch (the localized kernel-space constraints of the baseline).
+
+    The master's block is formed once.  A member nests in the master, so its
+    rows are the leading rows of the master's (the trailing ones in a
+    reversed nest) and its coarse elements the leading (trailing) ones; its
+    block is cut from the master's, each row's entries in the order its own
+    product would give.  The master's set carries the others as nested sets,
+    so one Schur pass serves the whole nest.
     """
     master = systems[0]
     outer = master.patch.coarse_elems
+    B = master.system.m_pair @ _cell_shapes_matrix(master.patch.pair, outer,
+                                                   master.system.kind)
+    w = B.shape[1] // outer.size
     sets = []
     for sys in systems:
         elems = sys.patch.coarse_elems
-        c = elems.size
+        c, n = elems.size, sys.ndof
         if not np.array_equal(elems, outer[-c:] if master.reverse else outer[:c]):
             raise ValueError(f"coarse elements of patch {sys.patch.center} do not "
                              f"nest in those of patch {master.patch.center}")
-        shapes = _cell_shapes_matrix(sys.patch.pair, elems, sys.system.kind)
-        sets.append(ConstraintSet(sys.system.m_pair @ shapes))
+        if master.reverse:
+            block = fem.csr_block(B, B.shape[0] - n, B.shape[0], B.shape[1] - w * c, B.shape[1])
+        else:
+            block = fem.csr_block(B, 0, n, 0, w * c)
+        sets.append(ConstraintSet(block))
     sets[0].nested = sets[1:]
     return sets
 
@@ -269,22 +282,59 @@ class BuildStats:
         self.n_local_problems = 0
 
 
-def _raw_block(sys, name, n, lod_set):
-    """One method's block on one patch before orthonormalization, and the
-    number of local problems solved for it; lod_set is the patch's LOD
-    constraint set, when the method is LOD."""
-    seed = method_seed(sys, name)
-    if name == LOD:
-        return next(lod_kernel(sys, seed, lod_set)), seed.shape[1]
-    if name == LSSI:
-        Phi = next(itertools.islice(lssi_kernel(sys, seed), n - 1, None))   # round n
-        return Phi, n * seed.shape[1]
-    if name == LKSI:
-        # one chain per seed column (per displacement component)
-        cols = [psi for c in range(seed.shape[1])
-                for psi in itertools.islice(lksi_kernel(sys, seed[:, c]), n)]
-        return np.column_stack(cols), len(cols)
-    raise ValueError(f"unknown method: {name}")
+class _KernelRun:
+    """One method's kernel on one patch, run once for all requests of the
+    method: a chain per seed column for LKSI (per displacement component), a
+    single chain otherwise.  The chains are drawn lazily, round by round, as
+    far as the deepest request reaches, and each round is kept, with the
+    time it took, for every request that uses it."""
+
+    def __init__(self, sys, name, lod_set=None):
+        t0 = time.perf_counter()
+        seed = method_seed(sys, name)
+        if name == LOD:
+            chains = [lod_kernel(sys, seed, lod_set)]
+        elif name == LSSI:
+            chains = [lssi_kernel(sys, seed)]
+        elif name == LKSI:
+            chains = [lksi_kernel(sys, seed[:, c]) for c in range(seed.shape[1])]
+        else:
+            raise ValueError(f"unknown method: {name}")
+        self.name, self.width = name, seed.shape[1]
+        self._chains = chains
+        self._rounds = [[] for _ in chains]
+        self._secs = [[0.0] for _ in chains]        # seconds spent on the first k rounds
+        self._stop = [None] * len(chains)           # seconds of the step that ended a chain
+        self._seed_secs = time.perf_counter() - t0
+
+    def _first(self, c, n):
+        """The first n rounds of chain c, fewer if it stops, and the seconds
+        spent drawing them (with the stopping step, if it was reached)."""
+        rounds, secs = self._rounds[c], self._secs[c]
+        while len(rounds) < n and self._stop[c] is None:
+            t0 = time.perf_counter()
+            block = next(self._chains[c], None)
+            dt = time.perf_counter() - t0
+            if block is None:
+                self._stop[c] = dt
+            else:
+                rounds.append(block)
+                secs.append(secs[-1] + dt)
+        k = min(n, len(rounds))
+        return rounds[:k], secs[k] + (self._stop[c] if k < n else 0.0)
+
+    def block(self, n):
+        """The raw block of the method's n-round request (LOD: its one round),
+        the number of local problems solved for it and the seconds charged
+        to it: the seed and every round it takes."""
+        if self.name == LKSI:
+            drawn = [self._first(c, n) for c in range(len(self._chains))]
+            cols = [psi for rounds, _ in drawn for psi in rounds]
+            return (np.column_stack(cols), len(cols),
+                    self._seed_secs + sum(secs for _, secs in drawn))
+        n = 1 if self.name == LOD else n
+        rounds, secs = self._first(0, n)
+        return rounds[n - 1], n * self.width, self._seed_secs + secs
 
 
 def patch_nests(patches):
@@ -314,16 +364,21 @@ def patch_nests(patches):
 
 def build_bases(pair, system, m, requests, patches=None):
     """Build several bases in one pass over the patches, each patch system
-    sliced out of the global system.
+    sliced out of the global system or, in a nest, out of its master's.
 
     The patches go nest by nest (patch_nests): one factorization serves the
     whole nest, and with LOD requested, the master's LOD saddle solve forms
-    every member's Schur block in the same pass.  requests is a list of
-    (method, n); returns a list of (label, MsBasis, BuildStats, wall_seconds)
-    in request order, the patch bases in the order of `patches`.  Each wall
-    time includes the shared slicing and factorization cost; the nest's LOD
-    Schur pass counts for LOD alone.  LOD and LSSI blocks must keep full
-    rank; LKSI keeps the iterates its chains reach.
+    every member's Schur block in the same pass.  On each patch every method
+    runs its kernel once (_KernelRun): LSSI-n takes round n of the one LSSI
+    chain, LKSI-n the first n iterates of each LKSI chain.  requests is a list
+    of (method, n); returns a list of (label, MsBasis, BuildStats,
+    wall_seconds) in request order, the patch bases in the order of
+    `patches`.  Each wall time includes the shared slicing and factorization
+    cost, and the seed and kernel rounds it takes, so a round serving
+    several requests counts for each; the nest's LOD Schur pass counts for
+    LOD alone.  The local problem counts are each request's own, as if it
+    ran alone.  LOD and LSSI blocks must keep full rank; LKSI keeps the
+    iterates its chains reach.
     """
     if any(name != LOD and (n is None or n < 1) for name, n in requests):
         raise ValueError("iteration count must be >= 1")
@@ -341,18 +396,23 @@ def build_bases(pair, system, m, requests, patches=None):
         t_shared += time.perf_counter() - t0
         lod_sets = None
         for i, (k, sys) in enumerate(zip(ks, systems)):
+            runs = {}
             for lab, (name, n) in zip(labels, requests):
                 t0 = time.perf_counter()
                 if name == LOD and lod_sets is None:
                     lod_sets = lod_constraints(systems)
-                V, solves = _raw_block(sys, name, n, lod_sets[i] if lod_sets else None)
+                secs[lab] += time.perf_counter() - t0
+                if name not in runs:
+                    runs[name] = _KernelRun(sys, name, lod_sets[i] if name == LOD else None)
+                V, solves, kernel_secs = runs[name].block(n)
+                t0 = time.perf_counter()
                 Q, kept = m_orthonormalize(sys.M, V)
                 if name != LKSI and len(kept) != V.shape[1]:
                     raise DependentConstraints(
                         f"patch {sys.patch.center}: {lab} block degenerate")
                 per[lab][k] = PatchBasis(sys.patch, Q)
                 stats[lab].n_local_problems += solves
-                secs[lab] += time.perf_counter() - t0
+                secs[lab] += kernel_secs + time.perf_counter() - t0
     out = []
     for lab, (name, n) in zip(labels, requests):
         basis = MsBasis(name, system.kind, per[lab])

@@ -162,7 +162,7 @@ def check_interp_bound(systems, pou, eigs, u_full, global_system):
         chi = pou.dense(i)
         chi_dof = np.repeat(chi, nb) if nb > 1 else chi
         w_full = chi_dof * u_full
-        w = sys.restrict(w_full)
+        w = sys.system.restrict(w_full)
         L = eig.count - 1
         lam_next = max(lam_next, eig.values[L])
         phi = eig.l2_normalized()[:, :L]

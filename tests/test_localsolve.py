@@ -213,6 +213,46 @@ def test_nest_schur_blocks_match_per_member_gram(kind):
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def same_csr(X, Y):
+    """The same CSR arrays, entry for entry and in the same order."""
+    return (X.shape == Y.shape and np.array_equal(X.indptr, Y.indptr)
+            and np.array_equal(X.indices, Y.indices) and np.array_equal(X.data, Y.data))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_members_cut_from_master_match_on_patch(kind, m, monkeypatch):
+    """Every nest's members, cut from the master's system, have exactly the
+    stiffness, mass and m_pair of on_patch, and LOD blocks cut from the
+    master's exactly equal to the member's own m_pair @ shapes; on_patch
+    runs for the masters alone."""
+    pair = grid.NestedPair(5, 20)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
+    system = fem.assemble(pair, field, kind)
+    patches = grid.build_all_patches(pair, m)
+    nests = [([patches[k] for k in ks], rev) for ks, rev in msbasis.patch_nests(patches)]
+    assert {rev for ps, rev in nests if len(ps) > 1} == {False, True}
+    on_patch, calls = fem.AssembledSystem.on_patch, []
+
+    def counting(self, patch):
+        calls.append(patch.center)
+        return on_patch(self, patch)
+
+    monkeypatch.setattr(fem.AssembledSystem, "on_patch", counting)
+    built = [(nest_systems(system, ps, rev), rev) for ps, rev in nests]
+    assert calls == [ps[0].center for ps, _ in nests]
+    monkeypatch.undo()
+    for systems, reverse in built:
+        sets = msbasis.lod_constraints(systems)
+        for sys, cons in zip(systems, sets):
+            own = system.on_patch(sys.patch)
+            for name in ("stiffness", "mass", "m_pair"):
+                assert same_csr(getattr(sys.system, name), getattr(own, name)), name
+            assert np.array_equal(sys.system.dofs, own.dofs)
+            shapes = msbasis._cell_shapes_matrix(pair, sys.patch.coarse_elems, kind)
+            assert same_csr(cons.B, own.m_pair @ shapes)
+
+
 def test_nesting_is_checked():
     """A patch whose DOFs are not the leading (natural) or trailing (reversed)
     block of the master's raises, as do coarse cells that do not nest."""

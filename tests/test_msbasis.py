@@ -272,15 +272,58 @@ def test_nested_iterates_improve_eigenspace_angle(small_setup):
 
 
 def test_build_bases_matches_individual(small_setup):
+    """Requests of one method share one kernel run per patch, yet every
+    request gives exactly the vectors and local problem counts it gives
+    alone, for diffusion and elasticity."""
     pair, field = small_setup
-    out = msbasis.build_bases(pair, fem.assemble(pair, field, fem.DIFFUSION), 1,
-                              [("lod", 1), ("lssi", 2), ("lksi", 3)])
-    labels = [o[0] for o in out]
-    assert labels == ["lod", "lssi-2", "lksi-3"]
-    ref, _ = build_one(pair, field, "lssi", 2)
-    got = out[1][1]
-    for pb_r, pb_g in zip(ref.patch_bases, got.patch_bases):
-        np.testing.assert_allclose(pb_r.vectors, pb_g.vectors, atol=1e-12)
+    requests = [("lod", None), ("lssi", 1), ("lssi", 2), ("lssi", 4), ("lksi", 2), ("lksi", 4)]
+    for kind in (fem.DIFFUSION, fem.ELASTICITY):
+        system = fem.assemble(pair, field, kind)
+        out = msbasis.build_bases(pair, system, 1, requests)
+        assert [o[0] for o in out] == ["lod", "lssi-1", "lssi-2", "lssi-4", "lksi-2", "lksi-4"]
+        for req, (lab, basis, stats, _) in zip(requests, out):
+            [(_, alone, stats1, _)] = msbasis.build_bases(pair, system, 1, [req])
+            assert stats.n_local_problems == stats1.n_local_problems, (kind, lab)
+            for pb, pb1 in zip(basis.patch_bases, alone.patch_bases):
+                assert np.array_equal(pb.vectors, pb1.vectors), (kind, lab)
+
+
+@pytest.mark.parametrize("lod", [True, False], ids=["lod", "no-lod"])
+def test_saddle_solves_once_per_round(small_setup, monkeypatch, lod):
+    """Per patch, one saddle solve for LOD and one per LSSI round up to the
+    deepest requested: the shallower LSSI requests reuse its rounds."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    saddle, calls = msbasis.solve_saddle_block, []
+
+    def counting(sys, constraints, **kwargs):
+        calls.append(sys.patch.center)
+        return saddle(sys, constraints, **kwargs)
+
+    monkeypatch.setattr(msbasis, "solve_saddle_block", counting)
+    requests = [("lssi", 1), ("lssi", 4), ("lssi", 2), ("lksi", 3)]
+    msbasis.build_bases(pair, system, 1, [("lod", None)] * lod + requests)
+    assert len(calls) == pair.coarse.n_elems * (lod + 4)
+
+
+def test_shared_rounds_count_toward_every_request(small_setup, monkeypatch):
+    """A slowed LSSI round goes into the wall time of every request that
+    takes it: lssi-3 carries three rounds per patch, lssi-1 one."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    saddle = msbasis.solve_saddle_block
+    pause = 0.02
+
+    def slow(sys, constraints, **kwargs):
+        time.sleep(pause)
+        return saddle(sys, constraints, **kwargs)
+
+    monkeypatch.setattr(msbasis, "solve_saddle_block", slow)
+    out = msbasis.build_bases(pair, system, 1, [("lssi", 1), ("lssi", 3)])
+    one_round = pause * pair.coarse.n_elems
+    (_, _, _, wall1), (_, _, _, wall3) = out
+    assert one_round <= wall1 < 2 * one_round
+    assert wall3 >= 3 * one_round
 
 
 def test_invalid_iteration_count(small_setup):
