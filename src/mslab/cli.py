@@ -113,6 +113,8 @@ class RunConfig:
                                   f"{name}-2, unless sweep.axis = n")
             if n is not None and n < 1:
                 raise ConfigError(f"method {name}-{n}: iteration count must be >= 1")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"problem.methods lists a method twice: {prob['methods']}")
 
         # unused by the direct solves; read only because bench/study.py passes it
         sol = cp["solver"] if cp.has_section("solver") else {}
@@ -252,8 +254,8 @@ def cmd_sweep(cfg, out, with_timing=True):
         elif axis == "m":
             m = int(val)
         elif axis == "n":
-            methods = [(name, int(val)) for name, _ in cfg.methods
-                       if name != msbasis.LOD]
+            names = dict.fromkeys(name for name, _ in cfg.methods if name != msbasis.LOD)
+            methods = [(name, int(val)) for name in names]
         res, _ = run_methods(pair, field, cfg.kind, m, methods,
                              channel_len=cfg.channel_length(channel_len))
         rows.extend(res)

@@ -162,37 +162,14 @@ class AssembledSystem:
 
     def on_range(self, lo, hi):
         """The system on its free DOFs lo:hi, with homogeneous Dirichlet
-        conditions on the others: rows and columns lo:hi of stiffness and mass
-        (one pattern, as in on_patch) and rows lo:hi of m_pair, every entry in
-        its order here.  When those DOFs are the interior DOFs of a patch
-        nested in this system's patch, it is exactly on_patch of the global
-        system for that patch."""
-        A, P, n = self.stiffness, self.m_pair, hi - lo
-        take, pattern = _block_entries(A, lo, hi, lo, hi)
-        s, e = P.indptr[lo], P.indptr[hi]
-        m_pair = sp.csr_matrix((P.data[s:e], P.indices[s:e], P.indptr[lo:hi + 1] - s),
-                               shape=(n, self.n_full))
-        return AssembledSystem(sp.csr_matrix((A.data[take], *pattern), shape=(n, n)),
-                               sp.csr_matrix((self.mass.data[take], *pattern), shape=(n, n)),
-                               self.dofs[lo:hi], self.n_full, self.kind, m_pair=m_pair)
-
-
-def _block_entries(X, r0, r1, c0, c1):
-    """Positions in X.data of the entries of X[r0:r1, c0:c1] for a CSR
-    matrix X, each row's in their order in X, and the block's (indices,
-    indptr)."""
-    s, e = X.indptr[r0], X.indptr[r1]
-    cols = X.indices[s:e]
-    take = np.flatnonzero((cols >= c0) & (cols < c1))
-    return take + s, (cols[take] - c0, np.searchsorted(take, X.indptr[r0:r1 + 1] - s))
-
-
-def csr_block(X, r0, r1, c0, c1):
-    """X[r0:r1, c0:c1] of a CSR matrix, as CSR, each row's entries in their
-    order in X; products with the block then sum in the same order as with
-    the same block formed on its own."""
-    take, pattern = _block_entries(X, r0, r1, c0, c1)
-    return sp.csr_matrix((X.data[take], *pattern), shape=(r1 - r0, c1 - c0))
+        conditions on the others: rows and columns lo:hi of stiffness and
+        mass and rows lo:hi of m_pair, as plain slices, which keep each row's
+        entries in their order here.  When those DOFs are the interior DOFs
+        of a patch nested in this system's patch, it is exactly on_patch of
+        the global system for that patch."""
+        s = slice(lo, hi)
+        return AssembledSystem(self.stiffness[s, s], self.mass[s, s], self.dofs[s],
+                               self.n_full, self.kind, m_pair=self.m_pair[s])
 
 
 def _row_entries(indptr, rows):

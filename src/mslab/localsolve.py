@@ -13,8 +13,9 @@ by the type of B:
   to a few hundred, each zero above its cell) goes through
   SpdFactor.gram, one pass over dense row blocks of the band with GEMM and
   TRSM that never stores L^{-1} B; the solution A^{-1} (B C) is one solve on
-  the few target columns.  The same pass fills the Schur complements of
-  the constraint sets nested in B (ConstraintSet.nested);
+  the few target columns.  A set may carry S already formed: the LOD sets
+  of a nest get theirs from one pass over the master's block
+  (msbasis.lod_constraints);
 - a dense B (the LSSI block M Phi, a handful of columns) is solved forward
   as W = L^{-1} B with LAPACK tbtrs and S = W^T W; the backward half then
   runs on the solution columns only, L^{-T} (W C).  On so few columns the
@@ -56,11 +57,11 @@ class PatchSystem:
     def build(cls, system, patch, reverse=False, within=None):
         """The patch system cut out of the global system, with its own factor
         (of its DOFs taken backwards when `reverse`).  Given `within`, the
-        system of a patch it nests in (the master), it is cut instead from
-        the CSR arrays of the master's system, its leading rows and columns
-        (the trailing ones in a reversed master), exactly what the global
-        slice would give, and runs on the leading block of the master's
-        factor, in the master's order.  Raises if the patch's DOFs are not
+        system of a patch it nests in (the master), it is sliced instead
+        from the master's system, its leading rows and columns (the trailing
+        ones in a reversed master), exactly what the global slice would
+        give, and runs on the leading block of the master's factor, in the
+        master's order.  Raises if the patch's DOFs are not
         that block of the master's."""
         if within is None:
             local = system.on_patch(patch)
@@ -125,13 +126,11 @@ class ConstraintSet:
     """Mass-weighted constraint vectors b_j for a patch saddle problem, as a
     dense array or a sparse matrix (which selects the block-row Schur path).
 
-    A sparse set may carry `nested` sets: the constraints of patch systems
-    nested in this set's system, each a nested block of B (PatchSystem.gram).
-    The pass that forms this set's Schur complement fills theirs (`schur`),
-    and their own saddle solves start from it.
+    A sparse set may carry its Schur complement S = B^T A^{-1} B, formed
+    beforehand (`schur`); its saddle solves then start from it.
     """
 
-    def __init__(self, B):
+    def __init__(self, B, schur=None):
         if sp.issparse(B):
             B = sp.csr_matrix(B, dtype=float)
         else:
@@ -139,8 +138,7 @@ class ConstraintSet:
             if B.ndim == 1:
                 B = B[:, None]
         self.B = B
-        self.nested = []
-        self.schur = None
+        self.schur = schur
 
     @classmethod
     def from_local_functions(cls, sys, funcs):
@@ -176,26 +174,17 @@ def _schur_solve(sys, B, S=None):
     return apply, cf
 
 
-def solve_saddle_block(sys, constraints, targets=None, rhs=None):
-    """All saddle solutions at once: column k solves the RHS e_{targets[k]},
-    or the columns of ``rhs`` (L x p) when given.
+def solve_saddle_block(sys, constraints, rhs=None):
+    """All saddle solutions at once: column k solves the RHS e_k, or the
+    columns of ``rhs`` (L x p) when given.
 
     Shares one factorization and one Schur complement across the block; the
     solution A^{-1} B C is applied to the p solution columns only.  A set
-    whose Schur complement is already filled starts from it; one that
-    carries nested sets fills theirs from its own pass.
+    that carries its Schur complement starts from it.
     """
-    B, S = constraints.B, constraints.schur
-    if S is None and constraints.nested:
-        S, *inner = sys.gram(B, [B.shape] + [c.B.shape for c in constraints.nested])
-        for c, G in zip(constraints.nested, inner):
-            c.schur = G
-    apply, cf = _schur_solve(sys, B, S)
+    apply, cf = _schur_solve(sys, constraints.B, constraints.schur)
     if rhs is None:
-        if targets is None:
-            targets = np.arange(constraints.count)
-        rhs = np.zeros((constraints.count, len(targets)))
-        rhs[targets, np.arange(len(targets))] = 1.0
+        rhs = np.eye(constraints.count)
     return apply(sla.cho_solve(cf, rhs))
 
 

@@ -7,12 +7,13 @@ interior DOFs of its patch and is zero elsewhere by construction.  Patches
 are processed one nest at a time (patch_nests: the boundary-clipped patches
 of a coarse column whose DOFs are leading or trailing blocks of the tallest
 one's), so that only one local factorization, the nest master's, is alive
-at once.  The members' systems and LOD blocks are cut from the master's.
-build_bases shares the factorization across the nest and across all
-requested methods on the same coefficient field, one LOD Schur pass serves
-the whole nest, and on each patch each method's kernel runs once, as deep
-as its deepest request: the requests of a method take their rounds from
-that one run, and each is charged the time of every round it takes.
+at once.  The members' systems and LOD blocks are sliced from the master's,
+and one Schur pass over the master's LOD block forms every member's Schur
+complement (lod_constraints).  build_bases shares the factorization across
+the nest and across all requested methods on the same coefficient field,
+and on each patch draws each method's kernel once, up front, as deep as the
+method's deepest request: the requests of a method take their rounds from
+that one draw, and each is charged the time of every round it takes.
 """
 
 import itertools
@@ -188,34 +189,31 @@ def m_orthonormalize(M, V, drop_tol=1e-10):
 def lod_constraints(systems):
     """The LOD constraint sets of a nest of patch systems, master first: each
     system's mass pairings with the Q1 shapes of every coarse element in its
-    patch (the localized kernel-space constraints of the baseline).
+    patch (the localized kernel-space constraints of the baseline), each
+    with its Schur complement.
 
-    The master's block is formed once.  A member nests in the master, so its
-    rows are the leading rows of the master's (the trailing ones in a
-    reversed nest) and its coarse elements the leading (trailing) ones; its
-    block is cut from the master's, each row's entries in the order its own
-    product would give.  The master's set carries the others as nested sets,
-    so one Schur pass serves the whole nest.
+    The master's block B is formed once.  A member nests in the master, so
+    its rows are the leading rows of the master's (the trailing ones in a
+    reversed nest) and its coarse elements the leading (trailing) ones: its
+    block is that slice of B, each row's entries in the order its own
+    product would give.  One pass of the master's gram forms the Schur
+    complements of all the blocks.
     """
     master = systems[0]
     outer = master.patch.coarse_elems
     B = master.system.m_pair @ _cell_shapes_matrix(master.patch.pair, outer,
                                                    master.system.kind)
     w = B.shape[1] // outer.size
-    sets = []
+    blocks = []
     for sys in systems:
         elems = sys.patch.coarse_elems
         c, n = elems.size, sys.ndof
         if not np.array_equal(elems, outer[-c:] if master.reverse else outer[:c]):
             raise ValueError(f"coarse elements of patch {sys.patch.center} do not "
                              f"nest in those of patch {master.patch.center}")
-        if master.reverse:
-            block = fem.csr_block(B, B.shape[0] - n, B.shape[0], B.shape[1] - w * c, B.shape[1])
-        else:
-            block = fem.csr_block(B, 0, n, 0, w * c)
-        sets.append(ConstraintSet(block))
-    sets[0].nested = sets[1:]
-    return sets
+        blocks.append(B[-n:, -w * c:] if master.reverse else B[:n, :w * c])
+    grams = master.gram(B, [b.shape for b in blocks])
+    return [ConstraintSet(b, schur=S) for b, S in zip(blocks, grams)]
 
 
 def lod_kernel(sys, lam, constraints):
@@ -282,59 +280,33 @@ class BuildStats:
         self.n_local_problems = 0
 
 
-class _KernelRun:
-    """One method's kernel on one patch, run once for all requests of the
-    method: a chain per seed column for LKSI (per displacement component), a
-    single chain otherwise.  The chains are drawn lazily, round by round, as
-    far as the deepest request reaches, and each round is kept, with the
-    time it took, for every request that uses it."""
-
-    def __init__(self, sys, name, lod_set=None):
+def _run_kernel(sys, name, depth, lod_set):
+    """A method's kernel on one patch, drawn `depth` rounds deep up front: a
+    chain per seed column for LKSI (per displacement component), a single
+    chain otherwise.  Returns the seconds spent on the seed and, per chain,
+    its blocks, fewer if it stops first, and their cumulative seconds:
+    secs[k] is the time of the first k blocks, and a chain that stops early
+    gets one more entry, the time up to its stopping step.  So the first n
+    rounds cost secs[min(n, len(secs) - 1)], reached or not."""
+    t0 = time.perf_counter()
+    seed = method_seed(sys, name)
+    if name == LOD:
+        chains = [lod_kernel(sys, seed, lod_set)]
+    elif name == LSSI:
+        chains = [lssi_kernel(sys, seed)]
+    else:
+        chains = [lksi_kernel(sys, psi) for psi in seed.T]
+    seed_secs, drawn = time.perf_counter() - t0, []
+    for chain in chains:
+        blocks, secs = [], [0.0]
         t0 = time.perf_counter()
-        seed = method_seed(sys, name)
-        if name == LOD:
-            chains = [lod_kernel(sys, seed, lod_set)]
-        elif name == LSSI:
-            chains = [lssi_kernel(sys, seed)]
-        elif name == LKSI:
-            chains = [lksi_kernel(sys, seed[:, c]) for c in range(seed.shape[1])]
-        else:
-            raise ValueError(f"unknown method: {name}")
-        self.name, self.width = name, seed.shape[1]
-        self._chains = chains
-        self._rounds = [[] for _ in chains]
-        self._secs = [[0.0] for _ in chains]        # seconds spent on the first k rounds
-        self._stop = [None] * len(chains)           # seconds of the step that ended a chain
-        self._seed_secs = time.perf_counter() - t0
-
-    def _first(self, c, n):
-        """The first n rounds of chain c, fewer if it stops, and the seconds
-        spent drawing them (with the stopping step, if it was reached)."""
-        rounds, secs = self._rounds[c], self._secs[c]
-        while len(rounds) < n and self._stop[c] is None:
-            t0 = time.perf_counter()
-            block = next(self._chains[c], None)
-            dt = time.perf_counter() - t0
-            if block is None:
-                self._stop[c] = dt
-            else:
-                rounds.append(block)
-                secs.append(secs[-1] + dt)
-        k = min(n, len(rounds))
-        return rounds[:k], secs[k] + (self._stop[c] if k < n else 0.0)
-
-    def block(self, n):
-        """The raw block of the method's n-round request (LOD: its one round),
-        the number of local problems solved for it and the seconds charged
-        to it: the seed and every round it takes."""
-        if self.name == LKSI:
-            drawn = [self._first(c, n) for c in range(len(self._chains))]
-            cols = [psi for rounds, _ in drawn for psi in rounds]
-            return (np.column_stack(cols), len(cols),
-                    self._seed_secs + sum(secs for _, secs in drawn))
-        n = 1 if self.name == LOD else n
-        rounds, secs = self._first(0, n)
-        return rounds[n - 1], n * self.width, self._seed_secs + secs
+        for block in itertools.islice(chain, depth):
+            blocks.append(block)
+            secs.append(time.perf_counter() - t0)
+        if len(blocks) < depth:
+            secs.append(time.perf_counter() - t0)
+        drawn.append((blocks, secs))
+    return seed_secs, drawn
 
 
 def patch_nests(patches):
@@ -367,22 +339,32 @@ def build_bases(pair, system, m, requests, patches=None):
     sliced out of the global system or, in a nest, out of its master's.
 
     The patches go nest by nest (patch_nests): one factorization serves the
-    whole nest, and with LOD requested, the master's LOD saddle solve forms
-    every member's Schur block in the same pass.  On each patch every method
-    runs its kernel once (_KernelRun): LSSI-n takes round n of the one LSSI
-    chain, LKSI-n the first n iterates of each LKSI chain.  requests is a list
-    of (method, n); returns a list of (label, MsBasis, BuildStats,
-    wall_seconds) in request order, the patch bases in the order of
-    `patches`.  Each wall time includes the shared slicing and factorization
-    cost, and the seed and kernel rounds it takes, so a round serving
-    several requests counts for each; the nest's LOD Schur pass counts for
+    whole nest, and with LOD requested, one lod_constraints call forms every
+    member's LOD block and Schur complement.  On each patch every method's
+    kernel is drawn once, up front, as deep as its deepest request
+    (_run_kernel): LSSI-n takes round n of the one LSSI chain, LKSI-n the
+    first n iterates of each LKSI chain, LOD its one round.  requests is a
+    list of (method, n), no two alike; returns a list of (label, MsBasis,
+    BuildStats, wall_seconds) in request order, the patch bases in the order
+    of `patches`.  Each wall time includes the shared slicing and
+    factorization cost, and the seed and kernel rounds it takes, so a round
+    serving several requests counts for each; lod_constraints counts for
     LOD alone.  The local problem counts are each request's own, as if it
     ran alone.  LOD and LSSI blocks must keep full rank; LKSI keeps the
     iterates its chains reach.
     """
+    if any(name not in (LOD, LSSI, LKSI) for name, _ in requests):
+        raise ValueError(f"unknown method in {requests}")
     if any(name != LOD and (n is None or n < 1) for name, n in requests):
         raise ValueError("iteration count must be >= 1")
     labels = [name if name == LOD else f"{name}-{n}" for name, n in requests]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"duplicate method requests: {labels}")
+    names = [name for name, _ in requests]
+    rounds = [1 if name == LOD else n for name, n in requests]
+    depth = {}
+    for name, n in zip(names, rounds):
+        depth[name] = max(depth.get(name, 0), n)
     patches = build_all_patches(pair, m) if patches is None else list(patches)
     per = {lab: [None] * len(patches) for lab in labels}
     stats = {lab: BuildStats() for lab in labels}
@@ -394,27 +376,30 @@ def build_bases(pair, system, m, requests, patches=None):
         systems = [master] + [PatchSystem.build(system, patches[k], within=master)
                               for k in ks[1:]]
         t_shared += time.perf_counter() - t0
-        lod_sets = None
-        for i, (k, sys) in enumerate(zip(ks, systems)):
-            runs = {}
-            for lab, (name, n) in zip(labels, requests):
+        lod_sets = [None] * len(systems)
+        if LOD in depth:
+            t0 = time.perf_counter()
+            lod_sets = lod_constraints(systems)
+            secs[LOD] += time.perf_counter() - t0
+        for k, sys, lod_set in zip(ks, systems, lod_sets):
+            runs = {name: _run_kernel(sys, name, d, lod_set) for name, d in depth.items()}
+            for lab, name, n in zip(labels, names, rounds):
                 t0 = time.perf_counter()
-                if name == LOD and lod_sets is None:
-                    lod_sets = lod_constraints(systems)
-                secs[lab] += time.perf_counter() - t0
-                if name not in runs:
-                    runs[name] = _KernelRun(sys, name, lod_sets[i] if name == LOD else None)
-                V, solves, kernel_secs = runs[name].block(n)
-                t0 = time.perf_counter()
+                seed_secs, chains = runs[name]
+                if name == LKSI:
+                    V = np.column_stack([psi for blocks, _ in chains for psi in blocks[:n]])
+                    solves = V.shape[1]
+                else:
+                    [(blocks, _)] = chains
+                    V = blocks[n - 1]
+                    solves = n * V.shape[1]
                 Q, kept = m_orthonormalize(sys.M, V)
                 if name != LKSI and len(kept) != V.shape[1]:
                     raise DependentConstraints(
                         f"patch {sys.patch.center}: {lab} block degenerate")
                 per[lab][k] = PatchBasis(sys.patch, Q)
                 stats[lab].n_local_problems += solves
-                secs[lab] += kernel_secs + time.perf_counter() - t0
-    out = []
-    for lab, (name, n) in zip(labels, requests):
-        basis = MsBasis(name, system.kind, per[lab])
-        out.append((lab, basis, stats[lab], secs[lab] + t_shared))
-    return out
+                secs[lab] += (seed_secs + sum(s[min(n, len(s) - 1)] for _, s in chains)
+                              + time.perf_counter() - t0)
+    return [(lab, MsBasis(name, system.kind, per[lab]), stats[lab], secs[lab] + t_shared)
+            for lab, name in zip(labels, names)]

@@ -158,7 +158,7 @@ def test_criterion_6_saddle_solver_oracle():
         B = rng.standard_normal((sys.ndof, L))
         k = int(rng.integers(L))
         phi = localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(B),
-                                            targets=[k])[:, 0]
+                                            rhs=np.eye(L)[:, [k]])[:, 0]
         A = sys.A.toarray()
         KKT = np.block([[A, B], [B.T, np.zeros((L, L))]])
         rhs = np.zeros(sys.ndof + L)

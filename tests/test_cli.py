@@ -63,9 +63,11 @@ def test_config_validation(tmp_path):
         cli.RunConfig(write_config(tmp_path, bad, "bad.ini"))
 
 
-@pytest.mark.parametrize("methods", ["lssi-0", "lksi-0", "lssi"])
+@pytest.mark.parametrize("methods", ["lssi-0", "lksi-0", "lssi", "lssi-2, lssi-2, lksi-2",
+                                     "lod, lssi-1, lod"])
 def test_iteration_count_validated(tmp_path, methods):
-    """n < 1, or a bare name outside an n sweep, is a config error (exit 2)."""
+    """n < 1, a bare name outside an n sweep, or a method listed twice (not
+    a second row with doubled counts) is a config error (exit 2)."""
     text = BASE_CONFIG.replace("methods = lod, lssi-1, lksi-2", f"methods = {methods}")
     p = write_config(tmp_path, text, "n.ini")
     out = tmp_path / "out"
@@ -80,6 +82,20 @@ def test_bare_method_names_in_n_sweep(tmp_path):
     assert cli.main(["sweep", "--config", str(p), "--out", str(out)]) == 0
     lines = (out / "sweep_n.csv").read_text().splitlines()
     assert [l.split(",")[0] for l in lines[1:]] == ["lssi-1", "lksi-1", "lssi-2", "lksi-2"]
+
+
+def test_n_sweep_one_row_per_method(tmp_path):
+    """On the n axis, lssi-1 and lssi-2 both become lssi-3: one row, with
+    the local problems of lssi-3 alone (25 patches x 4 shapes x 3 rounds)."""
+    text = BASE_CONFIG.replace("h = 16", "h = 20").replace("H = 4", "H = 5")
+    text = text.replace("methods = lod, lssi-1, lksi-2", "methods = lssi-1, lssi-2")
+    p = write_config(tmp_path, text + "\n[sweep]\naxis = n\nvalues = 3\n", "n.ini")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(p), "--out", str(out)]) == 0
+    header, *rows = (out / "sweep_n.csv").read_text().splitlines()
+    assert len(rows) == 1
+    row = dict(zip(header.split(","), rows[0].split(",")))
+    assert row["method"] == "lssi-3" and row["NoLP"] == "300"
 
 
 def test_solve_channels_writes_channel_len(tmp_path):

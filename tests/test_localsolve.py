@@ -36,7 +36,7 @@ def test_saddle_matches_dense_kkt():
         B = sys.M @ rng.standard_normal((sys.ndof, 3))
         cons = localsolve.ConstraintSet(B)
         k = int(rng.integers(0, 3))
-        phi = localsolve.solve_saddle_block(sys, cons, targets=[k])[:, 0]
+        phi = localsolve.solve_saddle_block(sys, cons, rhs=np.eye(3)[:, [k]])[:, 0]
         phi_o = dense_kkt(sys, B, k)
         scale = max(np.abs(phi_o).max(), 1.0)
         np.testing.assert_allclose(phi, phi_o, atol=1e-10 * scale)
@@ -78,7 +78,7 @@ def test_saddle_block_targets_subset():
     rng = np.random.default_rng(4)
     B = sys.M @ rng.standard_normal((sys.ndof, 5))
     cons = localsolve.ConstraintSet(B)
-    sub = localsolve.solve_saddle_block(sys, cons, targets=np.array([1, 3]))
+    sub = localsolve.solve_saddle_block(sys, cons, rhs=np.eye(5)[:, [1, 3]])
     full = localsolve.solve_saddle_block(sys, cons)
     np.testing.assert_allclose(sub, full[:, [1, 3]], atol=1e-13)
 
@@ -111,7 +111,7 @@ def test_sparse_constraints_take_gram_path_and_match_dense():
     dense = localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(B.toarray()), rhs=rhs)
     assert isinstance(sparse, np.ndarray) and sparse.shape == dense.shape
     np.testing.assert_allclose(sparse, dense, atol=1e-10 * np.abs(dense).max())
-    phi = localsolve.solve_saddle_block(sys, cons, targets=[5])[:, 0]
+    phi = localsolve.solve_saddle_block(sys, cons, rhs=np.eye(cons.count)[:, [5]])[:, 0]
     phi_o = dense_kkt(sys, B.toarray(), 5)
     np.testing.assert_allclose(phi, phi_o, atol=1e-10 * np.abs(phi_o).max())
 
@@ -192,18 +192,26 @@ def test_nested_systems_solve_in_natural_order(kind):
 
 
 @pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
-def test_nest_schur_blocks_match_per_member_gram(kind):
-    """The master's LOD saddle solve fills every member's Schur block, equal
-    to the member's own gram to 1e-12 relative, in natural and reversed
-    nests; the members' solves then match solves from scratch."""
+def test_nest_schur_blocks_match_per_member_gram(kind, monkeypatch):
+    """lod_constraints returns every set of the nest with its Schur block,
+    equal to the member's own gram to 1e-12 relative, in natural and
+    reversed nests, from one gram call; the members' solves then match
+    solves from scratch."""
     system, nests = column_nests(kind)
+    gram, calls = localsolve.PatchSystem.gram, []
+
+    def counting(self, B, blocks=None):
+        calls.append(self.patch.center)
+        return gram(self, B, blocks)
+
     for patches, reverse in nests:
         systems = nest_systems(system, patches, reverse)
+        monkeypatch.setattr(localsolve.PatchSystem, "gram", counting)
         sets = msbasis.lod_constraints(systems)
-        assert sets[0].nested == sets[1:] and all(c.schur is None for c in sets)
-        rhs = np.ones((sets[0].count, 1))
-        localsolve.solve_saddle_block(systems[0], sets[0], rhs=rhs)
-        for sys, cons in zip(systems[1:], sets[1:]):
+        monkeypatch.undo()
+        assert calls == [systems[0].patch.center]
+        calls.clear()
+        for sys, cons in zip(systems, sets):
             own = localsolve.PatchSystem.build(system, sys.patch)
             want = own.gram(cons.B)
             assert np.abs(cons.schur - want).max() <= 1e-12 * np.abs(want).max()

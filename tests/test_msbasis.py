@@ -326,12 +326,42 @@ def test_shared_rounds_count_toward_every_request(small_setup, monkeypatch):
     assert wall3 >= 3 * one_round
 
 
+def test_chain_that_stops_early_gives_its_prefix(small_setup, monkeypatch):
+    """A Krylov chain that stops after 2 iterates gives lksi-4 exactly the
+    vectors of lksi-2; the time of its stopping step goes into lksi-4's wall
+    time, not into lksi-1's."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    kernel = msbasis.lksi_kernel
+    pause = 0.05
+
+    def short(sys, psi):
+        yield from itertools.islice(kernel(sys, psi), 2)
+        time.sleep(pause)
+
+    monkeypatch.setattr(msbasis, "lksi_kernel", short)
+    out = msbasis.build_bases(pair, system, 1, [("lksi", 1), ("lksi", 2), ("lksi", 4)])
+    (_, _, _, wall1), (_, two, stats2, _), (_, four, stats4, wall4) = out
+    assert stats4.n_local_problems == stats2.n_local_problems == 2 * pair.coarse.n_elems
+    for pb2, pb4 in zip(two.patch_bases, four.patch_bases):
+        assert np.array_equal(pb4.vectors, pb2.vectors)
+    slept = pause * pair.coarse.n_elems
+    assert wall4 >= slept > wall1
+
+
 def test_invalid_iteration_count(small_setup):
     pair, field = small_setup
     with pytest.raises(ValueError):
         build_one(pair, field, "lssi", 0)
     with pytest.raises(ValueError):
         build_one(pair, field, "lksi", 0)
+
+
+def test_duplicate_requests_rejected(small_setup):
+    pair, field = small_setup
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    with pytest.raises(ValueError):
+        msbasis.build_bases(pair, system, 1, [("lssi", 2), ("lksi", 2), ("lssi", 2)])
 
 
 @pytest.mark.parametrize("N, m, groups", [(4, 0, 16), (4, 1, 8), (5, 2, 10), (4, 3, 1), (4, 7, 1)])
