@@ -12,7 +12,7 @@ from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
 
 pair = grid.NestedPair(8, 48)
 field = coeff.gen_inclusions(pair, density=0.15, contrast=1e4, seed=5)
-patch = grid.build_patch(pair, pair.coarse.n * 4 + 4, 2)
+patch = grid.Patch(pair, pair.coarse.n * 4 + 4, 2)
 sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
 
 eig = specdiag.local_eig(sys, 8)

@@ -183,8 +183,8 @@ def run_methods(pair, field, kind, m, methods, tol=None, channel_len=0):
     solutions = {}
     for (name, n), (label, basis, stats, wall_build) in zip(methods, built):
         t0 = time.perf_counter()
-        cs = msgalerkin.assemble_coarse(system, b, basis)
-        u_ms, _ = msgalerkin.solve_ms(cs)
+        # the coarse system goes before the next method's is assembled
+        u_ms, _ = msgalerkin.solve_ms(msgalerkin.assemble_coarse(system, b, basis))
         wall = time.perf_counter() - t0 + wall_build
         rows.append(msgalerkin.report(u_ref, u_ms, system.stiffness, system.mass, {
             "method": label, "n": n, "m": m, "H": pair.H, "h": pair.h,
@@ -238,6 +238,9 @@ def cmd_sweep(cfg, out, with_timing=True):
                           f"got {axis!r}")
     if not cfg.sweep_values:
         raise ConfigError("sweep.values is empty")
+    iterated = list(dict.fromkeys(name for name, _ in cfg.methods if name != msbasis.LOD))
+    if axis == "n" and not iterated:
+        raise ConfigError("sweep.axis = n needs an lssi or lksi method in problem.methods")
     rows = []
     for val in cfg.sweep_values:
         pair = cfg.make_pair(H_inv=int(val) if axis == "H" else None)
@@ -254,8 +257,7 @@ def cmd_sweep(cfg, out, with_timing=True):
         elif axis == "m":
             m = int(val)
         elif axis == "n":
-            names = dict.fromkeys(name for name, _ in cfg.methods if name != msbasis.LOD)
-            methods = [(name, int(val)) for name in names]
+            methods = [(name, int(val)) for name in iterated]
         res, _ = run_methods(pair, field, cfg.kind, m, methods,
                              channel_len=cfg.channel_length(channel_len))
         rows.extend(res)

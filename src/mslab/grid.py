@@ -105,11 +105,6 @@ class Patch:
         return fem._expand_dofs(self.interior_nodes, nblock)
 
 
-def build_patch(pair, i, m):
-    """Build the oversampling patch around coarse element i with m layers."""
-    return Patch(pair, i, m)
-
-
 def build_all_patches(pair, m):
     return [Patch(pair, i, m) for i in range(pair.coarse.n_elems)]
 

@@ -154,13 +154,13 @@ def method_seed(sys, name):
     return restrict_entry(shapes(pair, sys.patch.center, kind), sys, kind)
 
 
-def _mgs_append(M, v, cols, mcols, drop_tol=1e-10):
+def _mgs_append(M, v, cols, mcols, drop_tol=1e-10, mv=None):
     """One modified Gram-Schmidt step in the M inner product: M-orthogonalize
-    a copy of v against the kept columns `cols` (with `mcols` = M cols) and
-    append it, normalized, unless it is dependent on them.  Returns whether
-    it was kept."""
+    a copy of v (`mv` = M v, if known) against the kept columns `cols` (with
+    `mcols` = M cols) and append it, normalized, unless it depends on them.
+    Returns whether it was kept."""
     v = np.array(v, dtype=float)
-    norm0 = np.sqrt(max(v @ (M @ v), 0.0))
+    norm0 = np.sqrt(max(v @ (M @ v if mv is None else mv), 0.0))
     for q, mq in zip(cols, mcols):
         v -= (mq @ v) * q
     mv = M @ v
@@ -257,15 +257,16 @@ def lksi_kernel(sys, psi):
     kept, and the chain stagnates once one of them was dropped.
     """
     cols, mcols = [], []
+    b = sys.M @ psi
     for k in itertools.count(1):
-        b = sys.M @ psi
         y = sys.solve(b)
         s = b @ y
         if s <= 0.0:
             log.info("patch %d: Krylov breakdown at step %d", sys.patch.center, k)
             return
         psi = y / s
-        _mgs_append(sys.M, psi, cols, mcols)
+        b = sys.M @ psi                      # for its M-norm and the next step
+        _mgs_append(sys.M, psi, cols, mcols, mv=b)
         if k > 1 and len(cols) < k:
             log.info("patch %d: Krylov space stagnated at step %d",
                      sys.patch.center, k)

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import fem
 from .errors import SingularCoarse
@@ -13,44 +12,29 @@ CSV_COLUMNS = ["method", "n", "m", "H", "h", "contrast", "channel_len",
                "e_energy", "e_L2", "DoF", "wall_time_s", "NoLP"]
 
 
-def basis_matrix(system, basis):
-    """Sparse fine-DOF x coarse-DoF matrix of all basis vectors.
-
-    Filled column-major into preallocated CSC arrays: the columns of a patch
-    share its interior rows, so no per-column index array is ever formed."""
-    free_index = np.full(system.n_full, -1, dtype=np.int64)
-    free_index[system.dofs] = np.arange(system.ndof)
-    nb = fem.nblock(basis.kind)
-    rows = [free_index[pb.patch.interior_dofs(nb)] for pb in basis.patch_bases]
-    if any(np.any(r < 0) for r in rows):
-        raise ValueError("basis vector supported outside the free DOFs")
-    counts = [pb.count for pb in basis.patch_bases]
-    indptr = np.zeros(sum(counts) + 1, dtype=np.int64)
-    np.cumsum(np.repeat([r.size for r in rows], counts), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    start = 0
-    for r, pb in zip(rows, basis.patch_bases):
-        end = start + r.size * pb.count
-        indices[start:end].reshape(pb.count, r.size)[:] = r
-        data[start:end].reshape(pb.count, r.size)[:] = pb.vectors.T
-        start = end
-    return sp.csc_matrix((data, indices, indptr), shape=(system.ndof, indptr.size - 1))
-
-
+@dataclass
 class CoarseSystem:
-    """Galerkin triple product over a multiscale basis, ready to solve."""
-
-    def __init__(self, Phi, A_ms, b_ms, factor, cond_estimate):
-        self.Phi = Phi
-        self.A_ms = A_ms
-        self.b_ms = b_ms
-        self._factor = factor
-        self.cond_estimate = cond_estimate
+    """Galerkin system ready to solve: the load, the Cholesky factor of A_ms
+    (in the buffer A_ms was assembled in) and the basis, which prolongs."""
+    basis: object
+    b_ms: np.ndarray
+    _factor: tuple
+    cond_estimate: float
 
     @property
     def dof(self):
-        return self.A_ms.shape[0]
+        return self.b_ms.size
+
+
+def _box_views(basis, v):
+    """Each patch basis with the view of the free-DOF vector v on its
+    interior box, shaped (rows, columns, components).  Free and patch DOFs
+    both run lexicographically, so a view's entries are its vectors' rows."""
+    pair = basis.patch_bases[0].patch.pair
+    n, r = pair.fine.n, pair.r
+    free = v.reshape(n - 1, n - 1, fem.nblock(basis.kind))
+    return [(pb, free[jlo * r:(jhi + 1) * r - 1, ilo * r:(ihi + 1) * r - 1])
+            for pb in basis.patch_bases for ilo, ihi, jlo, jhi in [pb.patch.box]]
 
 
 def _galerkin_matrix(system, basis):
@@ -96,36 +80,53 @@ def _galerkin_matrix(system, basis):
         P = P.reshape(-1, c1 - c0)
         Q = system.stiffness[(y0 - 1) * w:y1 * w, (e0 - 1) * w:e1 * w] @ P
         a0, a1 = starts[core].min(), ends[core].max()
-        P_core = P[(y0 - e0) * w:(y1 + 1 - e0) * w, a0 - c0:a1 - c0]
-        A_ms[a0:a1, c0:c1] += P_core.T @ Q
+        A_ms[a0:a1, c0:c1] += P[(y0 - e0) * w:(y1 + 1 - e0) * w, a0 - c0:a1 - c0].T @ Q
+        del P, Q                          # before the next band allocates its own
     return A_ms
 
 
+def _coarse_matrix(system, basis, k=128):
+    """The band-assembled Galerkin matrix made symmetric in place, entry by
+    entry 0.5 * (A + A^T), a strip of k rows and columns at a time, and its
+    1-norm, from each column block once its strip has made it final."""
+    A = _galerkin_matrix(system, basis)
+    norm = 0.0
+    for i in range(0, A.shape[0], k):
+        s = 0.5 * (A[i:i + k, i:] + A[i:, i:i + k].T)
+        A[i:i + k, i:] = s
+        A[i:, i:i + k] = s.T
+        norm = max(norm, np.abs(A[:, i:i + k]).sum(axis=0).max())
+    return A, norm
+
+
 def assemble_coarse(system, b, basis):
-    """Form Phi^T A Phi, band by band over rows of coarse elements, and
-    Phi^T b; SPD-checked by attempted factorization."""
-    Phi = basis_matrix(system, basis)
-    A_ms = _galerkin_matrix(system, basis)
-    A_ms = 0.5 * (A_ms + A_ms.T)
-    b_ms = Phi.T @ np.asarray(b)
-    try:
-        factor = sla.cho_factor(A_ms, lower=True)
-    except sla.LinAlgError:
+    """A_ms = Phi^T A Phi band by band and b_ms = Phi^T b patch by patch, never
+    Phi itself; A_ms is factored in its own buffer, which checks it is SPD."""
+    A_ms, norm = _coarse_matrix(system, basis)
+    # summed over the rows in their order, so no BLAS kernel choice changes the bits
+    b_ms = np.concatenate([(pb.vectors * box.reshape(-1, 1)).sum(axis=0)
+                           for pb, box in _box_views(basis, np.asarray(b, dtype=float))])
+    # A_ms is symmetric: its transpose, F-ordered, is factored without a copy
+    L, info = sla.lapack.dpotrf(A_ms.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        A_ms, _ = _coarse_matrix(system, basis)         # the factorization overwrote it
         w = sla.eigvalsh(A_ms, subset_by_index=[0, 0])[0]
-        raise SingularCoarse(
-            f"coarse matrix not SPD (smallest eigenvalue ~ {w:.3e})")
-    cond = 1.0
-    if A_ms.size:
-        # 1-norm condition number, ||A_ms^{-1}|| estimated by LAPACK on the factor
-        rcond, _ = sla.lapack.dpocon(factor[0], np.abs(A_ms).sum(axis=0).max(), uplo="L")
-        cond = 1.0 / rcond
-    return CoarseSystem(Phi, A_ms, b_ms, factor, cond)
+        raise SingularCoarse(f"coarse matrix not SPD (smallest eigenvalue ~ {w:.3e})")
+    # 1-norm condition number, ||A_ms^{-1}|| estimated by LAPACK on the factor
+    rcond = sla.lapack.dpocon(L, norm, uplo="L")[0] if L.size else 1.0
+    return CoarseSystem(basis, b_ms, (L, True), 1.0 / rcond)
 
 
 def solve_ms(cs):
-    """Solve the coarse system; returns (fine-grid free vector, coarse coefficients)."""
+    """Solve the coarse system; returns (fine-grid free vector, coarse
+    coefficients).  Each patch adds its V_p c_p into its interior box, one
+    column at a time, so no BLAS kernel choice changes the bits."""
     c = sla.cho_solve(cs._factor, cs.b_ms)
-    u = cs.Phi @ c
+    pair = cs.basis.patch_bases[0].patch.pair
+    u = np.zeros((pair.fine.n - 1) ** 2 * fem.nblock(cs.basis.kind))
+    columns = ((v, box) for pb, box in _box_views(cs.basis, u) for v in pb.vectors.T)
+    for (v, box), ck in zip(columns, c):
+        box += (v * ck).reshape(box.shape)
     return u, c
 
 

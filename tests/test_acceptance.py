@@ -120,7 +120,7 @@ def test_criterion_5_krylov_span_oracle():
                                      seed=int(rng.integers(1 << 16)))
         center = int(rng.integers(pair.coarse.n_elems))
         n = int(rng.integers(2, 5))
-        patch = grid.build_patch(pair, center, int(rng.integers(1, 3)))
+        patch = grid.Patch(pair, center, int(rng.integers(1, 3)))
         system = fem.assemble(pair, field, fem.DIFFUSION)
         sys = localsolve.PatchSystem.build(system, patch)
         [(_, basis, _, _)] = msbasis.build_bases(pair, system, patch.m,
@@ -151,7 +151,7 @@ def test_criterion_6_saddle_solver_oracle():
         field = coeff.gen_inclusions(pair, 0.2, 10.0 ** rng.integers(0, 4),
                                      seed=int(rng.integers(1 << 16)))
         center = int(rng.integers(pair.coarse.n_elems))
-        patch = grid.build_patch(pair, center, 1)
+        patch = grid.Patch(pair, center, 1)
         sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
         assert sys.ndof <= 200
         L = int(rng.integers(1, 5))
@@ -183,7 +183,7 @@ def test_criterion_7_angle_decay_tracks_gap():
     vals[6:36, 21] = 1e4
     field = coeff.CoefficientField(vals)
     center = pair.coarse.n * 3 + 3
-    patch = grid.build_patch(pair, center, 2)
+    patch = grid.Patch(pair, center, 2)
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     eig = specdiag.local_eig(sys, 5)
     gap = eig.values[4] / eig.values[3]

@@ -98,6 +98,21 @@ def test_n_sweep_one_row_per_method(tmp_path):
     assert row["method"] == "lssi-3" and row["NoLP"] == "300"
 
 
+def test_n_sweep_of_lod_alone_is_config_error(tmp_path, monkeypatch):
+    """LOD has no iteration count, so an n sweep over it alone has nothing
+    to run: a config error before any solve, and no CSV."""
+    text = BASE_CONFIG.replace("methods = lod, lssi-1, lksi-2", "methods = lod")
+    p = write_config(tmp_path, text + "\n[sweep]\naxis = n\nvalues = 2, 3\n", "n.ini")
+    out = tmp_path / "out"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was rejected")
+
+    monkeypatch.setattr(cli, "run_methods", no_solve)
+    assert cli.main(["sweep", "--config", str(p), "--out", str(out)]) == 2
+    assert not (out / "sweep_n.csv").exists()
+
+
 def test_solve_channels_writes_channel_len(tmp_path):
     text = BASE_CONFIG.replace("generator = inclusions",
                                "generator = channels\nchannel_len = 3\n"

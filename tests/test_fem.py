@@ -119,7 +119,7 @@ def test_on_patch_matches_element_assembly(kind, center, m):
     the patch and is summed in the same order."""
     pair = grid.NestedPair(5, 20)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
-    patch = grid.build_patch(pair, center, m)
+    patch = grid.Patch(pair, center, m)
     psys = fem.assemble(pair, field, kind).on_patch(patch)
     np.testing.assert_array_equal(psys.dofs, patch.interior_dofs(fem.nblock(kind)))
     assert psys.kind == kind and psys.n_full == pair.fine.n_nodes * fem.nblock(kind)
@@ -133,9 +133,9 @@ def test_on_patch_matches_element_assembly(kind, center, m):
 def test_on_patch_rejects_dofs_not_free():
     pair = grid.NestedPair(5, 20)
     gsys = fem.assemble(pair, unit_field(pair), fem.DIFFUSION)
-    small = gsys.on_patch(grid.build_patch(pair, 12, 0))
+    small = gsys.on_patch(grid.Patch(pair, 12, 0))
     with pytest.raises(ValueError):
-        small.on_patch(grid.build_patch(pair, 12, 1))
+        small.on_patch(grid.Patch(pair, 12, 1))
 
 
 def test_m_pair_consistent_with_mass():
@@ -170,7 +170,7 @@ def patch_stiffness(kind, center, m=1):
     """Stiffness of a clipped corner (center 0) or interior (center 12) patch."""
     pair = grid.NestedPair(5, 20)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
-    return fem.assemble(pair, field, kind).on_patch(grid.build_patch(pair, center, m)).stiffness
+    return fem.assemble(pair, field, kind).on_patch(grid.Patch(pair, center, m)).stiffness
 
 
 @pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
@@ -237,7 +237,7 @@ def patch_lod_block(kind, center, m=1):
     Q1 shapes of every coarse cell) of a corner or interior patch."""
     pair = grid.NestedPair(5, 20)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=3)
-    patch = grid.build_patch(pair, center, m)
+    patch = grid.Patch(pair, center, m)
     sys_ = fem.assemble(pair, field, kind).on_patch(patch)
     shapes = msbasis._cell_shapes_matrix(pair, patch.coarse_elems, kind)
     return sys_.stiffness, (sys_.m_pair @ shapes).tocsr()

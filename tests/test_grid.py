@@ -63,29 +63,29 @@ def test_box_indices_lexicographic():
 def test_patch_box_growth_and_clipping():
     pair = grid.NestedPair(5, 10)
     # interior element: full (2m+1)^2 box
-    p = grid.build_patch(pair, 12, 1)
+    p = grid.Patch(pair, 12, 1)
     assert p.box == (1, 3, 1, 3)
     assert p.coarse_elems.size == 9
     # corner element: clipped box
-    p0 = grid.build_patch(pair, 0, 1)
+    p0 = grid.Patch(pair, 0, 1)
     assert p0.box == (0, 1, 0, 1)
     assert p0.coarse_elems.size == 4
     # m larger than the domain: whole mesh
-    pall = grid.build_patch(pair, 12, 10)
+    pall = grid.Patch(pair, 12, 10)
     assert pall.box == (0, 4, 0, 4)
     assert pall.coarse_elems.size == 25
 
 
 def test_patch_includes_diagonal_neighbours():
     pair = grid.NestedPair(5, 10)
-    p = grid.build_patch(pair, 12, 1)
+    p = grid.Patch(pair, 12, 1)
     # element 12 is (2,2); diagonal neighbour (1,1) has index 6
     assert 6 in p.coarse_elems
 
 
 def test_patch_interior_excludes_box_and_domain_boundary():
     pair = grid.NestedPair(4, 8)
-    p = grid.build_patch(pair, 0, 1)        # box (0,1,0,1): fine nodes 0..4 each axis
+    p = grid.Patch(pair, 0, 1)        # box (0,1,0,1): fine nodes 0..4 each axis
     coords = pair.fine.coords[p.interior_nodes]
     assert np.all(coords > 0.0)
     assert np.all(coords < 0.5 + 1e-15)
@@ -96,7 +96,7 @@ def test_patch_interior_excludes_box_and_domain_boundary():
 
 def test_patch_m0_single_cell():
     pair = grid.NestedPair(4, 12)           # r = 3, so a single cell has interior nodes
-    p = grid.build_patch(pair, 5, 0)
+    p = grid.Patch(pair, 5, 0)
     assert p.coarse_elems.size == 1
     assert p.interior_nodes.size == 4       # (r-1)^2
 
@@ -104,12 +104,12 @@ def test_patch_m0_single_cell():
 def test_patch_empty_interior_raises():
     pair = grid.NestedPair(4, 4)            # r = 1: a single cell has no interior node
     with pytest.raises(PatchEmptyInterior):
-        grid.build_patch(pair, 5, 0)
+        grid.Patch(pair, 5, 0)
 
 
 def test_interior_dofs_block2():
     pair = grid.NestedPair(4, 12)
-    p = grid.build_patch(pair, 5, 0)
+    p = grid.Patch(pair, 5, 0)
     d = p.interior_dofs(2)
     assert d.size == 2 * p.interior_nodes.size
     np.testing.assert_array_equal(d[0::2], 2 * p.interior_nodes)
@@ -138,6 +138,6 @@ def test_pou_supported_inside_patch():
 
 def test_pou_cover_gap_detected():
     pair = grid.NestedPair(4, 12)
-    patches = [grid.build_patch(pair, 0, 1)]        # single patch cannot cover
+    patches = [grid.Patch(pair, 0, 1)]        # single patch cannot cover
     with pytest.raises(CoverGap):
         grid.build_pou(pair, patches)

@@ -11,7 +11,7 @@ from mslab.errors import DependentConstraints
 def make_patch_system(N=4, n=16, center=5, m=1, seed=0, contrast=1e3):
     pair = grid.NestedPair(N, n)
     field = coeff.gen_inclusions(pair, 0.15, contrast, seed=seed)
-    patch = grid.build_patch(pair, center, m)
+    patch = grid.Patch(pair, center, m)
     return pair, localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
 
 

@@ -76,7 +76,7 @@ def test_restrict_entry_matches_rowwise(small_setup, kind):
     dropped), a neighbour cut by the patch edge, and a cell outside."""
     pair, field = small_setup
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, kind),
-                                       grid.build_patch(pair, 0, 1))
+                                       grid.Patch(pair, 0, 1))
     for entry in [msbasis.element_shape_functions(pair, 0, kind),
                   msbasis.seed_constant(pair, 0, kind),
                   msbasis.element_shape_functions(pair, 5, kind),
@@ -90,7 +90,7 @@ def test_restrict_entry_matches_rowwise(small_setup, kind):
 def test_seed_gram_rank(small_setup):
     """The 4 bilinear seeds restricted to a patch are independent in L2."""
     pair, field = small_setup
-    patch = grid.build_patch(pair, 5, 1)
+    patch = grid.Patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     S = msbasis.restrict_entry(msbasis.element_shape_functions(pair, 5), sys, fem.DIFFUSION)
     G = S.T @ (sys.M @ S)
@@ -99,7 +99,7 @@ def test_seed_gram_rank(small_setup):
 
 def test_m_orthonormalize_properties(small_setup):
     pair, field = small_setup
-    patch = grid.build_patch(pair, 5, 1)
+    patch = grid.Patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     rng = np.random.default_rng(0)
     V = rng.standard_normal((sys.ndof, 3))
@@ -191,7 +191,7 @@ def lod_kernel_by_forward_half(sys, lam):
 def test_lod_kernel_matches_forward_half_path(small_setup, kind, center):
     pair, field = small_setup
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, kind),
-                                       grid.build_patch(pair, center, 1))
+                                       grid.Patch(pair, center, 1))
     lam = msbasis.method_seed(sys, msbasis.LOD)
     [constraints] = msbasis.lod_constraints([sys])
     Phi = next(msbasis.lod_kernel(sys, lam, constraints))
@@ -235,7 +235,7 @@ def test_lksi_breakdown_truncates():
     """A seed that is already an eigenvector stagnates after one step."""
     pair = grid.NestedPair(4, 16)
     field = coeff.CoefficientField(np.ones((16, 16)))
-    patch = grid.build_patch(pair, 5, 1)
+    patch = grid.Patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     eig = specdiag.local_eig(sys, 1)
     chain = list(itertools.islice(msbasis.lksi_kernel(sys, eig.vectors[:, 0]), 4))
@@ -259,7 +259,7 @@ def test_lssi_one_round_equals_saddle(small_setup):
 def test_nested_iterates_improve_eigenspace_angle(small_setup):
     """More rounds move the span closer to the leading eigenspace."""
     pair, field = small_setup
-    patch = grid.build_patch(pair, 5, 1)
+    patch = grid.Patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     eig = specdiag.local_eig(sys, 4)
     angles = []

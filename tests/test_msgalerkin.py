@@ -1,9 +1,10 @@
 """Coarse Galerkin solve tests: dense triple-product oracle for the band
-assembly, orthogonality, reporting."""
+assembly, the load and the prolongation, orthogonality, reporting."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from mslab import coeff, fem, grid, msbasis, msgalerkin
 from mslab.errors import SingularCoarse
@@ -20,38 +21,22 @@ def setup():
     return pair, field, system, b, basis
 
 
-def test_basis_matrix_dense_oracle(setup):
-    pair, _, system, _, basis = setup
-    Phi = msgalerkin.basis_matrix(system, basis)
-    dense = basis.padded_vectors(system.n_full)[system.dofs]
-    np.testing.assert_allclose(Phi.toarray(), dense, atol=1e-14)
-
-
-def _basis_matrix_loop(system, basis):
-    """Oracle: Phi built column by column."""
-    free_index = np.full(system.n_full, -1, dtype=np.int64)
-    free_index[system.dofs] = np.arange(system.ndof)
-    nb = fem.nblock(basis.kind)
-    rows, cols, vals = [], [], []
-    col0 = 0
-    for pb in basis.patch_bases:
-        r = free_index[pb.patch.interior_dofs(nb)]
-        for k in range(pb.count):
-            rows.append(r)
-            cols.append(np.full(r.size, col0 + k, dtype=np.int64))
-            vals.append(pb.vectors[:, k])
-        col0 += pb.count
-    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(system.ndof, col0))
+def _dense_phi(system, basis):
+    """Oracle: every basis vector as a dense column on the free DOFs."""
+    return basis.padded_vectors(system.n_full)[system.dofs]
 
 
 def test_coarse_matrix_is_triple_product(setup):
     _, _, system, b, basis = setup
-    cs = msgalerkin.assemble_coarse(system, b, basis)
-    Phi = cs.Phi.toarray()
+    Phi = _dense_phi(system, basis)
     oracle = Phi.T @ system.stiffness.toarray() @ Phi
-    np.testing.assert_allclose(cs.A_ms, oracle, atol=1e-10 * np.abs(oracle).max())
+    A_ms, norm = msgalerkin._coarse_matrix(system, basis)
+    np.testing.assert_allclose(A_ms, oracle, atol=1e-10 * np.abs(oracle).max())
+    assert np.array_equal(A_ms, A_ms.T)
+    assert norm == np.abs(A_ms).sum(axis=0).max()
+    cs = msgalerkin.assemble_coarse(system, b, basis)
     np.testing.assert_allclose(cs.b_ms, Phi.T @ b, atol=1e-14)
+    assert cs.dof == basis.total_dofs
 
 
 @pytest.fixture(scope="module", params=[
@@ -76,17 +61,18 @@ def banded(request):
     return system, b, {lab: basis for lab, basis, _, _ in built}
 
 
-def _assert_dense_oracle(cs, system, Phi):
+def _assert_dense_oracle(system, basis):
+    """The band-assembled coarse matrix against the dense triple product."""
+    Phi = _dense_phi(system, basis)
     oracle = Phi.T @ system.stiffness.toarray() @ Phi
-    assert np.abs(cs.A_ms - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    A_ms, _ = msgalerkin._coarse_matrix(system, basis)
+    assert np.abs(A_ms - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("label", ["lod", "lssi-2", "lksi-3"])
 def test_band_assembly_dense_oracle(banded, label):
-    system, b, bases = banded
-    basis = bases[label]
-    cs = msgalerkin.assemble_coarse(system, b, basis)
-    _assert_dense_oracle(cs, system, basis.padded_vectors(system.n_full)[system.dofs])
+    system, _, bases = banded
+    _assert_dense_oracle(system, bases[label])
 
 
 def _cut(basis):
@@ -96,31 +82,64 @@ def _cut(basis):
         for i, pb in enumerate(basis.patch_bases)])
 
 
-@pytest.mark.parametrize("label", ["lod", "lksi-3", "lksi-3-cut"])
+def _reversed(basis):
+    return msbasis.MsBasis(basis.method, basis.kind, basis.patch_bases[::-1])
+
+
+@pytest.mark.parametrize("label", ["lod", "lssi-2", "lksi-3", "lksi-3-cut",
+                                   "lod-reversed", "lksi-3-cut-reversed"])
 def test_basis_matrix_matches_column_loop(banded, label):
-    system, _, bases = banded
-    basis = _cut(bases["lksi-3"]) if label == "lksi-3-cut" else bases[label]
-    Phi = msgalerkin.basis_matrix(system, basis)
-    assert np.array_equal(Phi.toarray(), _basis_matrix_loop(system, basis).toarray())
+    """The basis matrix Phi is never formed: its action, b_ms = Phi^T b and the
+    prolonged solution Phi c, both taken from the patch boxes, against the
+    dense Phi in a loop over its columns: the load column by column, the
+    solution relative to the sizes of the terms it sums."""
+    system, b, bases = banded
+    name = label.replace("-cut", "").replace("-reversed", "")
+    basis = _cut(bases[name]) if "-cut" in label else bases[name]
+    basis = _reversed(basis) if "-reversed" in label else basis
+    Phi = _dense_phi(system, basis)
+    cs = msgalerkin.assemble_coarse(system, b, basis)
+    for k in range(Phi.shape[1]):
+        assert abs(cs.b_ms[k] - Phi[:, k] @ b) <= 1e-14 * np.abs(Phi[:, k] * b).sum()
+    u, c = msgalerkin.solve_ms(cs)
+    np.testing.assert_allclose(u, Phi @ c, rtol=0,
+                               atol=1e-14 * (np.abs(Phi) @ np.abs(c)).max())
 
 
 def test_band_assembly_uneven_column_counts(banded):
     """Patches that keep 1, 2 or 3 of their LKSI iterates, as after a
     Krylov breakdown, still give the triple product."""
-    system, b, bases = banded
-    cut = _cut(bases["lksi-3"])
-    cs = msgalerkin.assemble_coarse(system, b, cut)
-    _assert_dense_oracle(cs, system, cut.padded_vectors(system.n_full)[system.dofs])
+    system, _, bases = banded
+    _assert_dense_oracle(system, _cut(bases["lksi-3"]))
 
 
 @pytest.mark.parametrize("label", ["lod", "lssi-2", "lksi-3"])
 def test_band_assembly_reversed_patch_order(banded, label):
     """Correctness does not rely on the columns being ordered by patch centre."""
-    system, b, bases = banded
-    basis = bases[label]
-    rev = msbasis.MsBasis(basis.method, basis.kind, basis.patch_bases[::-1])
-    cs = msgalerkin.assemble_coarse(system, b, rev)
-    _assert_dense_oracle(cs, system, rev.padded_vectors(system.n_full)[system.dofs])
+    system, _, bases = banded
+    _assert_dense_oracle(system, _reversed(bases[label]))
+
+
+def test_coarse_phase_never_forms_phi():
+    """Coarse assembly plus solve allocate less than a sparse Phi would
+    hold, on a grid where that Phi outweighs twice the coarse matrix."""
+    pair = grid.NestedPair(10, 50)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=5)
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    b = fem.assemble_rhs(pair, fem.DIFFUSION, f)[system.dofs]
+    [(_, basis, _, _)] = msbasis.build_bases(pair, system, 2, [("lksi", 2)])
+    n = basis.total_dofs
+    # CSC: a value and a row index per nonzero, a column pointer per column
+    phi_bytes = 16 * sum(pb.vectors.size for pb in basis.patch_bases) + 8 * (n + 1)
+    assert phi_bytes > 2 * 8 * n * n
+    tracemalloc.start()
+    try:
+        msgalerkin.solve_ms(msgalerkin.assemble_coarse(system, b, basis))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < phi_bytes
 
 
 def test_galerkin_orthogonality(setup):
@@ -129,7 +148,7 @@ def test_galerkin_orthogonality(setup):
     cs = msgalerkin.assemble_coarse(system, b, basis)
     u_ms, _ = msgalerkin.solve_ms(cs)
     u = fem.SpdFactor(system.stiffness).solve(b)
-    resid = cs.Phi.T @ (system.stiffness @ (u - u_ms))
+    resid = _dense_phi(system, basis).T @ (system.stiffness @ (u - u_ms))
     assert np.abs(resid).max() < 1e-8 * np.abs(cs.b_ms).max()
 
 
@@ -140,7 +159,7 @@ def test_cea_best_approximation(setup):
     u_ms, _ = msgalerkin.solve_ms(cs)
     u = fem.SpdFactor(system.stiffness).solve(b)
     e_gal = fem.energy_norm(system.stiffness, u - u_ms)
-    Phi = cs.Phi.toarray()
+    Phi = _dense_phi(system, basis)
     G = Phi.T @ system.stiffness.toarray() @ Phi
     rhs = Phi.T @ (system.stiffness @ u)
     u_best = Phi @ np.linalg.solve(G, rhs)
@@ -149,21 +168,28 @@ def test_cea_best_approximation(setup):
 
 
 def test_singular_coarse_detected(setup):
+    """The factorization overwrites the coarse matrix, yet the message names
+    the smallest eigenvalue of the matrix itself."""
     _, _, system, b, basis = setup
     pb = basis.patch_bases[0]
     col = pb.vectors[:, 0]
     twin = msbasis.MsBasis(basis.method, basis.kind, [
         msbasis.PatchBasis(pb.patch, np.column_stack([col, col]))])   # rank 1
-    with pytest.raises(SingularCoarse):
+    with pytest.raises(SingularCoarse, match="smallest eigenvalue") as exc:
         msgalerkin.assemble_coarse(system, b, twin)
+    w = float(str(exc.value).rsplit("~", 1)[1].strip(" )"))
+    Phi = _dense_phi(system, twin)
+    lam = np.linalg.eigvalsh(Phi.T @ system.stiffness.toarray() @ Phi)
+    assert abs(w - lam[0]) <= 1e-12 * lam[-1]
 
 
 def test_solve_ms_reconstruction(setup):
     _, _, system, b, basis = setup
     cs = msgalerkin.assemble_coarse(system, b, basis)
     u_ms, c = msgalerkin.solve_ms(cs)
-    np.testing.assert_allclose(u_ms, cs.Phi @ c, atol=1e-14)
-    np.testing.assert_allclose(cs.A_ms @ c, cs.b_ms, atol=1e-8 * np.abs(cs.b_ms).max())
+    np.testing.assert_allclose(u_ms, _dense_phi(system, basis) @ c, atol=1e-14)
+    A_ms, _ = msgalerkin._coarse_matrix(system, basis)
+    np.testing.assert_allclose(A_ms @ c, cs.b_ms, atol=1e-8 * np.abs(cs.b_ms).max())
 
 
 def test_result_row_csv():
@@ -196,5 +222,5 @@ def test_cond_estimate_positive(setup):
     _, _, system, b, basis = setup
     cs = msgalerkin.assemble_coarse(system, b, basis)
     assert cs.cond_estimate >= 1.0
-    exact = np.linalg.cond(cs.A_ms, 1)
+    exact = np.linalg.cond(msgalerkin._coarse_matrix(system, basis)[0], 1)
     assert exact / 10 <= cs.cond_estimate <= exact * (1 + 1e-8)

@@ -14,7 +14,7 @@ def whole_domain_system(n=24):
     """Patch spanning the full unit square (homogeneous coefficient)."""
     pair = grid.NestedPair(4, n)
     field = unit_field(pair)
-    patch = grid.build_patch(pair, 5, 4)
+    patch = grid.Patch(pair, 5, 4)
     return pair, localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
 
 
@@ -56,7 +56,7 @@ def test_dense_subset_matches_full_eigh():
     pair = grid.NestedPair(8, 40)
     field = coeff.gen_inclusions(pair, 0.12, 1e4, seed=1)
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION),
-                                       grid.build_patch(pair, 27, 2))
+                                       grid.Patch(pair, 27, 2))
     eig = specdiag.local_eig(sys, 5)
     w, v = sla.eigh(sys.M.toarray(), sys.A.toarray())
     np.testing.assert_allclose(eig.values, w[::-1][:5], rtol=1e-12)
@@ -144,7 +144,7 @@ def test_rate_report_lssi_decay():
     """On a well-gapped patch the fitted rate should track the eigengap."""
     pair = grid.NestedPair(4, 24)
     field = unit_field(pair)
-    patch = grid.build_patch(pair, 5, 1)
+    patch = grid.Patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
     rep = specdiag.rate_report(sys, specdiag.local_eig(sys, 5), 6, method="lssi")
     assert rep.gap < 1.0
@@ -158,7 +158,7 @@ def test_rate_report_lksi_follows_lksi_basis():
     and the leading eigenvector, so the table follows the chain LKSI builds."""
     pair = grid.NestedPair(4, 16)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=2)
-    patch = grid.build_patch(pair, 5, 1)
+    patch = grid.Patch(pair, 5, 1)
     system = fem.assemble(pair, field, fem.DIFFUSION)
     sys = localsolve.PatchSystem.build(system, patch)
     eig = specdiag.local_eig(sys, 2)
