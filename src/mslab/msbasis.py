@@ -13,11 +13,15 @@ complement (lod_constraints).  build_bases shares the factorization across
 the nest and across all requested methods on the same coefficient field,
 and on each patch draws each method's kernel once, up front, as deep as the
 method's deepest request: the requests of a method take their rounds from
-that one draw, and each is charged the time of every round it takes.
+that one draw, and each is charged the time of every round it takes.  With
+several workers, build_bases splits the nests over forked processes, each
+running the same in-process build on its whole nests.
 """
 
 import itertools
 import logging
+import multiprocessing
+import os
 import time
 from collections import defaultdict
 
@@ -335,7 +339,66 @@ def patch_nests(patches):
     return sorted(nests, key=lambda nest: min(nest[0]))
 
 
-def build_bases(pair, system, m, requests, patches=None):
+def _nest_groups(patches, nests, workers):
+    """Patch positions of whole nests in `workers` groups, balanced by patch
+    interior DOFs: greedy, largest nest first, each to the lightest group.
+    Each group is in patch order."""
+    weight = [sum(patches[k].interior_nodes.size for k in ks) for ks, _ in nests]
+    loads, groups = [0] * workers, [[] for _ in range(workers)]
+    for j in sorted(range(len(nests)), key=lambda j: -weight[j]):
+        g = loads.index(min(loads))
+        groups[g].extend(nests[j][0])
+        loads[g] += weight[j]
+    return [sorted(g) for g in groups]
+
+
+# (pair, system, m, requests, patches) of the build whose workers are forked;
+# the workers inherit it, so the global system is never pickled
+_FORKED = None
+
+
+def _build_group(positions):
+    """Worker entry: build_bases in this process on the patches at
+    `positions` of the forking build.  Returns, per request, its label,
+    method, patch vectors, local problem count and seconds."""
+    pair, system, m, requests, patches = _FORKED
+    built = build_bases(pair, system, m, requests,
+                        patches=[patches[k] for k in positions], workers=1)
+    return [(lab, basis.method, [pb.vectors for pb in basis.patch_bases],
+             stats.n_local_problems, wall) for lab, basis, stats, wall in built]
+
+
+def _build_forked(pair, system, m, requests, patches, groups):
+    """build_bases over one forked worker per group of patch positions; the
+    pool is closed (terminated on error) and joined before this returns.  A
+    worker's error is raised here with its class and message.  The counts
+    and seconds are the sums over the workers."""
+    global _FORKED
+    _FORKED = (pair, system, m, requests, patches)
+    pool = multiprocessing.get_context("fork").Pool(len(groups))
+    try:
+        done = pool.map(_build_group, groups, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+        _FORKED = None
+    out = []
+    for j, (lab, name, _, _, _) in enumerate(done[0]):
+        bases, stats, wall = [None] * len(patches), BuildStats(), 0.0
+        for positions, results in zip(groups, done):
+            _, _, vectors, solves, secs = results[j]
+            for k, V in zip(positions, vectors):
+                bases[k] = PatchBasis(patches[k], V)
+            stats.n_local_problems += solves
+            wall += secs
+        out.append((lab, MsBasis(name, system.kind, bases), stats, wall))
+    return out
+
+
+def build_bases(pair, system, m, requests, patches=None, workers=None):
     """Build several bases in one pass over the patches, each patch system
     sliced out of the global system or, in a nest, out of its master's.
 
@@ -353,6 +416,12 @@ def build_bases(pair, system, m, requests, patches=None):
     LOD alone.  The local problem counts are each request's own, as if it
     ran alone.  LOD and LSSI blocks must keep full rank; LKSI keeps the
     iterates its chains reach.
+
+    workers (default: the CPUs this process may run on, capped at the nest
+    count) > 1 splits the nests over that many forked processes
+    (_nest_groups); each builds its whole nests in-process as above, and the
+    results are the same bit for bit.  Each wall time is then the sum of the
+    workers' seconds, not elapsed time, and each count the sum of theirs.
     """
     if any(name not in (LOD, LSSI, LKSI) for name, _ in requests):
         raise ValueError(f"unknown method in {requests}")
@@ -366,12 +435,19 @@ def build_bases(pair, system, m, requests, patches=None):
     depth = {}
     for name, n in zip(names, rounds):
         depth[name] = max(depth.get(name, 0), n)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     patches = build_all_patches(pair, m) if patches is None else list(patches)
+    nests = patch_nests(patches)
+    workers = min(len(os.sched_getaffinity(0)) if workers is None else workers, len(nests))
+    if workers > 1:
+        return _build_forked(pair, system, m, requests, patches,
+                             _nest_groups(patches, nests, workers))
     per = {lab: [None] * len(patches) for lab in labels}
     stats = {lab: BuildStats() for lab in labels}
     secs = {lab: 0.0 for lab in labels}
     t_shared = 0.0
-    for ks, reverse in patch_nests(patches):
+    for ks, reverse in nests:
         t0 = time.perf_counter()
         master = PatchSystem.build(system, patches[ks[0]], reverse=reverse)
         systems = [master] + [PatchSystem.build(system, patches[k], within=master)

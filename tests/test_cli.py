@@ -1,5 +1,6 @@
 """Driver tests: config parsing, subcommands, artifacts, determinism, exit codes."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import mslab
-from mslab import cli, coeff, fem
+from mslab import cli, coeff, fem, msbasis
+from mslab.errors import ConfigError, DependentConstraints, NotSPD
 
 
 BASE_CONFIG = """\
@@ -295,6 +297,70 @@ def test_eig_diag_assembles_once(tmp_path, monkeypatch):
     calls = count_assemble_calls(monkeypatch)
     assert cli.cmd_eig_diag(cfg, tmp_path) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "elasticity"])
+def test_solve_csv_same_for_any_worker_count(tmp_path, kind):
+    """results.csv under --no-timing is byte-identical with one worker, two
+    and the default."""
+    base = BASE_CONFIG.replace("kind = diffusion", f"kind = {kind}")
+    csvs = []
+    for workers in (1, 2, None):
+        text = base if workers is None else base + f"\n[run]\nworkers = {workers}\n"
+        p = write_config(tmp_path, text, f"w{workers}.ini")
+        out = tmp_path / f"w{workers}"
+        assert cli.main(["solve", "--config", str(p), "--out", str(out),
+                         "--no-timing"]) == 0
+        csvs.append((out / "results.csv").read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_workers_validated(tmp_path, monkeypatch, value):
+    """[run] workers must be an integer >= 1; anything else is a config error
+    (exit 2), raised before any basis is built, so no process starts."""
+    assert cli.RunConfig(write_config(tmp_path)).workers is None
+    text = BASE_CONFIG + "\n[run]\nworkers = 2\n"
+    assert cli.RunConfig(write_config(tmp_path, text, "two.ini")).workers == 2
+
+    def no_build(*args, **kwargs):
+        pytest.fail("basis build reached with an invalid worker count")
+
+    monkeypatch.setattr(msbasis, "build_bases", no_build)
+    p = write_config(tmp_path, BASE_CONFIG + f"\n[run]\nworkers = {value}\n", "bad.ini")
+    with pytest.raises(ConfigError):
+        cli.RunConfig(p)
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [NotSPD, DependentConstraints])
+def test_worker_error_keeps_its_type(tmp_path, monkeypatch, capsys, error):
+    """An error raised in a forked worker reaches the caller with its class
+    and message, `mslab solve` exits 3 on it, and no worker is left."""
+    kernel, calls = msbasis.lssi_kernel, []
+    victim = 5
+
+    def failing(sys, Phi):
+        calls.append(sys.patch.center)
+        if sys.patch.center == victim:
+            raise error(f"patch {victim}: injected")
+        yield from kernel(sys, Phi)
+
+    monkeypatch.setattr(msbasis, "lssi_kernel", failing)
+    cfg = cli.RunConfig(write_config(tmp_path))
+    pair = cfg.make_pair()
+    system = fem.assemble(pair, cfg.make_field(pair), fem.DIFFUSION)
+    with pytest.raises(error) as info:
+        msbasis.build_bases(pair, system, 1, [("lssi", 1)], workers=2)
+    assert type(info.value) is error and str(info.value) == f"patch {victim}: injected"
+    assert calls == []                        # the kernel ran in the workers alone
+    assert multiprocessing.active_children() == []
+
+    p = write_config(tmp_path, BASE_CONFIG + "\n[run]\nworkers = 2\n", "w2.ini")
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert f"patch {victim}: injected" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
 
 
 def test_write_pgm_orientation(tmp_path):

@@ -302,7 +302,8 @@ def test_saddle_solves_once_per_round(small_setup, monkeypatch, lod):
 
     monkeypatch.setattr(msbasis, "solve_saddle_block", counting)
     requests = [("lssi", 1), ("lssi", 4), ("lssi", 2), ("lksi", 3)]
-    msbasis.build_bases(pair, system, 1, [("lod", None)] * lod + requests)
+    # in-process: a forked worker's calls would not reach this list
+    msbasis.build_bases(pair, system, 1, [("lod", None)] * lod + requests, workers=1)
     assert len(calls) == pair.coarse.n_elems * (lod + 4)
 
 
@@ -414,7 +415,8 @@ def test_build_bases_factors_once_per_nest(small_setup, monkeypatch):
         init(self, A)
 
     monkeypatch.setattr(fem.SpdFactor, "__init__", counting)
-    msbasis.build_bases(pair, system, 1, [("lod", None), ("lssi", 1), ("lksi", 2)])
+    msbasis.build_bases(pair, system, 1, [("lod", None), ("lssi", 1), ("lksi", 2)],
+                        workers=1)
     assert len(calls) == len(msbasis.patch_nests(grid.build_all_patches(pair, 1))) == 8
 
 
@@ -435,3 +437,49 @@ def test_nest_schur_pass_counts_for_lod_alone(small_setup, monkeypatch):
     slept = pause * len(msbasis.patch_nests(grid.build_all_patches(pair, 1)))
     (_, _, _, lod_wall), (_, _, _, lssi_wall) = out
     assert lod_wall >= slept > lssi_wall
+
+
+@pytest.mark.parametrize("kind, N, m", [(fem.DIFFUSION, 4, 1), (fem.ELASTICITY, 4, 1),
+                                        (fem.DIFFUSION, 5, 2)])
+def test_workers_build_the_same_bases(kind, N, m, monkeypatch):
+    """Two forked workers, each on whole nests, give every patch the vectors
+    of the in-process build bit for bit, and the same local problem counts."""
+    pair = grid.NestedPair(N, 4 * N)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=N)
+    system = fem.assemble(pair, field, kind)
+    nests = msbasis.patch_nests(grid.build_all_patches(pair, m))
+    assert any(len(ks) > 1 for ks, _ in nests)
+    requests = [("lod", None), ("lssi", 1), ("lssi", 2), ("lksi", 3)]
+    serial = msbasis.build_bases(pair, system, m, requests, workers=1)
+    forked, calls = msbasis._build_forked, []
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return forked(*args)
+
+    monkeypatch.setattr(msbasis, "_build_forked", counting)
+    split = msbasis.build_bases(pair, system, m, requests, workers=2)
+    assert calls == [2]
+    for (lab, basis, stats, _), (lab2, basis2, stats2, _) in zip(serial, split):
+        assert lab == lab2 and stats.n_local_problems == stats2.n_local_problems
+        assert len(basis.patch_bases) == len(basis2.patch_bases) == N * N
+        for pb, pb2 in zip(basis.patch_bases, basis2.patch_bases):
+            assert pb.patch.center == pb2.patch.center
+            assert np.array_equal(pb.vectors, pb2.vectors), (lab, pb.patch.center)
+
+
+def test_nest_groups_balance_whole_nests():
+    """Groups hold whole nests, every patch once, in patch order, and the
+    greedy split keeps the heaviest group within one nest of the lightest."""
+    pair = grid.NestedPair(6, 12)
+    patches = grid.build_all_patches(pair, 2)
+    nests = msbasis.patch_nests(patches)
+    weight = {k: p.interior_nodes.size for k, p in enumerate(patches)}
+    groups = msbasis._nest_groups(patches, nests, 3)
+    assert sorted(k for g in groups for k in g) == list(range(len(patches)))
+    for ks, _ in nests:
+        assert sum(set(ks) <= set(g) for g in groups) == 1
+    loads = [sum(weight[k] for k in g) for g in groups]
+    heaviest = max(sum(weight[k] for k in ks) for ks, _ in nests)
+    assert all(g == sorted(g) for g in groups)
+    assert max(loads) - min(loads) <= heaviest
