@@ -120,12 +120,6 @@ class RunConfig:
         sol = cp["solver"] if cp.has_section("solver") else {}
         self.tol = float(sol.get("tol", 1e-10))
 
-        run = cp["run"] if cp.has_section("run") else {}
-        workers = run.get("workers", None)          # none: one per CPU
-        if workers is not None and not (workers.isdigit() and int(workers) >= 1):
-            raise ConfigError(f"run.workers must be an integer >= 1, got {workers!r}")
-        self.workers = None if workers is None else int(workers)
-
         out = cp["output"] if cp.has_section("output") else {}
         self.heatmaps = str(out.get("heatmaps", "false")).lower() in ("1", "true", "yes")
 
@@ -171,20 +165,19 @@ def write_pgm(path, values, log10=False):
             f.write(" ".join(str(p) for p in row) + "\n")
 
 
-def run_methods(pair, field, kind, m, methods, tol=None, channel_len=0, workers=None):
+def run_methods(pair, field, kind, m, methods, tol=None, channel_len=0):
     """Reference solve plus one coarse solve per method.
 
     Returns (rows, context): rows are ResultRow objects carrying channel_len,
     the length of the field's channels; context carries the reference
     solution and padded multiscale solutions for plotting.  `tol` is ignored
-    (the reference solve is direct); bench/study.py still passes it.  The
-    bases are built by `workers` processes (msbasis.build_bases).
+    (the reference solve is direct); bench/study.py still passes it.
     """
     f = default_rhs(kind)
     u_ref_pad, system, b = fem.reference_solve(pair, field, kind, f)
     u_ref = system.restrict(u_ref_pad)
 
-    built = msbasis.build_bases(pair, system, m, methods, workers=workers)
+    built = msbasis.build_bases(pair, system, m, methods)
 
     rows = []
     solutions = {}
@@ -229,7 +222,7 @@ def cmd_solve(cfg, out, with_timing=True):
     pair = cfg.make_pair()
     field = cfg.make_field(pair)
     rows, ctx = run_methods(pair, field, cfg.kind, cfg.m, cfg.methods,
-                            channel_len=cfg.channel_length(), workers=cfg.workers)
+                            channel_len=cfg.channel_length())
     write_csv(out / "results.csv", rows, with_timing=with_timing)
     if cfg.heatmaps:
         write_pgm(out / "u_ref.pgm", _solution_grid(pair, ctx["u_ref_pad"], cfg.kind))
@@ -266,8 +259,7 @@ def cmd_sweep(cfg, out, with_timing=True):
         elif axis == "n":
             methods = [(name, int(val)) for name in iterated]
         res, _ = run_methods(pair, field, cfg.kind, m, methods,
-                             channel_len=cfg.channel_length(channel_len),
-                             workers=cfg.workers)
+                             channel_len=cfg.channel_length(channel_len))
         rows.extend(res)
     write_csv(out / f"sweep_{axis}.csv", rows, with_timing=with_timing)
     return 0

@@ -14,13 +14,12 @@ the nest and across all requested methods on the same coefficient field,
 and on each patch draws each method's kernel once, up front, as deep as the
 method's deepest request: the requests of a method take their rounds from
 that one draw, and each is charged the time of every round it takes.  With
-several workers, build_bases splits the nests over forked processes, each
-running the same in-process build on its whole nests.
+several workers, build_bases hands the nests out to forked processes, each
+running the same in-process build on whole nests.
 """
 
 import itertools
 import logging
-import multiprocessing
 import os
 import time
 from collections import defaultdict
@@ -339,28 +338,23 @@ def patch_nests(patches):
     return sorted(nests, key=lambda nest: min(nest[0]))
 
 
-def _nest_groups(patches, nests, workers):
-    """Patch positions of whole nests in `workers` groups, balanced by patch
-    interior DOFs: greedy, largest nest first, each to the lightest group.
-    Each group is in patch order."""
-    weight = [sum(patches[k].interior_nodes.size for k in ks) for ks, _ in nests]
-    loads, groups = [0] * workers, [[] for _ in range(workers)]
-    for j in sorted(range(len(nests)), key=lambda j: -weight[j]):
-        g = loads.index(min(loads))
-        groups[g].extend(nests[j][0])
-        loads[g] += weight[j]
-    return [sorted(g) for g in groups]
-
-
 # (pair, system, m, requests, patches) of the build whose workers are forked;
 # the workers inherit it, so the global system is never pickled
 _FORKED = None
 
 
-def _build_group(positions):
+def _cpu_count():
+    """The CPUs this process may run on, or 1 where that is not known or
+    processes cannot fork (no os.sched_getaffinity: macOS, Windows)."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _build_nest(positions):
     """Worker entry: build_bases in this process on the patches at
-    `positions` of the forking build.  Returns, per request, its label,
-    method, patch vectors, local problem count and seconds."""
+    `positions` (a nest) of the forking build.  Returns, per request, its
+    label, method, patch vectors, local problem count and seconds."""
     pair, system, m, requests, patches = _FORKED
     built = build_bases(pair, system, m, requests,
                         patches=[patches[k] for k in positions], workers=1)
@@ -368,16 +362,23 @@ def _build_group(positions):
              stats.n_local_problems, wall) for lab, basis, stats, wall in built]
 
 
-def _build_forked(pair, system, m, requests, patches, groups):
-    """build_bases over one forked worker per group of patch positions; the
+def _build_forked(pair, system, m, requests, patches, nests, workers):
+    """build_bases over `workers` forked processes, one task per nest.  The
+    nests go largest first (patch interior DOFs), in Pool.map's chunks of
+    about a quarter of a worker's share, each to the next free worker, so a
+    worker holds a few nests' vectors at a time and the loads even out.  The
     pool is closed (terminated on error) and joined before this returns.  A
     worker's error is raised here with its class and message.  The counts
-    and seconds are the sums over the workers."""
+    and seconds are the sums over the tasks."""
+    import multiprocessing                  # here: only a forked build needs it
+
+    tasks = sorted((ks for ks, _ in nests),
+                   key=lambda ks: -sum(patches[k].interior_nodes.size for k in ks))
     global _FORKED
     _FORKED = (pair, system, m, requests, patches)
-    pool = multiprocessing.get_context("fork").Pool(len(groups))
+    pool = multiprocessing.get_context("fork").Pool(workers)
     try:
-        done = pool.map(_build_group, groups, chunksize=1)
+        done = pool.map(_build_nest, tasks)
         pool.close()
     except BaseException:
         pool.terminate()
@@ -388,7 +389,7 @@ def _build_forked(pair, system, m, requests, patches, groups):
     out = []
     for j, (lab, name, _, _, _) in enumerate(done[0]):
         bases, stats, wall = [None] * len(patches), BuildStats(), 0.0
-        for positions, results in zip(groups, done):
+        for positions, results in zip(tasks, done):
             _, _, vectors, solves, secs = results[j]
             for k, V in zip(positions, vectors):
                 bases[k] = PatchBasis(patches[k], V)
@@ -417,11 +418,12 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
     ran alone.  LOD and LSSI blocks must keep full rank; LKSI keeps the
     iterates its chains reach.
 
-    workers (default: the CPUs this process may run on, capped at the nest
-    count) > 1 splits the nests over that many forked processes
-    (_nest_groups); each builds its whole nests in-process as above, and the
-    results are the same bit for bit.  Each wall time is then the sum of the
-    workers' seconds, not elapsed time, and each count the sum of theirs.
+    workers (default: the CPUs this process may run on where it can fork,
+    else 1; capped at the nest count) > 1 hands the nests out to that many
+    forked processes (_build_forked); each builds its nests in-process as
+    above, and the results are the same bit for bit.  Each wall time is then
+    the sum of the nests' seconds, not elapsed time, and each count the sum
+    of theirs.
     """
     if any(name not in (LOD, LSSI, LKSI) for name, _ in requests):
         raise ValueError(f"unknown method in {requests}")
@@ -439,10 +441,9 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
         raise ValueError(f"workers must be >= 1, got {workers}")
     patches = build_all_patches(pair, m) if patches is None else list(patches)
     nests = patch_nests(patches)
-    workers = min(len(os.sched_getaffinity(0)) if workers is None else workers, len(nests))
+    workers = min(_cpu_count() if workers is None else workers, len(nests))
     if workers > 1:
-        return _build_forked(pair, system, m, requests, patches,
-                             _nest_groups(patches, nests, workers))
+        return _build_forked(pair, system, m, requests, patches, nests, workers)
     per = {lab: [None] * len(patches) for lab in labels}
     stats = {lab: BuildStats() for lab in labels}
     secs = {lab: 0.0 for lab in labels}

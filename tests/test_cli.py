@@ -11,7 +11,7 @@ import pytest
 
 import mslab
 from mslab import cli, coeff, fem, msbasis
-from mslab.errors import ConfigError, DependentConstraints, NotSPD
+from mslab.errors import DependentConstraints, NotSPD
 
 
 BASE_CONFIG = """\
@@ -299,39 +299,28 @@ def test_eig_diag_assembles_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def force_workers(monkeypatch, workers):
+    """Make the CLI's basis builds use `workers` processes; a forked build's
+    own nest tasks still pass workers=1."""
+    build = msbasis.build_bases
+    monkeypatch.setattr(msbasis, "build_bases",
+                        lambda *args, **kw: build(*args, **{"workers": workers, **kw}))
+
+
 @pytest.mark.parametrize("kind", ["diffusion", "elasticity"])
-def test_solve_csv_same_for_any_worker_count(tmp_path, kind):
+def test_solve_csv_same_for_any_worker_count(tmp_path, monkeypatch, kind):
     """results.csv under --no-timing is byte-identical with one worker, two
     and the default."""
-    base = BASE_CONFIG.replace("kind = diffusion", f"kind = {kind}")
+    p = write_config(tmp_path, BASE_CONFIG.replace("kind = diffusion", f"kind = {kind}"))
     csvs = []
     for workers in (1, 2, None):
-        text = base if workers is None else base + f"\n[run]\nworkers = {workers}\n"
-        p = write_config(tmp_path, text, f"w{workers}.ini")
-        out = tmp_path / f"w{workers}"
-        assert cli.main(["solve", "--config", str(p), "--out", str(out),
-                         "--no-timing"]) == 0
+        with monkeypatch.context() as mp:
+            force_workers(mp, workers)
+            out = tmp_path / f"w{workers}"
+            assert cli.main(["solve", "--config", str(p), "--out", str(out),
+                             "--no-timing"]) == 0
         csvs.append((out / "results.csv").read_bytes())
     assert csvs[0] == csvs[1] == csvs[2]
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "abc"])
-def test_workers_validated(tmp_path, monkeypatch, value):
-    """[run] workers must be an integer >= 1; anything else is a config error
-    (exit 2), raised before any basis is built, so no process starts."""
-    assert cli.RunConfig(write_config(tmp_path)).workers is None
-    text = BASE_CONFIG + "\n[run]\nworkers = 2\n"
-    assert cli.RunConfig(write_config(tmp_path, text, "two.ini")).workers == 2
-
-    def no_build(*args, **kwargs):
-        pytest.fail("basis build reached with an invalid worker count")
-
-    monkeypatch.setattr(msbasis, "build_bases", no_build)
-    p = write_config(tmp_path, BASE_CONFIG + f"\n[run]\nworkers = {value}\n", "bad.ini")
-    with pytest.raises(ConfigError):
-        cli.RunConfig(p)
-    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("error", [NotSPD, DependentConstraints])
@@ -357,7 +346,8 @@ def test_worker_error_keeps_its_type(tmp_path, monkeypatch, capsys, error):
     assert calls == []                        # the kernel ran in the workers alone
     assert multiprocessing.active_children() == []
 
-    p = write_config(tmp_path, BASE_CONFIG + "\n[run]\nworkers = 2\n", "w2.ini")
+    force_workers(monkeypatch, 2)
+    p = write_config(tmp_path)
     assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
     assert f"patch {victim}: injected" in capsys.readouterr().err
     assert multiprocessing.active_children() == []

@@ -1,6 +1,7 @@
 """Basis construction tests: seeds, supports, spans and accounting."""
 
 import itertools
+import multiprocessing
 import time
 
 import numpy as np
@@ -442,7 +443,7 @@ def test_nest_schur_pass_counts_for_lod_alone(small_setup, monkeypatch):
 @pytest.mark.parametrize("kind, N, m", [(fem.DIFFUSION, 4, 1), (fem.ELASTICITY, 4, 1),
                                         (fem.DIFFUSION, 5, 2)])
 def test_workers_build_the_same_bases(kind, N, m, monkeypatch):
-    """Two forked workers, each on whole nests, give every patch the vectors
+    """Two forked workers, one nest per task, give every patch the vectors
     of the in-process build bit for bit, and the same local problem counts."""
     pair = grid.NestedPair(N, 4 * N)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=N)
@@ -454,7 +455,7 @@ def test_workers_build_the_same_bases(kind, N, m, monkeypatch):
     forked, calls = msbasis._build_forked, []
 
     def counting(*args):
-        calls.append(len(args[-1]))
+        calls.append(args[-1])                # the worker count
         return forked(*args)
 
     monkeypatch.setattr(msbasis, "_build_forked", counting)
@@ -468,18 +469,17 @@ def test_workers_build_the_same_bases(kind, N, m, monkeypatch):
             assert np.array_equal(pb.vectors, pb2.vectors), (lab, pb.patch.center)
 
 
-def test_nest_groups_balance_whole_nests():
-    """Groups hold whole nests, every patch once, in patch order, and the
-    greedy split keeps the heaviest group within one nest of the lightest."""
-    pair = grid.NestedPair(6, 12)
-    patches = grid.build_all_patches(pair, 2)
-    nests = msbasis.patch_nests(patches)
-    weight = {k: p.interior_nodes.size for k, p in enumerate(patches)}
-    groups = msbasis._nest_groups(patches, nests, 3)
-    assert sorted(k for g in groups for k in g) == list(range(len(patches)))
-    for ks, _ in nests:
-        assert sum(set(ks) <= set(g) for g in groups) == 1
-    loads = [sum(weight[k] for k in g) for g in groups]
-    heaviest = max(sum(weight[k] for k in ks) for ks, _ in nests)
-    assert all(g == sorted(g) for g in groups)
-    assert max(loads) - min(loads) <= heaviest
+@pytest.mark.parametrize("workers", [0, -1])
+def test_build_bases_rejects_worker_count(small_setup, monkeypatch, workers):
+    """A worker count below 1 is an error, raised before any patch is built,
+    so no process starts."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+
+    def no_patches(*args):
+        pytest.fail("patches built with an invalid worker count")
+
+    monkeypatch.setattr(msbasis, "build_all_patches", no_patches)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        msbasis.build_bases(pair, system, 1, [("lssi", 1)], workers=workers)
+    assert multiprocessing.active_children() == []
