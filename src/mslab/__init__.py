@@ -7,11 +7,19 @@ operator (lksi-n).  Spectral diagnostics verify the convergence theory.
 """
 
 import os
+import sys
+import warnings
 
 # One BLAS thread unless the caller chose otherwise: the dense kernels are
 # small, and on shared CPUs OpenBLAS's spin-waiting threads slow the patch
-# solves about fourfold.  This must run before numpy loads its BLAS.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# solves about fourfold.  This must run before numpy loads its BLAS; once it
+# has loaded, the setting comes too late, so say so.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
+    warnings.warn("mslab was imported after numpy, so BLAS may run several threads; "
+                  "import mslab first or set OPENBLAS_NUM_THREADS=1",
+                  RuntimeWarning, stacklevel=2)
+for _var in _THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 from . import coeff, fem, grid, localsolve, msbasis, msgalerkin, specdiag

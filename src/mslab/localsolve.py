@@ -187,7 +187,3 @@ def solve_saddle_block(sys, constraints, rhs=None):
         rhs = np.eye(constraints.count)
     return apply(sla.cho_solve(cf, rhs))
 
-
-def apply_local_inverse(sys, g):
-    """Discrete local solution operator: A_omega^{-1} M_omega g."""
-    return sys.solve(sys.M @ np.asarray(g))

@@ -3,21 +3,20 @@
 Each method is one iteration kernel on a patch system, seeded by the method's
 seed: LOD is a single round, LSSI-n takes round n of constrained subspace
 iteration, LKSI-n collects n Krylov iterates.  Every basis vector lives on the
-interior DOFs of its patch and is zero elsewhere by construction.  Patches
-are processed one nest at a time (patch_nests: the boundary-clipped patches
-of a coarse column whose DOFs are leading or trailing blocks of the tallest
-one's), so that only one local factorization, the nest master's, is alive
-at once.  The members' systems and LOD blocks are sliced from the master's,
-and one Schur pass over the master's LOD block forms every member's Schur
-complement (lod_constraints).  build_bases shares the factorization across
-the nest and across all requested methods on the same coefficient field,
-and on each patch draws each method's kernel once, up front, as deep as the
-method's deepest request: the requests of a method take their rounds from
-that one draw, and each is charged the time of every round it takes.  With
-several workers, build_bases hands the nests out to forked processes, each
-running the same in-process build on whole nests.
+interior DOFs of its patch and is zero elsewhere by construction.  The unit
+of work is the nest (patch_nests: the boundary-clipped patches of a coarse
+column whose DOFs are leading or trailing blocks of the tallest one's):
+nest_systems factors its master once and slices the members' systems from
+it.  _nest_bases builds every requested basis on one nest, sharing that
+factorization across the nest and the methods, with one Schur pass over the
+master's LOD block for every member (lod_constraints), and draws each
+method's kernel once per patch, as deep as its deepest request.
+build_bases runs _nest_bases on every nest, in this process or in forked
+workers, and puts the patch bases back in patch order.  build_patch_systems
+(eig-diag) keeps every patch system, in one process, one factor per nest.
 """
 
+import functools
 import itertools
 import logging
 import os
@@ -67,23 +66,6 @@ class MsBasis:
     @property
     def total_dofs(self):
         return sum(pb.count for pb in self.patch_bases)
-
-    def padded_vectors(self, n_full):
-        """All basis vectors as full fine-grid columns (dense, for diagnostics)."""
-        nb = fem.nblock(self.kind)
-        out = np.zeros((n_full, self.total_dofs))
-        col = 0
-        for pb in self.patch_bases:
-            dofs = pb.patch.interior_dofs(nb)
-            out[dofs, col:col + pb.count] = pb.vectors
-            col += pb.count
-        return out
-
-
-def build_patch_systems(pair, system, m):
-    """All patch systems of the global system as a list; only for desk-scale
-    problems."""
-    return [PatchSystem.build(system, p) for p in build_all_patches(pair, m)]
 
 
 def _cell_nodes(pair, coarse_elem, inset):
@@ -338,9 +320,74 @@ def patch_nests(patches):
     return sorted(nests, key=lambda nest: min(nest[0]))
 
 
-# (pair, system, m, requests, patches) of the build whose workers are forked;
-# the workers inherit it, so the global system is never pickled
+def nest_systems(system, patches, nest):
+    """The patch systems of one nest (positions in `patches`, reverse), master
+    first: the master with its own factor, each member sliced from it and
+    running on a leading block of that factor."""
+    ks, reverse = nest
+    master = PatchSystem.build(system, patches[ks[0]], reverse=reverse)
+    return [master] + [PatchSystem.build(system, patches[k], within=master)
+                       for k in ks[1:]]
+
+
+def build_patch_systems(pair, system, m):
+    """All patch systems of the global system in patch order, one
+    factorization per nest; only for desk-scale problems."""
+    patches = build_all_patches(pair, m)
+    systems = [None] * len(patches)
+    for nest in patch_nests(patches):
+        for k, sys in zip(nest[0], nest_systems(system, patches, nest)):
+            systems[k] = sys
+    return systems
+
+
+def _nest_bases(system, patches, plan, nest):
+    """Every requested basis on one nest of `patches`.  plan lists the
+    requests as (label, method, rounds).  Returns, per request, the nest's
+    patch vectors in nest order, its local problem count and its seconds:
+    the nest's slicing and factorization, the seed and kernel rounds it
+    takes on each patch, and for LOD the nest's lod_constraints call."""
+    depth = {name: max(n for _, nm, n in plan if nm == name) for _, name, _ in plan}
+    t0 = time.perf_counter()
+    systems = nest_systems(system, patches, nest)
+    secs = [time.perf_counter() - t0] * len(plan)
+    lod_sets = [None] * len(systems)
+    if LOD in depth:
+        t0 = time.perf_counter()
+        lod_sets = lod_constraints(systems)
+        t_lod = time.perf_counter() - t0
+        secs = [s + t_lod if name == LOD else s for s, (_, name, _) in zip(secs, plan)]
+    vectors, solves = [[] for _ in plan], [0] * len(plan)
+    for sys, lod_set in zip(systems, lod_sets):
+        runs = {name: _run_kernel(sys, name, d, lod_set) for name, d in depth.items()}
+        for j, (lab, name, n) in enumerate(plan):
+            t0 = time.perf_counter()
+            seed_secs, chains = runs[name]
+            if name == LKSI:
+                V = np.column_stack([psi for blocks, _ in chains for psi in blocks[:n]])
+                solves[j] += V.shape[1]
+            else:
+                [(blocks, _)] = chains
+                V = blocks[n - 1]
+                solves[j] += n * V.shape[1]
+            Q, kept = m_orthonormalize(sys.M, V)
+            if name != LKSI and len(kept) != V.shape[1]:
+                raise DependentConstraints(
+                    f"patch {sys.patch.center}: {lab} block degenerate")
+            vectors[j].append(Q)
+            secs[j] += (seed_secs + sum(s[min(n, len(s) - 1)] for _, s in chains)
+                        + time.perf_counter() - t0)
+    return list(zip(vectors, solves, secs))
+
+
+# the task of the build whose workers are forked, _nest_bases with its
+# arguments but the nest bound; the workers inherit it, so the global system
+# is never pickled
 _FORKED = None
+
+
+def _forked_task(nest):
+    return _FORKED(nest)
 
 
 def _cpu_count():
@@ -351,34 +398,18 @@ def _cpu_count():
     return len(os.sched_getaffinity(0))
 
 
-def _build_nest(positions):
-    """Worker entry: build_bases in this process on the patches at
-    `positions` (a nest) of the forking build.  Returns, per request, its
-    label, method, patch vectors, local problem count and seconds."""
-    pair, system, m, requests, patches = _FORKED
-    built = build_bases(pair, system, m, requests,
-                        patches=[patches[k] for k in positions], workers=1)
-    return [(lab, basis.method, [pb.vectors for pb in basis.patch_bases],
-             stats.n_local_problems, wall) for lab, basis, stats, wall in built]
-
-
-def _build_forked(pair, system, m, requests, patches, nests, workers):
-    """build_bases over `workers` forked processes, one task per nest.  The
-    nests go largest first (patch interior DOFs), in Pool.map's chunks of
-    about a quarter of a worker's share, each to the next free worker, so a
-    worker holds a few nests' vectors at a time and the loads even out.  The
-    pool is closed (terminated on error) and joined before this returns.  A
-    worker's error is raised here with its class and message.  The counts
-    and seconds are the sums over the tasks."""
+def _forked_map(task, nests, workers):
+    """map(task, nests) over `workers` forked processes, in Pool.map's chunks
+    of about a quarter of a worker's share, each to the next free worker.
+    The pool is closed (terminated on error) and joined before this returns;
+    a worker's error is raised here with its class and message."""
     import multiprocessing                  # here: only a forked build needs it
 
-    tasks = sorted((ks for ks, _ in nests),
-                   key=lambda ks: -sum(patches[k].interior_nodes.size for k in ks))
     global _FORKED
-    _FORKED = (pair, system, m, requests, patches)
+    _FORKED = task
     pool = multiprocessing.get_context("fork").Pool(workers)
     try:
-        done = pool.map(_build_nest, tasks)
+        done = pool.map(_forked_task, nests)
         pool.close()
     except BaseException:
         pool.terminate()
@@ -386,98 +417,55 @@ def _build_forked(pair, system, m, requests, patches, nests, workers):
     finally:
         pool.join()
         _FORKED = None
-    out = []
-    for j, (lab, name, _, _, _) in enumerate(done[0]):
-        bases, stats, wall = [None] * len(patches), BuildStats(), 0.0
-        for positions, results in zip(tasks, done):
-            _, _, vectors, solves, secs = results[j]
-            for k, V in zip(positions, vectors):
-                bases[k] = PatchBasis(patches[k], V)
-            stats.n_local_problems += solves
-            wall += secs
-        out.append((lab, MsBasis(name, system.kind, bases), stats, wall))
-    return out
+    return done
 
 
 def build_bases(pair, system, m, requests, patches=None, workers=None):
-    """Build several bases in one pass over the patches, each patch system
-    sliced out of the global system or, in a nest, out of its master's.
+    """Build several bases, one nest of `patches` at a time (_nest_bases).
 
-    The patches go nest by nest (patch_nests): one factorization serves the
-    whole nest, and with LOD requested, one lod_constraints call forms every
-    member's LOD block and Schur complement.  On each patch every method's
-    kernel is drawn once, up front, as deep as its deepest request
-    (_run_kernel): LSSI-n takes round n of the one LSSI chain, LKSI-n the
-    first n iterates of each LKSI chain, LOD its one round.  requests is a
-    list of (method, n), no two alike; returns a list of (label, MsBasis,
-    BuildStats, wall_seconds) in request order, the patch bases in the order
-    of `patches`.  Each wall time includes the shared slicing and
-    factorization cost, and the seed and kernel rounds it takes, so a round
-    serving several requests counts for each; lod_constraints counts for
-    LOD alone.  The local problem counts are each request's own, as if it
-    ran alone.  LOD and LSSI blocks must keep full rank; LKSI keeps the
-    iterates its chains reach.
+    requests is a list of (method, n), no two alike: LSSI-n takes round n of
+    the one LSSI chain, LKSI-n the first n iterates of each LKSI chain, LOD
+    its one round.  Returns a list of (label, MsBasis, BuildStats,
+    wall_seconds) in request order, the patch bases in the order of
+    `patches`.  Each wall time includes the shared slicing and factorization
+    cost, and the seed and kernel rounds it takes, so a round serving
+    several requests counts for each; lod_constraints counts for LOD alone.
+    The local problem counts are each request's own, as if it ran alone.
+    LOD and LSSI blocks must keep full rank; LKSI keeps the iterates its
+    chains reach.
 
-    workers (default: the CPUs this process may run on where it can fork,
-    else 1; capped at the nest count) > 1 hands the nests out to that many
-    forked processes (_build_forked); each builds its nests in-process as
-    above, and the results are the same bit for bit.  Each wall time is then
-    the sum of the nests' seconds, not elapsed time, and each count the sum
-    of theirs.
+    The nests go largest first (patch interior DOFs), through map in this
+    process with one worker, or with more through a pool of that many forked
+    processes (_forked_map).  workers defaults to the CPUs this process may
+    run on where it can fork, else 1, capped at the nest count; the bases
+    are the same bit for bit for any count.  Each wall time and count is the
+    sum of the nests', not elapsed time.
     """
     if any(name not in (LOD, LSSI, LKSI) for name, _ in requests):
         raise ValueError(f"unknown method in {requests}")
     if any(name != LOD and (n is None or n < 1) for name, n in requests):
         raise ValueError("iteration count must be >= 1")
-    labels = [name if name == LOD else f"{name}-{n}" for name, n in requests]
+    plan = [(name, name, 1) if name == LOD else (f"{name}-{n}", name, n)
+            for name, n in requests]
+    labels = [lab for lab, _, _ in plan]
     if len(set(labels)) < len(labels):
         raise ValueError(f"duplicate method requests: {labels}")
-    names = [name for name, _ in requests]
-    rounds = [1 if name == LOD else n for name, n in requests]
-    depth = {}
-    for name, n in zip(names, rounds):
-        depth[name] = max(depth.get(name, 0), n)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     patches = build_all_patches(pair, m) if patches is None else list(patches)
-    nests = patch_nests(patches)
+    nests = sorted(patch_nests(patches),
+                   key=lambda nest: -sum(patches[k].interior_nodes.size for k in nest[0]))
     workers = min(_cpu_count() if workers is None else workers, len(nests))
-    if workers > 1:
-        return _build_forked(pair, system, m, requests, patches, nests, workers)
-    per = {lab: [None] * len(patches) for lab in labels}
-    stats = {lab: BuildStats() for lab in labels}
-    secs = {lab: 0.0 for lab in labels}
-    t_shared = 0.0
-    for ks, reverse in nests:
-        t0 = time.perf_counter()
-        master = PatchSystem.build(system, patches[ks[0]], reverse=reverse)
-        systems = [master] + [PatchSystem.build(system, patches[k], within=master)
-                              for k in ks[1:]]
-        t_shared += time.perf_counter() - t0
-        lod_sets = [None] * len(systems)
-        if LOD in depth:
-            t0 = time.perf_counter()
-            lod_sets = lod_constraints(systems)
-            secs[LOD] += time.perf_counter() - t0
-        for k, sys, lod_set in zip(ks, systems, lod_sets):
-            runs = {name: _run_kernel(sys, name, d, lod_set) for name, d in depth.items()}
-            for lab, name, n in zip(labels, names, rounds):
-                t0 = time.perf_counter()
-                seed_secs, chains = runs[name]
-                if name == LKSI:
-                    V = np.column_stack([psi for blocks, _ in chains for psi in blocks[:n]])
-                    solves = V.shape[1]
-                else:
-                    [(blocks, _)] = chains
-                    V = blocks[n - 1]
-                    solves = n * V.shape[1]
-                Q, kept = m_orthonormalize(sys.M, V)
-                if name != LKSI and len(kept) != V.shape[1]:
-                    raise DependentConstraints(
-                        f"patch {sys.patch.center}: {lab} block degenerate")
-                per[lab][k] = PatchBasis(sys.patch, Q)
-                stats[lab].n_local_problems += solves
-                secs[lab] += (seed_secs + sum(s[min(n, len(s) - 1)] for _, s in chains)
-                              + time.perf_counter() - t0)
-    return [(lab, MsBasis(name, system.kind, per[lab]), stats[lab], secs[lab] + t_shared)
-            for lab, name in zip(labels, names)]
+    task = functools.partial(_nest_bases, system, patches, plan)
+    done = list(map(task, nests)) if workers == 1 else _forked_map(task, nests, workers)
+    out = []
+    for j, (lab, name, _) in enumerate(plan):
+        bases, stats, wall = [None] * len(patches), BuildStats(), 0.0
+        for (ks, _), results in zip(nests, done):
+            vectors, solves, secs = results[j]
+            for k, V in zip(ks, vectors):
+                bases[k] = PatchBasis(patches[k], V)
+            stats.n_local_problems += solves
+            wall += secs
+        out.append((lab, MsBasis(name, system.kind, bases), stats, wall))
+    return out

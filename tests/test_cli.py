@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mslab
-from mslab import cli, coeff, fem, msbasis
+from mslab import cli, coeff, fem, grid, localsolve, msbasis
 from mslab.errors import DependentConstraints, NotSPD
 
 
@@ -299,9 +299,42 @@ def test_eig_diag_assembles_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_eig_diag_factors_once_per_nest(tmp_path, monkeypatch):
+    """eig-diag factors each nest's master once (besides the reference
+    solve's global factor), and its patch systems, in patch order, are the
+    ones each patch gets with a factor of its own."""
+    cfg = cli.RunConfig(write_config(tmp_path))
+    pair = cfg.make_pair()
+    system = fem.assemble(pair, cfg.make_field(pair), fem.DIFFUSION)
+    patches = grid.build_all_patches(pair, cfg.m)
+    init, calls = fem.SpdFactor.__init__, []
+
+    def counting(self, A):
+        calls.append(A.shape[0])
+        init(self, A)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fem.SpdFactor, "__init__", counting)
+        assert cli.cmd_eig_diag(cfg, tmp_path) == 0
+    assert calls[0] == system.ndof
+    assert len(calls[1:]) == len(msbasis.patch_nests(patches)) < len(patches)
+
+    systems = msbasis.build_patch_systems(pair, system, cfg.m)
+    rng = np.random.default_rng(4)
+    assert len(systems) == len(patches)
+    for p, nested in zip(patches, systems):
+        own = localsolve.PatchSystem.build(system, p)
+        assert nested.patch.center == p.center
+        assert np.array_equal(nested.A.toarray(), own.A.toarray())
+        assert np.array_equal(nested.M.toarray(), own.M.toarray())
+        assert np.array_equal(nested.system.dofs, own.system.dofs)
+        b = rng.standard_normal((own.ndof, 3))
+        x = own.solve(b)
+        assert np.abs(nested.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+
+
 def force_workers(monkeypatch, workers):
-    """Make the CLI's basis builds use `workers` processes; a forked build's
-    own nest tasks still pass workers=1."""
+    """Make the CLI's basis builds use `workers` processes."""
     build = msbasis.build_bases
     monkeypatch.setattr(msbasis, "build_bases",
                         lambda *args, **kw: build(*args, **{"workers": workers, **kw}))
@@ -369,13 +402,18 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
 def test_import_caps_blas_threads(preset, want):
     """Importing mslab sets one BLAS thread before numpy loads; a value the
-    caller set wins."""
+    caller set wins.  Imported after numpy with no value set, it warns that
+    the cap comes too late."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env["PYTHONPATH"] = str(Path(mslab.__file__).resolve().parents[1])
     if preset is not None:
         env.update({k: preset for k in THREAD_VARS})
-    code = ("import os; import mslab.cli; "
+    for numpy_first in (False, True):
+        code = ("import numpy; " if numpy_first else "") + (
+            "import os; import mslab.cli; "
             "print(' '.join(os.environ[k] for k in %r))" % (THREAD_VARS,))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout.split()
-    assert out == [want] * len(THREAD_VARS)
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert res.stdout.split() == [want] * len(THREAD_VARS)
+        warned = "import mslab first or set OPENBLAS_NUM_THREADS" in res.stderr
+        assert warned == (numpy_first and preset is None), res.stderr

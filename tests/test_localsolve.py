@@ -133,14 +133,6 @@ def test_constraint_set_from_local_functions():
     assert cons.count == 2
 
 
-def test_apply_local_inverse_is_a_inv_m():
-    _, sys = make_patch_system()
-    rng = np.random.default_rng(7)
-    g = rng.standard_normal(sys.ndof)
-    y = localsolve.apply_local_inverse(sys, g)
-    np.testing.assert_allclose(sys.A @ y, sys.M @ g, atol=1e-10)
-
-
 def test_pair_full_matches_mass_on_interior():
     """m_pair pairs a full fine-grid function against the interior tests; on
     a function supported in the interior that is the patch mass matrix."""

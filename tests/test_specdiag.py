@@ -1,8 +1,14 @@
 """Spectral diagnostics tests: eigenpairs, Arnoldi, angles, bounds and rates."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import scipy.linalg as sla
 
+import mslab
 from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
 
 
@@ -77,7 +83,7 @@ def test_arnoldi_tridiagonal_in_energy_inner_product():
     Hessenberg matrix must be tridiagonal."""
     _, sys = whole_domain_system(16)
     x0 = np.ones(sys.ndof)
-    res = specdiag.arnoldi(lambda v: localsolve.apply_local_inverse(sys, v),
+    res = specdiag.arnoldi(lambda v: sys.solve(sys.M @ v),
                            x0, 6, inner=sys.A)
     H = res.hess[:6, :6]
     off = np.triu(np.abs(H), 2)
@@ -91,7 +97,7 @@ def test_arnoldi_ritz_approximates_leading_eigenvalue():
     _, sys = whole_domain_system(16)
     eig = specdiag.local_eig(sys, 1)
     x0 = np.ones(sys.ndof)
-    res = specdiag.arnoldi(lambda v: localsolve.apply_local_inverse(sys, v),
+    res = specdiag.arnoldi(lambda v: sys.solve(sys.M @ v),
                            x0, 10, inner=sys.A)
     assert abs(res.ritz_values[0] - eig.values[0]) < 1e-8 * eig.values[0]
 
@@ -99,7 +105,7 @@ def test_arnoldi_ritz_approximates_leading_eigenvalue():
 def test_arnoldi_breakdown_on_eigenvector():
     _, sys = whole_domain_system(16)
     eig = specdiag.local_eig(sys, 1)
-    res = specdiag.arnoldi(lambda v: localsolve.apply_local_inverse(sys, v),
+    res = specdiag.arnoldi(lambda v: sys.solve(sys.M @ v),
                            eig.vectors[:, 0], 5, inner=sys.A)
     assert res.breakdown
     assert res.basis.shape[1] == 1
@@ -169,3 +175,16 @@ def test_rate_report_lksi_follows_lksi_basis():
         want = specdiag.principal_angles(basis.patch_bases[0].vectors,
                                          eig.vectors[:, :1], inner=sys.M).max_angle
         assert abs(rep.angles[n - 1] - want) < 1e-8
+
+
+def test_spectral_rates_demo_runs():
+    """demos/spectral_rates.py runs to the end in a fresh interpreter, and
+    imports mslab before numpy, so it runs without a BLAS thread warning
+    even when no thread variable is set."""
+    demo = Path(__file__).resolve().parents[1] / "demos" / "spectral_rates.py"
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(mslab.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" not in res.stderr
