@@ -10,13 +10,13 @@ at an error of about 0.42-0.46.  At length 10 the channel spans the domain
 and the errors fall back to 0.08, 0.05 and 0.017.
 """
 
-from mslab import cli, coeff, grid
+from mslab import cli, coeff, grid, msbasis
 
 pair = grid.NestedPair(10, 50)
 m = 3
 methods = [("lod", 1), ("lssi", 2), ("lksi", 4)]
 
-print(f"{'len':>4s}" + "".join(f" {cli.method_label(mth):>10s}" for mth in methods))
+print(f"{'len':>4s}" + "".join(f" {msbasis.method_label(mth):>10s}" for mth in methods))
 for length in (2, 3, 4, 5, 6, 8, 10):
     spec = coeff.ChannelSpec(length_coarse=length, thickness_fine=1, count=1,
                              seed=0, contrast=1e4)

@@ -5,13 +5,13 @@ with the mesh fixed.  The iterate-based coarse spaces stay flat while the
 baseline degrades as the contrast grows.
 """
 
-from mslab import cli, coeff, grid
+from mslab import cli, coeff, grid, msbasis
 
 pair = grid.NestedPair(10, 100)
 methods = [("lod", 1), ("lssi", 2), ("lksi", 4)]
 contrasts = [1e2, 1e3, 1e4, 1e5, 1e6]
 
-print(f"{'contrast':>9s}" + "".join(f" {cli.method_label(m):>10s}" for m in methods))
+print(f"{'contrast':>9s}" + "".join(f" {msbasis.method_label(m):>10s}" for m in methods))
 for kappa in contrasts:
     field = coeff.gen_inclusions(pair, density=0.12, contrast=kappa, seed=1,
                                  streak_len=(2, 6))

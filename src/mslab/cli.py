@@ -45,12 +45,6 @@ def parse_method(token):
     raise ConfigError(f"unknown method: {token!r}")
 
 
-def method_label(method):
-    """(name, n) -> 'lod' | 'lssi-3' | 'lksi-4'."""
-    name, n = method
-    return name if name == msbasis.LOD else f"{name}-{n}"
-
-
 def m_from_rule(H_inv):
     """Oversampling-layer rule m = ceil(2 log(1/H))."""
     return int(math.ceil(2.0 * math.log(H_inv)))
@@ -68,44 +62,54 @@ class RunConfig:
             raise ConfigError(f"malformed config file {path}: {exc}")
         if not read:
             raise ConfigError(f"cannot read config file {path}")
+        section = "problem"
         try:
             prob = cp["problem"]
             self.kind = prob.get("kind", fem.DIFFUSION)
             if self.kind not in (fem.DIFFUSION, fem.ELASTICITY):
                 raise ConfigError(f"problem.kind must be diffusion or elasticity, "
                                   f"got {self.kind!r}")
-            self.h_inv = prob.getint("h")
-            self.H_inv = prob.getint("H")
+            self.h_inv = prob.getint("h", 0)
+            self.H_inv = prob.getint("H", 0)
+            if min(self.h_inv, self.H_inv) < 1:
+                raise ConfigError("problem.h and problem.H must be given and >= 1")
             m_raw = prob.get("m", "4").strip()
             self.m_rule = m_raw == "ceil2log"
             self.m = m_from_rule(self.H_inv) if self.m_rule else int(m_raw)
             self.seed = prob.getint("seed", 0)
             self.methods = [parse_method(t)
                             for t in prob.get("methods", DEFAULT_METHODS).split(",")]
+
+            section = "coeff"
+            c = cp["coeff"] if cp.has_section("coeff") else {}
+            self.coeff_source = c.get("source", "generator")
+            self.coeff_path = c.get("path", None)
+            self.generator = c.get("generator", "inclusions")
+            self.density = float(c.get("density", 0.12))
+            self.contrast = float(c.get("contrast", 1e4))
+            self.channel_len = int(c.get("channel_len", 4))
+            self.thickness = int(c.get("thickness", 3))
+            self.channel_count = int(c.get("count", 5))
+
+            section = "sweep"
+            s = cp["sweep"] if cp.has_section("sweep") else {}
+            self.sweep_axis = s.get("axis", None)
+            vals = s.get("values", "")
+            self.sweep_values = [float(v) for v in vals.split(",") if v.strip()]
+
+            # unused by the direct solves; read only because bench/study.py passes it
+            section = "solver"
+            sol = cp["solver"] if cp.has_section("solver") else {}
+            self.tol = float(sol.get("tol", 1e-10))
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"problem section: {exc}")
+            raise ConfigError(f"{section} section: {exc}")
         if self.h_inv % self.H_inv != 0:
             raise ConfigError("problem.h must be a multiple of problem.H")
         if self.m < 0:
             raise ConfigError("problem.m must be >= 0")
-
-        c = cp["coeff"] if cp.has_section("coeff") else {}
-        self.coeff_source = c.get("source", "generator")
-        self.coeff_path = c.get("path", None)
         if self.coeff_source == "file":
             if not self.coeff_path or not Path(self.coeff_path).exists():
                 raise ConfigError(f"coeff.path does not exist: {self.coeff_path!r}")
-        self.generator = c.get("generator", "inclusions")
-        self.density = float(c.get("density", 0.12))
-        self.contrast = float(c.get("contrast", 1e4))
-        self.channel_len = int(c.get("channel_len", 4))
-        self.thickness = int(c.get("thickness", 3))
-        self.channel_count = int(c.get("count", 5))
-
-        s = cp["sweep"] if cp.has_section("sweep") else {}
-        self.sweep_axis = s.get("axis", None)
-        vals = s.get("values", "")
-        self.sweep_values = [float(v) for v in vals.split(",") if v.strip()]
 
         for name, n in self.methods:
             if n is None and self.sweep_axis != "n":
@@ -115,10 +119,6 @@ class RunConfig:
                 raise ConfigError(f"method {name}-{n}: iteration count must be >= 1")
         if len(set(self.methods)) < len(self.methods):
             raise ConfigError(f"problem.methods lists a method twice: {prob['methods']}")
-
-        # unused by the direct solves; read only because bench/study.py passes it
-        sol = cp["solver"] if cp.has_section("solver") else {}
-        self.tol = float(sol.get("tol", 1e-10))
 
         out = cp["output"] if cp.has_section("output") else {}
         self.heatmaps = str(out.get("heatmaps", "false")).lower() in ("1", "true", "yes")
@@ -140,14 +140,17 @@ class RunConfig:
         if self.coeff_source == "file":
             return coeff.load_field(self.coeff_path)
         contrast = self.contrast if contrast is None else contrast
-        if self.generator == "inclusions":
-            return coeff.gen_inclusions(pair, self.density, contrast, self.seed)
-        if self.generator == "channels":
-            spec = coeff.ChannelSpec(
-                length_coarse=channel_len or self.channel_len,
-                thickness_fine=self.thickness, count=self.channel_count,
-                seed=self.seed, contrast=contrast)
-            return coeff.gen_channels(pair, spec)
+        try:
+            if self.generator == "inclusions":
+                return coeff.gen_inclusions(pair, self.density, contrast, self.seed)
+            if self.generator == "channels":
+                spec = coeff.ChannelSpec(
+                    length_coarse=channel_len or self.channel_len,
+                    thickness_fine=self.thickness, count=self.channel_count,
+                    seed=self.seed, contrast=contrast)
+                return coeff.gen_channels(pair, spec)
+        except ValueError as exc:
+            raise ConfigError(f"coeff section: {exc}")
         raise ConfigError(f"unknown generator: {self.generator!r}")
 
 

@@ -42,7 +42,8 @@ class DependentConstraints(MsLabError):
 
 
 class SingularCoarse(MsLabError):
-    """Coarse Galerkin matrix failed the SPD check (degenerate basis)."""
+    """Coarse Galerkin matrix failed the SPD check: a nonpositive or
+    rounding-sized Cholesky pivot (degenerate basis)."""
 
 
 class ConfigError(MsLabError):

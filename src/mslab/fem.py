@@ -232,9 +232,8 @@ class SpdFactor:
     The bandwidth is read off the lower triangle of A.  Lexicographic DOFs on a
     box make it about one grid row (times the block size) wide, so the band is
     a small multiple of the nonzeros.  A failed factorization certifies that A
-    is not SPD.  Besides full solves, the factor applies its two triangular
-    halves L^{-1} and L^{-T} (LAPACK tbtrs on the same band) and forms the
-    energy Gram matrix B^T A^{-1} B of a sparse column block (gram).  The
+    is not SPD.  Besides solves (LAPACK pbtrs), the factor forms the energy
+    Gram matrix B^T A^{-1} B of a sparse column block (gram).  The
     leading n x n block of L is the factor of the leading n x n block of A;
     leading(n) serves it as a view on the band, without a new factorization.
     """
@@ -272,21 +271,6 @@ class SpdFactor:
         """A^{-1} b for a vector or a column block."""
         return sla.cho_solve_banded((self._band, True), np.asarray(b, dtype=float),
                                     check_finite=False)
-
-    def _tbtrs(self, b, trans):
-        x, info = sla.lapack.dtbtrs(self._band, np.asarray(b, dtype=float),
-                                    uplo="L", trans=trans)
-        if info != 0:
-            raise ValueError(f"dtbtrs failed with info={info}")
-        return x
-
-    def solve_lower(self, b):
-        """L^{-1} b, the forward half of a solve."""
-        return self._tbtrs(b, "N")
-
-    def solve_upper(self, b):
-        """L^{-T} b, the backward half of a solve."""
-        return self._tbtrs(b, "T")
 
     def _dense(self, r0, r1, c0, c1):
         """Strided view of L[r0:r1, c0:c1].  In the Fortran-ordered band L[i, j]

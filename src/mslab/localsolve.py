@@ -16,12 +16,8 @@ by the type of B:
   the few target columns.  A set may carry S already formed: the LOD sets
   of a nest get theirs from one pass over the master's block
   (msbasis.lod_constraints);
-- a dense B (the LSSI block M Phi, a handful of columns) is solved forward
-  as W = L^{-1} B with LAPACK tbtrs and S = W^T W; the backward half then
-  runs on the solution columns only, L^{-T} (W C).  On so few columns the
-  level-2 tbtrs is the faster one: a 4-column saddle on a 7921-DoF patch
-  takes 3.9 ms this way against 7.8 ms through the block-row pass (one
-  BLAS thread).
+- a dense B (the LSSI block M Phi, 4 or 8 columns) is solved whole,
+  X = A^{-1} B (one banded solve), S = B^T X, and the solution is X C.
 
 Both paths check S for dependent constraints the same way.
 """
@@ -41,8 +37,8 @@ class PatchSystem:
     leading rows of a taller patch's DOFs, or its trailing rows, is cut out
     of that patch's system and runs on a leading block of its factor
     (SpdFactor.leading).  For trailing rows the factor is of the DOFs taken
-    backwards, which turns them into leading ones; solve, its halves and
-    gram apply that reversal, so callers always see natural order.
+    backwards, which turns them into leading ones; solve and gram apply
+    that reversal, so callers always see natural order.
     """
 
     def __init__(self, patch, system, factor, reverse=False):
@@ -81,25 +77,11 @@ class PatchSystem:
     def ndof(self):
         return self.A.shape[0]
 
-    def _in(self, b):
-        return np.asarray(b, dtype=float)[::-1] if self.reverse else b
-
-    def _out(self, x):
-        return x[::-1] if self.reverse else x
-
     def solve(self, b):
         """A_omega^{-1} b for a vector or a column block."""
-        return self._out(self._factor.solve(self._in(b)))
-
-    def solve_lower(self, b):
-        """L^{-1} b for the Cholesky factor A_omega = L L^T (of the reversed
-        DOFs in a reversed system, where b is reversed first)."""
-        return self._factor.solve_lower(self._in(b))
-
-    def solve_upper(self, b):
-        """L^{-T} b for the Cholesky factor A_omega = L L^T (in a reversed
-        system, reversed after), so solve_upper(solve_lower(b)) solves."""
-        return self._out(self._factor.solve_upper(b))
+        if not self.reverse:
+            return self._factor.solve(b)
+        return self._factor.solve(np.asarray(b, dtype=float)[::-1])[::-1]
 
     def gram(self, B, blocks=None):
         """B^T A_omega^{-1} B for a sparse column block B, or with `blocks`,
@@ -140,14 +122,6 @@ class ConstraintSet:
         self.B = B
         self.schur = schur
 
-    @classmethod
-    def from_local_functions(cls, sys, funcs):
-        """Constraints (phi_j, .)_{L2} for functions given on the interior DOFs."""
-        F = np.asarray(funcs, dtype=float)
-        if F.ndim == 1:
-            F = F[:, None]
-        return cls(sys.M @ F)
-
     @property
     def count(self):
         return self.B.shape[1]
@@ -155,15 +129,16 @@ class ConstraintSet:
 
 def _schur_solve(sys, B, S=None):
     """A Cholesky factor of S = B^T A^{-1} B and the map C -> A^{-1} B C;
-    raises on dependence.  For a sparse B, S may come already formed."""
+    raises on dependence.  For a sparse B, S may come already formed; a
+    dense B is solved whole, X = A^{-1} B, and the map is C -> X C."""
     if sp.issparse(B):
         if S is None:
             S = sys.gram(B)
         apply = lambda C: sys.solve(B @ C)
     else:
-        W = sys.solve_lower(B)
-        S = W.T @ W
-        apply = lambda C: sys.solve_upper(W @ C)
+        X = sys.solve(B)
+        S = B.T @ X
+        apply = lambda C: X @ C
     try:
         cf = sla.cho_factor(S, lower=True)
     except sla.LinAlgError:
@@ -179,8 +154,9 @@ def solve_saddle_block(sys, constraints, rhs=None):
     columns of ``rhs`` (L x p) when given.
 
     Shares one factorization and one Schur complement across the block; the
-    solution A^{-1} B C is applied to the p solution columns only.  A set
-    that carries its Schur complement starts from it.
+    solution A^{-1} B C is one solve on the p solution columns for a sparse
+    set, X C from the solved block X = A^{-1} B for a dense one.  A set that
+    carries its Schur complement starts from it.
     """
     apply, cf = _schur_solve(sys, constraints.B, constraints.schur)
     if rhs is None:

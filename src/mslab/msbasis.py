@@ -38,6 +38,12 @@ LSSI = "lssi"
 LKSI = "lksi"
 
 
+def method_label(method):
+    """(name, n) -> 'lod' | 'lssi-3' | 'lksi-4'."""
+    name, n = method
+    return name if name == LOD else f"{name}-{n}"
+
+
 class PatchBasis:
     """Basis vectors of one patch, stored on the patch interior DOFs."""
 
@@ -223,7 +229,7 @@ def lssi_kernel(sys, Phi):
     """LSSI iteration kernel: yields the saddle-solve block of each round,
     constrained by the L2 functionals of the previous block (`Phi` first)."""
     for rnd in itertools.count(1):
-        constraints = ConstraintSet.from_local_functions(sys, Phi)
+        constraints = ConstraintSet(sys.M @ Phi)
         try:
             Phi = solve_saddle_block(sys, constraints)
         except DependentConstraints as exc:
@@ -445,7 +451,7 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
         raise ValueError(f"unknown method in {requests}")
     if any(name != LOD and (n is None or n < 1) for name, n in requests):
         raise ValueError("iteration count must be >= 1")
-    plan = [(name, name, 1) if name == LOD else (f"{name}-{n}", name, n)
+    plan = [(method_label((name, n)), name, 1 if name == LOD else n)
             for name, n in requests]
     labels = [lab for lab, _, _ in plan]
     if len(set(labels)) < len(labels):

@@ -101,17 +101,21 @@ def _coarse_matrix(system, basis, k=128):
 
 def assemble_coarse(system, b, basis):
     """A_ms = Phi^T A Phi band by band and b_ms = Phi^T b patch by patch, never
-    Phi itself; A_ms is factored in its own buffer, which checks it is SPD."""
+    Phi itself; A_ms is factored in its own buffer, which checks it is SPD:
+    a pivot with L_ii^2 <= 1e-12 A_ii, as from a rank-deficient basis, fails
+    the check like a nonpositive one."""
     A_ms, norm = _coarse_matrix(system, basis)
     # summed over the rows in their order, so no BLAS kernel choice changes the bits
     b_ms = np.concatenate([(pb.vectors * box.reshape(-1, 1)).sum(axis=0)
                            for pb, box in _box_views(basis, np.asarray(b, dtype=float))])
+    diag = A_ms.diagonal().copy()
     # A_ms is symmetric: its transpose, F-ordered, is factored without a copy
     L, info = sla.lapack.dpotrf(A_ms.T, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
+    if info != 0 or np.any(L.diagonal() ** 2 <= 1e-12 * diag):
         A_ms, _ = _coarse_matrix(system, basis)         # the factorization overwrote it
         w = sla.eigvalsh(A_ms, subset_by_index=[0, 0])[0]
-        raise SingularCoarse(f"coarse matrix not SPD (smallest eigenvalue ~ {w:.3e})")
+        raise SingularCoarse(f"coarse matrix not SPD to tolerance "
+                             f"(smallest eigenvalue ~ {w:.3e})")
     # 1-norm condition number, ||A_ms^{-1}|| estimated by LAPACK on the factor
     rcond = sla.lapack.dpocon(L, norm, uplo="L")[0] if L.size else 1.0
     return CoarseSystem(basis, b_ms, (L, True), 1.0 / rcond)

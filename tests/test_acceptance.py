@@ -35,7 +35,7 @@ def desk_run():
     t0 = time.perf_counter()
     rows, _ = cli.run_methods(pair, field, fem.DIFFUSION, 4, methods)
     wall = time.perf_counter() - t0
-    return {cli.method_label(m): r for m, r in zip(methods, rows)}, wall
+    return {msbasis.method_label(m): r for m, r in zip(methods, rows)}, wall
 
 
 def test_criterion_1_accounting(desk_run):
@@ -67,13 +67,13 @@ def test_criterion_2_error_levels(desk_run):
 def test_criterion_3_contrast_independence():
     pair = grid.NestedPair(10, 100)
     methods = [("lod", 1), ("lssi", 2), ("lksi", 4)]
-    errs = {cli.method_label(m): [] for m in methods}
+    errs = {msbasis.method_label(m): [] for m in methods}
     for kappa in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
         field = coeff.gen_inclusions(pair, density=0.12, contrast=kappa,
                                      seed=3, streak_len=(2, 6))
         rows, _ = cli.run_methods(pair, field, fem.DIFFUSION, 4, methods)
         for m, r in zip(methods, rows):
-            errs[cli.method_label(m)].append(r.e_energy)
+            errs[msbasis.method_label(m)].append(r.e_energy)
     spread_s = max(errs["lssi-2"]) / min(errs["lssi-2"])
     spread_k = max(errs["lksi-4"]) / min(errs["lksi-4"])
     lod_ratio = errs["lod"][-1] / errs["lod"][0]
@@ -96,7 +96,7 @@ def test_criterion_4_channel_length_stability():
                                  count=1, seed=16, contrast=1e4)
         field = coeff.gen_channels(pair, spec)
         rows, _ = cli.run_methods(pair, field, fem.DIFFUSION, 5, methods)
-        errs[length] = {cli.method_label(m): r.e_energy
+        errs[length] = {msbasis.method_label(m): r.e_energy
                         for m, r in zip(methods, rows)}
     g = {k: errs[10][k] / errs[6][k] for k in errs[6]}
     ok = g["lssi-2"] < 3.0 and g["lksi-4"] < 3.0 and g["lod"] > 5.0

@@ -146,6 +146,44 @@ def test_bad_config_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("old, new", [
+    ("H = 4", "H = 0"), ("h = 16\n", ""), ("h = 16\nH = 4", "h = 16\nH = -8"),
+    ("density = 0.12", "density = 2"), ("contrast = 1e3", "contrast = 0.5"),
+    ("density = 0.12", "density = abc"),
+    ("[solver]", "[sweep]\naxis = contrast\nvalues = 1e2, x\n\n[solver]"),
+], ids=["H-zero", "h-missing", "H-negative", "density-2", "contrast-half",
+        "density-text", "sweep-value-text"])
+def test_config_value_errors_exit_2(tmp_path, capsys, old, new):
+    """A bad value in any section, or one the coefficient generator rejects,
+    is a config error (exit 2) that writes no CSV."""
+    assert old in BASE_CONFIG
+    p = write_config(tmp_path, BASE_CONFIG.replace(old, new), "bad.ini")
+    out = tmp_path / "out"
+    command = "sweep" if "[sweep]" in new else "solve"
+    assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+DEMOS = ["spectral_rates"] + [pytest.param(name, marks=pytest.mark.slow) for name in
+                              ("channel_length", "contrast_robustness", "elasticity",
+                               "inclusions_comparison")]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    """Each script in demos/ runs to the end in a fresh interpreter without a
+    RuntimeWarning.  They import mslab before numpy, so they run without a
+    BLAS thread warning even when no thread variable is set."""
+    demo = Path(__file__).resolve().parents[1] / "demos" / f"{name}.py"
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(mslab.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" not in res.stderr
+
+
 def test_gen_coeff_artifacts(tmp_path):
     p = write_config(tmp_path)
     out = tmp_path / "out"

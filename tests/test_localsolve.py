@@ -124,13 +124,16 @@ def test_sparse_duplicate_column_detected():
         localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(dup))
 
 
-def test_constraint_set_from_local_functions():
+def test_constraint_set_dense_block():
+    """A dense set keeps its block as a float array, a vector as one column."""
     _, sys = make_patch_system()
     rng = np.random.default_rng(6)
     F = rng.standard_normal((sys.ndof, 2))
-    cons = localsolve.ConstraintSet.from_local_functions(sys, F)
-    np.testing.assert_allclose(cons.B, sys.M @ F)
-    assert cons.count == 2
+    cons = localsolve.ConstraintSet(sys.M @ F)
+    np.testing.assert_array_equal(cons.B, sys.M @ F)
+    assert cons.count == 2 and cons.schur is None
+    one = localsolve.ConstraintSet(sys.M @ F[:, 0])
+    assert one.B.shape == (sys.ndof, 1) and one.count == 1
 
 
 def test_pair_full_matches_mass_on_interior():
@@ -177,9 +180,6 @@ def test_nested_systems_solve_in_natural_order(kind):
             x = own.solve(b)
             assert np.abs(sys.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
             assert np.abs(sys.solve(b[:, 0]) - x[:, 0]).max() <= 1e-12 * np.abs(x).max()
-            W = sys.solve_lower(b)
-            assert np.abs(sys.solve_upper(W) - x).max() <= 1e-12 * np.abs(x).max()
-            np.testing.assert_allclose(W.T @ W, b.T @ x, rtol=1e-10)
         assert all(s._factor._band.base is systems[0]._factor._band for s in systems[1:])
 
 

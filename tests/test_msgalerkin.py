@@ -173,19 +173,21 @@ def test_cea_best_approximation(setup):
 
 
 def test_singular_coarse_detected(setup):
-    """The factorization overwrites the coarse matrix, yet the message names
-    the smallest eigenvalue of the matrix itself."""
+    """The rank-1 twin [col, col] of every basis column raises, whether its
+    second pivot comes out negative, zero or a rounding-sized positive; the
+    factorization overwrites the coarse matrix, yet the message names the
+    smallest eigenvalue of the matrix itself."""
     _, _, system, b, basis = setup
-    pb = basis.patch_bases[0]
-    col = pb.vectors[:, 0]
-    twin = msbasis.MsBasis(basis.method, basis.kind, [
-        msbasis.PatchBasis(pb.patch, np.column_stack([col, col]))])   # rank 1
-    with pytest.raises(SingularCoarse, match="smallest eigenvalue") as exc:
-        msgalerkin.assemble_coarse(system, b, twin)
-    w = float(str(exc.value).rsplit("~", 1)[1].strip(" )"))
-    Phi = _dense_phi(system, twin)
-    lam = np.linalg.eigvalsh(Phi.T @ system.stiffness.toarray() @ Phi)
-    assert abs(w - lam[0]) <= 1e-12 * lam[-1]
+    for pb in basis.patch_bases:
+        for col in pb.vectors.T:
+            twin = msbasis.MsBasis(basis.method, basis.kind, [
+                msbasis.PatchBasis(pb.patch, np.column_stack([col, col]))])
+            with pytest.raises(SingularCoarse, match="smallest eigenvalue") as exc:
+                msgalerkin.assemble_coarse(system, b, twin)
+            w = float(str(exc.value).rsplit("~", 1)[1].strip(" )"))
+            Phi = _dense_phi(system, twin)
+            lam = np.linalg.eigvalsh(Phi.T @ system.stiffness.toarray() @ Phi)
+            assert abs(w - lam[0]) <= 1e-12 * lam[-1]
 
 
 def test_solve_ms_reconstruction(setup):

@@ -1,14 +1,8 @@
 """Spectral diagnostics tests: eigenpairs, Arnoldi, angles, bounds and rates."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import scipy.linalg as sla
 
-import mslab
 from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
 
 
@@ -175,16 +169,3 @@ def test_rate_report_lksi_follows_lksi_basis():
         want = specdiag.principal_angles(basis.patch_bases[0].vectors,
                                          eig.vectors[:, :1], inner=sys.M).max_angle
         assert abs(rep.angles[n - 1] - want) < 1e-8
-
-
-def test_spectral_rates_demo_runs():
-    """demos/spectral_rates.py runs to the end in a fresh interpreter, and
-    imports mslab before numpy, so it runs without a BLAS thread warning
-    even when no thread variable is set."""
-    demo = Path(__file__).resolve().parents[1] / "demos" / "spectral_rates.py"
-    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-    env["PYTHONPATH"] = str(Path(mslab.__file__).resolve().parents[1])
-    res = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    assert "RuntimeWarning" not in res.stderr
