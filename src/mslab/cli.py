@@ -8,6 +8,7 @@ Subcommands: gen-coeff, solve, sweep, eig-diag.  Config files are flat
 
 import argparse
 import configparser
+import functools
 import math
 import sys as _sys
 import time
@@ -16,11 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import coeff, fem, grid, msbasis, msgalerkin, specdiag
-from .errors import ConfigError, MsLabError
+from .errors import ChannelOverflow, ConfigError, MsLabError
 
 DEFAULT_METHODS = "lod, lssi-1, lssi-2, lssi-4, lksi-4"
 EIG_ROUNDS = 6              # rounds per eig-diag angle table
 EIG_BOUND_CHECKS = 10       # eig-diag interpolation-bound instances
+# sweep axes whose values are integers, with the least value each may take
+SWEEP_INTEGER_AXES = {"channel": 1, "H": 1, "m": 0, "n": 1}
 
 
 def default_rhs(kind):
@@ -149,7 +152,7 @@ class RunConfig:
                     thickness_fine=self.thickness, count=self.channel_count,
                     seed=self.seed, contrast=contrast)
                 return coeff.gen_channels(pair, spec)
-        except ValueError as exc:
+        except (ValueError, ChannelOverflow) as exc:
             raise ConfigError(f"coeff section: {exc}")
         raise ConfigError(f"unknown generator: {self.generator!r}")
 
@@ -244,6 +247,14 @@ def cmd_sweep(cfg, out, with_timing=True):
     iterated = list(dict.fromkeys(name for name, _ in cfg.methods if name != msbasis.LOD))
     if axis == "n" and not iterated:
         raise ConfigError("sweep.axis = n needs an lssi or lksi method in problem.methods")
+    least = SWEEP_INTEGER_AXES.get(axis)
+    for val in cfg.sweep_values:
+        if least is not None and not (val.is_integer() and val >= least):
+            raise ConfigError(f"sweep.values: {axis} = {val:g} must be an integer "
+                              f">= {least}")
+        if axis == "H" and cfg.h_inv % int(val) != 0:
+            raise ConfigError(f"sweep.values: problem.h = {cfg.h_inv} is not a "
+                              f"multiple of H = {int(val)}")
     rows = []
     for val in cfg.sweep_values:
         pair = cfg.make_pair(H_inv=int(val) if axis == "H" else None)
@@ -268,9 +279,24 @@ def cmd_sweep(cfg, out, with_timing=True):
     return 0
 
 
+def _patch_diag(systems, count, k):
+    """The leading `count` eigenpairs of patch k and its lssi and lksi
+    rate reports over EIG_ROUNDS rounds."""
+    sys_ = systems[k]
+    eig = specdiag.local_eig(sys_, count)
+    # lksi follows one chain towards the leading eigenvector
+    lead = specdiag.EigPairs(eig.values[:2], eig.vectors[:, :2])
+    return eig, [specdiag.rate_report(sys_, eig, EIG_ROUNDS, method="lssi"),
+                 specdiag.rate_report(sys_, lead, EIG_ROUNDS, method="lksi")]
+
+
 def cmd_eig_diag(cfg, out):
     """Angle tables over EIG_ROUNDS rounds, EIG_BOUND_CHECKS interpolation-bound
-    pairs and Ritz tables for the config."""
+    pairs and Ritz tables for the config.
+
+    The patch systems are built here, one factor per nest; each patch's
+    eigenpairs and rate reports come from msbasis.forked_map, largest patch
+    first, so forked workers inherit the systems and return only those."""
     pair = cfg.make_pair()
     field = cfg.make_field(pair)
     kind = cfg.kind
@@ -279,19 +305,20 @@ def cmd_eig_diag(cfg, out):
     pou = grid.build_pou(pair, [s.patch for s in systems])
     nb = fem.nblock(kind)
     L = 4 * nb
-    eigs = [specdiag.local_eig(sys_, L + 1) for sys_ in systems]
+    order = sorted(range(len(systems)), key=lambda k: -systems[k].ndof)
+    diags = [None] * len(systems)
+    for k, diag in zip(order, msbasis.forked_map(
+            functools.partial(_patch_diag, systems, L + 1), order)):
+        diags[k] = diag
+    eigs = [eig for eig, _ in diags]
 
     with open(out / "angles.csv", "w") as f:
         f.write("patch,method,round,angle,envelope,gap,fitted_rate\n")
-        for sys_, eig in zip(systems, eigs):
-            for method in ("lssi", "lksi"):
-                # lksi follows one chain towards the leading eigenvector
-                pairs = eig if method == "lssi" else \
-                    specdiag.EigPairs(eig.values[:2], eig.vectors[:, :2])
-                rep = specdiag.rate_report(sys_, pairs, EIG_ROUNDS, method=method)
+        for sys_, (_, reports) in zip(systems, diags):
+            for rep in reports:
                 fit = "" if rep.fitted_rate is None else f"{rep.fitted_rate:.6e}"
                 for rnd, ang, env in rep.rows():
-                    f.write(f"{sys_.patch.center},{method},{rnd},{ang:.10e},"
+                    f.write(f"{sys_.patch.center},{rep.method},{rnd},{ang:.10e},"
                             f"{env:.10e},{rep.gap:.10e},{fit}\n")
 
     rng = np.random.default_rng(cfg.seed)

@@ -11,9 +11,14 @@ it.  _nest_bases builds every requested basis on one nest, sharing that
 factorization across the nest and the methods, with one Schur pass over the
 master's LOD block for every member (lod_constraints), and draws each
 method's kernel once per patch, as deep as its deepest request.
-build_bases runs _nest_bases on every nest, in this process or in forked
-workers, and puts the patch bases back in patch order.  build_patch_systems
-(eig-diag) keeps every patch system, in one process, one factor per nest.
+build_bases runs _nest_bases on every nest through forked_map and puts the
+patch bases back in patch order.  forked_map is the one place that chooses
+a worker count: one forked process per CPU by default, at most one per item,
+and with one worker a plain map in this process.  Its workers inherit the
+task by fork, so a global system or a list of patch systems it binds is
+never pickled.  build_patch_systems (eig-diag) builds every patch system in
+this process, one factor per nest, before eig-diag maps its per-patch
+diagnostics through forked_map.
 """
 
 import functools
@@ -386,14 +391,13 @@ def _nest_bases(system, patches, plan, nest):
     return list(zip(vectors, solves, secs))
 
 
-# the task of the build whose workers are forked, _nest_bases with its
-# arguments but the nest bound; the workers inherit it, so the global system
-# is never pickled
+# the task of the forked_map whose workers are running, its arguments but
+# the item bound; the workers inherit it, so what it binds is never pickled
 _FORKED = None
 
 
-def _forked_task(nest):
-    return _FORKED(nest)
+def _forked_task(item):
+    return _FORKED(item)
 
 
 def _cpu_count():
@@ -404,18 +408,23 @@ def _cpu_count():
     return len(os.sched_getaffinity(0))
 
 
-def _forked_map(task, nests, workers):
-    """map(task, nests) over `workers` forked processes, in Pool.map's chunks
+def _check_workers(workers):
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _forked_map(task, items, workers):
+    """map(task, items) over `workers` forked processes, in Pool.map's chunks
     of about a quarter of a worker's share, each to the next free worker.
     The pool is closed (terminated on error) and joined before this returns;
     a worker's error is raised here with its class and message."""
-    import multiprocessing                  # here: only a forked build needs it
+    import multiprocessing                  # here: only a forked map needs it
 
     global _FORKED
     _FORKED = task
     pool = multiprocessing.get_context("fork").Pool(workers)
     try:
-        done = pool.map(_forked_task, nests)
+        done = pool.map(_forked_task, items)
         pool.close()
     except BaseException:
         pool.terminate()
@@ -424,6 +433,24 @@ def _forked_map(task, nests, workers):
         pool.join()
         _FORKED = None
     return done
+
+
+def forked_map(task, items, workers=None):
+    """list(map(task, items)), in this process or in forked workers.
+
+    workers defaults to the CPUs this process may run on where it can fork,
+    else 1, and is capped at the item count.  One worker maps in this
+    process; more fork a pool of that many (_forked_map), which inherits
+    `task` and everything it binds, so only the items and the results are
+    pickled.  The results come back in item order, and a worker's error is
+    raised with its class and message.  A count below 1 is a ValueError.
+    """
+    _check_workers(workers)
+    items = list(items)
+    workers = min(_cpu_count() if workers is None else workers, len(items))
+    if workers <= 1:
+        return list(map(task, items))
+    return _forked_map(task, items, workers)
 
 
 def build_bases(pair, system, m, requests, patches=None, workers=None):
@@ -440,12 +467,11 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
     LOD and LSSI blocks must keep full rank; LKSI keeps the iterates its
     chains reach.
 
-    The nests go largest first (patch interior DOFs), through map in this
-    process with one worker, or with more through a pool of that many forked
-    processes (_forked_map).  workers defaults to the CPUs this process may
-    run on where it can fork, else 1, capped at the nest count; the bases
-    are the same bit for bit for any count.  Each wall time and count is the
-    sum of the nests', not elapsed time.
+    The nests go largest first (patch interior DOFs) through forked_map,
+    which passes `workers` on: by default one forked process per CPU, capped
+    at the nest count, and with one worker a map in this process.  The
+    bases are the same bit for bit for any count.  Each wall time and count
+    is the sum of the nests', not elapsed time.
     """
     if any(name not in (LOD, LSSI, LKSI) for name, _ in requests):
         raise ValueError(f"unknown method in {requests}")
@@ -456,14 +482,12 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
     labels = [lab for lab, _, _ in plan]
     if len(set(labels)) < len(labels):
         raise ValueError(f"duplicate method requests: {labels}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)               # before any patch is built
     patches = build_all_patches(pair, m) if patches is None else list(patches)
     nests = sorted(patch_nests(patches),
                    key=lambda nest: -sum(patches[k].interior_nodes.size for k in nest[0]))
-    workers = min(_cpu_count() if workers is None else workers, len(nests))
-    task = functools.partial(_nest_bases, system, patches, plan)
-    done = list(map(task, nests)) if workers == 1 else _forked_map(task, nests, workers)
+    done = forked_map(functools.partial(_nest_bases, system, patches, plan), nests,
+                      workers)
     out = []
     for j, (lab, name, _) in enumerate(plan):
         bases, stats, wall = [None] * len(patches), BuildStats(), 0.0

@@ -151,14 +151,26 @@ def test_bad_config_exit_code(tmp_path):
     ("density = 0.12", "density = 2"), ("contrast = 1e3", "contrast = 0.5"),
     ("density = 0.12", "density = abc"),
     ("[solver]", "[sweep]\naxis = contrast\nvalues = 1e2, x\n\n[solver]"),
+    ("[solver]", "[sweep]\naxis = H\nvalues = 2, 3\n\n[solver]"),
+    ("[solver]", "[sweep]\naxis = H\nvalues = 2.5\n\n[solver]"),
+    ("[solver]", "[sweep]\naxis = m\nvalues = 1, -1\n\n[solver]"),
+    ("[solver]", "[sweep]\naxis = n\nvalues = 0\n\n[solver]"),
+    ("generator = inclusions", "generator = channels\nchannel_len = 9"),
 ], ids=["H-zero", "h-missing", "H-negative", "density-2", "contrast-half",
-        "density-text", "sweep-value-text"])
-def test_config_value_errors_exit_2(tmp_path, capsys, old, new):
-    """A bad value in any section, or one the coefficient generator rejects,
-    is a config error (exit 2) that writes no CSV."""
+        "density-text", "sweep-value-text", "sweep-H-not-dividing-h", "sweep-H-fraction",
+        "sweep-m-negative", "sweep-n-zero", "channel-too-long"])
+def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, old, new):
+    """A bad value in any section, one the coefficient generator rejects, a
+    channel longer than the domain or a sweep value its axis cannot take is
+    a config error (exit 2), raised before any solve, that writes no CSV."""
     assert old in BASE_CONFIG
     p = write_config(tmp_path, BASE_CONFIG.replace(old, new), "bad.ini")
     out = tmp_path / "out"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was rejected")
+
+    monkeypatch.setattr(cli, "run_methods", no_solve)
     command = "sweep" if "[sweep]" in new else "solve"
     assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -372,10 +384,10 @@ def test_eig_diag_factors_once_per_nest(tmp_path, monkeypatch):
 
 
 def force_workers(monkeypatch, workers):
-    """Make the CLI's basis builds use `workers` processes."""
-    build = msbasis.build_bases
-    monkeypatch.setattr(msbasis, "build_bases",
-                        lambda *args, **kw: build(*args, **{"workers": workers, **kw}))
+    """Make forked_map, which the basis builds and eig-diag share, take
+    `workers` processes by default; None keeps one per CPU."""
+    if workers is not None:
+        monkeypatch.setattr(msbasis, "_cpu_count", lambda: workers)
 
 
 @pytest.mark.parametrize("kind", ["diffusion", "elasticity"])
@@ -420,6 +432,49 @@ def test_worker_error_keeps_its_type(tmp_path, monkeypatch, capsys, error):
     force_workers(monkeypatch, 2)
     p = write_config(tmp_path)
     assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert f"patch {victim}: injected" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "elasticity"])
+def test_eig_diag_csvs_same_for_any_worker_count(tmp_path, monkeypatch, kind):
+    """angles.csv, interp_bound.csv and ritz.csv are byte-identical with one
+    worker, two and the default."""
+    p = write_config(tmp_path, BASE_CONFIG.replace("kind = diffusion", f"kind = {kind}"))
+    names = ("angles.csv", "interp_bound.csv", "ritz.csv")
+    csvs = []
+    for workers in (1, 2, None):
+        with monkeypatch.context() as mp:
+            force_workers(mp, workers)
+            out = tmp_path / f"w{workers}"
+            assert cli.main(["eig-diag", "--config", str(p), "--out", str(out)]) == 0
+        csvs.append([(out / name).read_bytes() for name in names])
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+def test_eig_diag_worker_error_keeps_its_type(tmp_path, monkeypatch, capsys):
+    """An error raised in an eig-diag worker reaches the caller with its
+    class and message, `mslab eig-diag` exits 3 on it, and no worker is left."""
+    kernel, calls = msbasis.lssi_kernel, []
+    victim = 5
+
+    def failing(sys, Phi):
+        calls.append(sys.patch.center)
+        if sys.patch.center == victim:
+            raise DependentConstraints(f"patch {victim}: injected")
+        yield from kernel(sys, Phi)
+
+    monkeypatch.setattr(msbasis, "lssi_kernel", failing)
+    force_workers(monkeypatch, 2)
+    p = write_config(tmp_path)
+    with pytest.raises(DependentConstraints) as info:
+        cli.cmd_eig_diag(cli.RunConfig(p), tmp_path)
+    assert type(info.value) is DependentConstraints
+    assert str(info.value) == f"patch {victim}: injected"
+    assert calls == []                        # the kernel ran in the workers alone
+    assert multiprocessing.active_children() == []
+
+    assert cli.main(["eig-diag", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
     assert f"patch {victim}: injected" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 

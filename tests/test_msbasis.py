@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -493,3 +494,17 @@ def test_build_bases_rejects_worker_count(small_setup, monkeypatch, workers):
     with pytest.raises(ValueError, match="workers must be >= 1"):
         msbasis.build_bases(pair, system, 1, [("lssi", 1)], workers=workers)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("items, forked", [(range(7), True), ([3], False), ([], False)])
+def test_forked_map_keeps_item_order(monkeypatch, items, forked):
+    """forked_map returns the results in item order, from forked workers
+    when there are two items or more, and in this process with a single
+    item (the count is capped at the item count)."""
+    monkeypatch.setattr(msbasis, "_cpu_count", lambda: 2)
+    done = msbasis.forked_map(lambda x: (x * x, os.getpid()), items)
+    assert [x for x, _ in done] == [x * x for x in items]
+    assert all((pid != os.getpid()) == forked for _, pid in done)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        msbasis.forked_map(abs, items, workers=0)
