@@ -9,6 +9,7 @@ Subcommands: gen-coeff, solve, sweep, eig-diag.  Config files are flat
 import argparse
 import configparser
 import functools
+import logging
 import math
 import sys as _sys
 import time
@@ -24,6 +25,8 @@ EIG_ROUNDS = 6              # rounds per eig-diag angle table
 EIG_BOUND_CHECKS = 10       # eig-diag interpolation-bound instances
 # sweep axes whose values are integers, with the least value each may take
 SWEEP_INTEGER_AXES = {"channel": 1, "H": 1, "m": 0, "n": 1}
+
+log = logging.getLogger(__name__)
 
 
 def default_rhs(kind):
@@ -174,32 +177,53 @@ def write_pgm(path, values, log10=False):
 def run_methods(pair, field, kind, m, methods, tol=None, channel_len=0):
     """Reference solve plus one coarse solve per method.
 
-    Returns (rows, context): rows are ResultRow objects carrying channel_len,
-    the length of the field's channels; context carries the reference
-    solution and padded multiscale solutions for plotting.  `tol` is ignored
-    (the reference solve is direct); bench/study.py still passes it.
+    Returns (rows, context): rows are ResultRow objects, in method order,
+    carrying channel_len, the length of the field's channels; context carries
+    the reference solution and padded multiscale solutions for plotting, and
+    under "coarse" each method's coarse DoFs and condition estimate, which
+    are logged at INFO.  The bases are built by msbasis.build_bases, then
+    each method's coarse phase (_coarse_solve) runs through
+    msbasis.forked_map, one method per task.  `tol` is ignored (the
+    reference solve is direct); bench/study.py still passes it.
     """
     f = default_rhs(kind)
     u_ref_pad, system, b = fem.reference_solve(pair, field, kind, f)
     u_ref = system.restrict(u_ref_pad)
 
     built = msbasis.build_bases(pair, system, m, methods)
+    meta = {"m": m, "H": pair.H, "h": pair.h, "contrast": field.contrast,
+            "channel_len": channel_len}
+    done = msbasis.forked_map(
+        functools.partial(_coarse_solve, system, b, u_ref, meta, methods, built),
+        range(len(methods)))
 
-    rows = []
-    solutions = {}
-    for (name, n), (label, basis, stats, wall_build) in zip(methods, built):
-        t0 = time.perf_counter()
-        # the coarse system goes before the next method's is assembled
-        u_ms, _ = msgalerkin.solve_ms(msgalerkin.assemble_coarse(system, b, basis))
-        wall = time.perf_counter() - t0 + wall_build
-        rows.append(msgalerkin.report(u_ref, u_ms, system.stiffness, system.mass, {
-            "method": label, "n": n, "m": m, "H": pair.H, "h": pair.h,
-            "contrast": field.contrast, "channel_len": channel_len,
-            "DoF": basis.total_dofs, "wall_time_s": wall,
-            "NoLP": stats.n_local_problems,
-        }))
-        solutions[label] = system.pad(u_ms)
-    return rows, {"u_ref_pad": u_ref_pad, "system": system, "solutions": solutions}
+    rows, solutions, coarse = [], {}, {}
+    for row, u_ms, dof, cond in done:
+        rows.append(row)
+        solutions[row.method] = system.pad(u_ms)
+        coarse[row.method] = {"dof": dof, "cond_estimate": cond}
+        log.info("%s: %d coarse DoFs, condition estimate %.3e", row.method, dof, cond)
+    return rows, {"u_ref_pad": u_ref_pad, "system": system, "solutions": solutions,
+                  "coarse": coarse}
+
+
+def _coarse_solve(system, b, u_ref, meta, methods, built, j):
+    """Assemble, factor and solve method j's coarse system and report on it.
+
+    Returns (ResultRow, free-DOF solution, coarse DoFs, condition estimate).
+    The row's wall time is the method's build seconds plus its coarse
+    assembly and solve seconds.  run_methods maps this over the methods
+    through msbasis.forked_map, so each worker inherits the system and the
+    bases and holds one method's coarse system at a time."""
+    label, basis, stats, wall_build = built[j]
+    t0 = time.perf_counter()
+    cs = msgalerkin.assemble_coarse(system, b, basis)
+    u_ms, _ = msgalerkin.solve_ms(cs)
+    wall = time.perf_counter() - t0 + wall_build
+    row = msgalerkin.report(u_ref, u_ms, system.stiffness, system.mass, dict(
+        meta, method=label, n=methods[j][1], DoF=basis.total_dofs, wall_time_s=wall,
+        NoLP=stats.n_local_problems))
+    return row, u_ms, cs.dof, cs.cond_estimate
 
 
 def write_csv(path, rows, with_timing=True):
@@ -255,6 +279,9 @@ def cmd_sweep(cfg, out, with_timing=True):
         if axis == "H" and cfg.h_inv % int(val) != 0:
             raise ConfigError(f"sweep.values: problem.h = {cfg.h_inv} is not a "
                               f"multiple of H = {int(val)}")
+        if axis == "channel" and val > cfg.H_inv:
+            raise ConfigError(f"sweep.values: a channel of {int(val)} coarse cells "
+                              f"exceeds the domain width {cfg.H_inv}")
     rows = []
     for val in cfg.sweep_values:
         pair = cfg.make_pair(H_inv=int(val) if axis == "H" else None)

@@ -18,7 +18,8 @@ and with one worker a plain map in this process.  Its workers inherit the
 task by fork, so a global system or a list of patch systems it binds is
 never pickled.  build_patch_systems (eig-diag) builds every patch system in
 this process, one factor per nest, before eig-diag maps its per-patch
-diagnostics through forked_map.
+diagnostics through forked_map; `mslab solve` maps each method's coarse
+phase through it after build_bases.
 """
 
 import functools
@@ -397,7 +398,15 @@ _FORKED = None
 
 
 def _forked_task(item):
-    return _FORKED(item)
+    """(None, result) or (error, None): an item's error travels back as its
+    result, so the parent sees every item's and raises the first in item
+    order.  Wrapped as Pool wraps its own, it carries the worker's traceback."""
+    try:
+        return None, _FORKED(item)
+    except Exception as exc:
+        from multiprocessing.pool import ExceptionWithTraceback
+
+        return ExceptionWithTraceback(exc, exc.__traceback__), None
 
 
 def _cpu_count():
@@ -416,8 +425,10 @@ def _check_workers(workers):
 def _forked_map(task, items, workers):
     """map(task, items) over `workers` forked processes, in Pool.map's chunks
     of about a quarter of a worker's share, each to the next free worker.
-    The pool is closed (terminated on error) and joined before this returns;
-    a worker's error is raised here with its class and message."""
+    The pool is closed (terminated on error) and joined before this returns.
+    Every item runs; the error of the first failing item in item order, as
+    map would raise it, is raised here with its class and message, whichever
+    worker failed first in time."""
     import multiprocessing                  # here: only a forked map needs it
 
     global _FORKED
@@ -432,7 +443,10 @@ def _forked_map(task, items, workers):
     finally:
         pool.join()
         _FORKED = None
-    return done
+    for error, _ in done:
+        if error is not None:
+            raise error
+    return [result for _, result in done]
 
 
 def forked_map(task, items, workers=None):
@@ -442,8 +456,9 @@ def forked_map(task, items, workers=None):
     else 1, and is capped at the item count.  One worker maps in this
     process; more fork a pool of that many (_forked_map), which inherits
     `task` and everything it binds, so only the items and the results are
-    pickled.  The results come back in item order, and a worker's error is
-    raised with its class and message.  A count below 1 is a ValueError.
+    pickled.  The results come back in item order; as with map, the error
+    raised is the first failing item's, with its class and message.  A
+    count below 1 is a ValueError.
     """
     _check_workers(workers)
     items = list(items)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import mslab
-from mslab import cli, coeff, fem, grid, localsolve, msbasis
-from mslab.errors import DependentConstraints, NotSPD
+from mslab import cli, coeff, fem, grid, localsolve, msbasis, msgalerkin
+from mslab.errors import DependentConstraints, NotSPD, SingularCoarse
 
 
 BASE_CONFIG = """\
@@ -156,9 +156,10 @@ def test_bad_config_exit_code(tmp_path):
     ("[solver]", "[sweep]\naxis = m\nvalues = 1, -1\n\n[solver]"),
     ("[solver]", "[sweep]\naxis = n\nvalues = 0\n\n[solver]"),
     ("generator = inclusions", "generator = channels\nchannel_len = 9"),
+    ("[solver]", "[sweep]\naxis = channel\nvalues = 2, 9\n\n[solver]"),
 ], ids=["H-zero", "h-missing", "H-negative", "density-2", "contrast-half",
         "density-text", "sweep-value-text", "sweep-H-not-dividing-h", "sweep-H-fraction",
-        "sweep-m-negative", "sweep-n-zero", "channel-too-long"])
+        "sweep-m-negative", "sweep-n-zero", "channel-too-long", "sweep-channel-too-long"])
 def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, old, new):
     """A bad value in any section, one the coefficient generator rejects, a
     channel longer than the domain or a sweep value its axis cannot take is
@@ -384,8 +385,8 @@ def test_eig_diag_factors_once_per_nest(tmp_path, monkeypatch):
 
 
 def force_workers(monkeypatch, workers):
-    """Make forked_map, which the basis builds and eig-diag share, take
-    `workers` processes by default; None keeps one per CPU."""
+    """Make forked_map, which the basis builds, the coarse phase and eig-diag
+    share, take `workers` processes by default; None keeps one per CPU."""
     if workers is not None:
         monkeypatch.setattr(msbasis, "_cpu_count", lambda: workers)
 
@@ -433,6 +434,74 @@ def test_worker_error_keeps_its_type(tmp_path, monkeypatch, capsys, error):
     p = write_config(tmp_path)
     assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
     assert f"patch {victim}: injected" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "elasticity"])
+def test_run_methods_same_for_one_and_two_workers(tmp_path, monkeypatch, kind):
+    """The coarse phase gives the same rows, bit-identical solutions and the
+    same coarse condition estimates in one worker and in two; the estimates
+    are finite and >= 1."""
+    cfg = cli.RunConfig(write_config(tmp_path, BASE_CONFIG.replace(
+        "kind = diffusion", f"kind = {kind}")))
+    pair = cfg.make_pair()
+    field = cfg.make_field(pair)
+    runs = []
+    for workers in (1, 2):
+        with monkeypatch.context() as mp:
+            force_workers(mp, workers)
+            runs.append(cli.run_methods(pair, field, cfg.kind, cfg.m, cfg.methods))
+    (rows1, ctx1), (rows2, ctx2) = runs
+    assert ([r.to_csv(with_timing=False) for r in rows1]
+            == [r.to_csv(with_timing=False) for r in rows2])
+    labels = [r.method for r in rows1]
+    assert list(ctx1["solutions"]) == list(ctx2["solutions"]) == labels
+    for lab in labels:
+        assert np.array_equal(ctx1["solutions"][lab], ctx2["solutions"][lab]), lab
+    assert ctx1["coarse"] == ctx2["coarse"]
+    for row in rows1:
+        coarse = ctx1["coarse"][row.method]
+        assert coarse["dof"] == row.DoF
+        assert np.isfinite(coarse["cond_estimate"]) and coarse["cond_estimate"] >= 1
+
+
+def test_coarse_phase_is_one_forked_map(tmp_path, monkeypatch):
+    """run_methods maps the coarse phase through forked_map once, one item
+    per method, besides the basis build's own map over the nests."""
+    forked, calls = msbasis.forked_map, []
+
+    def counting(task, items, workers=None):
+        items = list(items)
+        calls.append((getattr(task, "func", task), items))
+        return forked(task, items, workers)
+
+    monkeypatch.setattr(msbasis, "forked_map", counting)
+    cfg = cli.RunConfig(write_config(tmp_path))
+    pair = cfg.make_pair()
+    rows, _ = cli.run_methods(pair, cfg.make_field(pair), cfg.kind, cfg.m, cfg.methods)
+    coarse = [items for task, items in calls if task is cli._coarse_solve]
+    assert coarse == [list(range(len(cfg.methods)))]
+    assert len(calls) == 2 and calls[0][0] is msbasis._nest_bases
+    assert [r.method for r in rows] == ["lod", "lssi-1", "lksi-2"]
+
+
+def test_coarse_worker_error_exits_3(tmp_path, monkeypatch, capsys):
+    """A SingularCoarse raised in a coarse worker reaches `mslab solve` as
+    exit 3 with its message, and no worker is left."""
+    assemble, calls = msgalerkin.assemble_coarse, []
+
+    def failing(system, b, basis):
+        calls.append(basis.method)
+        if basis.method == msbasis.LSSI:
+            raise SingularCoarse("lssi: injected")
+        return assemble(system, b, basis)
+
+    monkeypatch.setattr(msgalerkin, "assemble_coarse", failing)
+    force_workers(monkeypatch, 2)
+    p = write_config(tmp_path)
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure: lssi: injected" in capsys.readouterr().err
+    assert calls == []                        # the coarse phase ran in the workers alone
     assert multiprocessing.active_children() == []
 
 

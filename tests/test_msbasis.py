@@ -508,3 +508,23 @@ def test_forked_map_keeps_item_order(monkeypatch, items, forked):
     assert multiprocessing.active_children() == []
     with pytest.raises(ValueError, match="workers must be >= 1"):
         msbasis.forked_map(abs, items, workers=0)
+
+
+def test_forked_map_raises_first_failing_item(monkeypatch):
+    """With several items failing, forked_map raises the error of the first
+    failing item in item order, as map does, even when a later item's
+    worker fails first in time."""
+    monkeypatch.setattr(msbasis, "_cpu_count", lambda: 2)
+
+    def failing(k):
+        if k == 0:
+            time.sleep(0.5)
+            raise KeyError("item 0")
+        raise ValueError("item 1")
+
+    with pytest.raises(KeyError) as info:
+        msbasis.forked_map(failing, [0, 1])
+    assert type(info.value) is KeyError and info.value.args == ("item 0",)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(KeyError, match="item 0"):
+        msbasis.forked_map(failing, [0, 1], workers=1)
