@@ -11,12 +11,15 @@ it.  _nest_bases builds every requested basis on one nest, sharing that
 factorization across the nest and the methods, with one Schur pass over the
 master's LOD block for every member (lod_constraints), and draws each
 method's kernel once per patch, as deep as its deepest request.
-build_bases runs _nest_bases on every nest through forked_map and puts the
-patch bases back in patch order.  forked_map is the one place that chooses
-a worker count: one forked process per CPU by default, at most one per item,
-and with one worker a plain map in this process.  Its workers inherit the
-task by fork, so a global system or a list of patch systems it binds is
-never pickled.  build_patch_systems (eig-diag) builds every patch system in
+build_bases maps _nest_bases over every nest through forked_map; the build
+workers write the patch bases into one shared store per build (one
+anonymous shared mapping, _basis_store) and return counts only, so no basis
+crosses a pipe and the parent, which wraps each patch's slot as a view,
+holds no copy.  forked_map is the one place that chooses a worker count:
+one forked process per CPU by default, at most one per item, and with one
+worker a plain map in this process.  Its workers inherit the task by fork,
+so a global system, a list of patch systems or a store it binds is never
+pickled.  build_patch_systems (eig-diag) builds every patch system in
 this process, one factor per nest, before eig-diag maps its per-patch
 diagnostics through forked_map; `mslab solve` maps each method's coarse
 phase through it after build_bases.
@@ -25,6 +28,7 @@ phase through it after build_bases.
 import functools
 import itertools
 import logging
+import mmap
 import os
 import time
 from collections import defaultdict
@@ -353,12 +357,30 @@ def build_patch_systems(pair, system, m):
     return systems
 
 
-def _nest_bases(system, patches, plan, nest):
-    """Every requested basis on one nest of `patches`.  plan lists the
-    requests as (label, method, rounds).  Returns, per request, the nest's
-    patch vectors in nest order, its local problem count and its seconds:
-    the nest's slicing and factorization, the seed and kernel rounds it
-    takes on each patch, and for LOD the nest's lod_constraints call."""
+def _basis_store(patches, plan, kind):
+    """One anonymous shared mapping with a slot per (request, patch), as
+    flat float views, slots[j][k] for request j and patch k: nb rows per
+    interior node, and the request's widest block as columns (4 nb for LOD
+    and LSSI, n nb for LKSI-n).  Forked workers inherit the mapping, so what
+    they write the parent reads, and only the pages written become resident."""
+    nb = fem.nblock(kind)
+    rows = [nb * p.interior_nodes.size for p in patches]
+    widths = [nb * (n if name == LKSI else 4) for _, name, n in plan]
+    # one entry at least: mapping 0 bytes is an OSError, and requests may be empty
+    flat = np.frombuffer(mmap.mmap(-1, 8 * max(sum(rows) * sum(widths), 1)))
+    sizes = [r * w for w in widths for r in rows]
+    slots = (flat[e - s:e] for s, e in zip(sizes, itertools.accumulate(sizes)))
+    return [[next(slots) for _ in patches] for _ in plan]
+
+
+def _nest_bases(system, patches, plan, store, nest):
+    """Every requested basis on one nest of `patches`, written into its slots
+    of `store` (_basis_store): each M-orthonormal block, C-ordered, into the
+    leading entries of its (request, patch) slot.  plan lists the requests
+    as (label, method, rounds).  Returns, per request, the nest's column
+    counts in nest order, its local problem count and its seconds: the
+    nest's slicing and factorization, the seed and kernel rounds it takes on
+    each patch, and for LOD the nest's lod_constraints call."""
     depth = {name: max(n for _, nm, n in plan if nm == name) for _, name, _ in plan}
     t0 = time.perf_counter()
     systems = nest_systems(system, patches, nest)
@@ -369,8 +391,8 @@ def _nest_bases(system, patches, plan, nest):
         lod_sets = lod_constraints(systems)
         t_lod = time.perf_counter() - t0
         secs = [s + t_lod if name == LOD else s for s, (_, name, _) in zip(secs, plan)]
-    vectors, solves = [[] for _ in plan], [0] * len(plan)
-    for sys, lod_set in zip(systems, lod_sets):
+    counts, solves = [[] for _ in plan], [0] * len(plan)
+    for k, sys, lod_set in zip(nest[0], systems, lod_sets):
         runs = {name: _run_kernel(sys, name, d, lod_set) for name, d in depth.items()}
         for j, (lab, name, n) in enumerate(plan):
             t0 = time.perf_counter()
@@ -386,10 +408,11 @@ def _nest_bases(system, patches, plan, nest):
             if name != LKSI and len(kept) != V.shape[1]:
                 raise DependentConstraints(
                     f"patch {sys.patch.center}: {lab} block degenerate")
-            vectors[j].append(Q)
+            store[j][k][:Q.size] = Q.ravel()
+            counts[j].append(Q.shape[1])
             secs[j] += (seed_secs + sum(s[min(n, len(s) - 1)] for _, s in chains)
                         + time.perf_counter() - t0)
-    return list(zip(vectors, solves, secs))
+    return list(zip(counts, solves, secs))
 
 
 # the task of the forked_map whose workers are running, its arguments but
@@ -456,9 +479,10 @@ def forked_map(task, items, workers=None):
     else 1, and is capped at the item count.  One worker maps in this
     process; more fork a pool of that many (_forked_map), which inherits
     `task` and everything it binds, so only the items and the results are
-    pickled.  The results come back in item order; as with map, the error
-    raised is the first failing item's, with its class and message.  A
-    count below 1 is a ValueError.
+    pickled, and a shared mapping it binds (build_bases's store) is the
+    same pages in every worker.  The results come back in item order; as
+    with map, the error raised is the first failing item's, with its class
+    and message.  A count below 1 is a ValueError.
     """
     _check_workers(workers)
     items = list(items)
@@ -484,9 +508,13 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
 
     The nests go largest first (patch interior DOFs) through forked_map,
     which passes `workers` on: by default one forked process per CPU, capped
-    at the nest count, and with one worker a map in this process.  The
-    bases are the same bit for bit for any count.  Each wall time and count
-    is the sum of the nests', not elapsed time.
+    at the nest count, and with one worker a map in this process.  Either
+    way the nests write their vectors into one shared store (_basis_store),
+    allocated before the workers fork, and return only column counts, local
+    problem counts and seconds; each PatchBasis holds a C-contiguous view of
+    its slot's written prefix, which keeps the mapping alive.  The bases are
+    the same bit for bit for any count.  Each wall time and count is the sum
+    of the nests', not elapsed time.
     """
     if any(name not in (LOD, LSSI, LKSI) for name, _ in requests):
         raise ValueError(f"unknown method in {requests}")
@@ -501,15 +529,17 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
     patches = build_all_patches(pair, m) if patches is None else list(patches)
     nests = sorted(patch_nests(patches),
                    key=lambda nest: -sum(patches[k].interior_nodes.size for k in nest[0]))
-    done = forked_map(functools.partial(_nest_bases, system, patches, plan), nests,
-                      workers)
+    store, nb = _basis_store(patches, plan, system.kind), fem.nblock(system.kind)
+    done = forked_map(functools.partial(_nest_bases, system, patches, plan, store),
+                      nests, workers)
     out = []
     for j, (lab, name, _) in enumerate(plan):
         bases, stats, wall = [None] * len(patches), BuildStats(), 0.0
         for (ks, _), results in zip(nests, done):
-            vectors, solves, secs = results[j]
-            for k, V in zip(ks, vectors):
-                bases[k] = PatchBasis(patches[k], V)
+            counts, solves, secs = results[j]
+            for k, c in zip(ks, counts):
+                rows = nb * patches[k].interior_nodes.size
+                bases[k] = PatchBasis(patches[k], store[j][k][:rows * c].reshape(rows, c))
             stats.n_local_problems += solves
             wall += secs
         out.append((lab, MsBasis(name, system.kind, bases), stats, wall))

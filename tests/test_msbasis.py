@@ -3,13 +3,14 @@
 import itertools
 import multiprocessing
 import os
+import pickle
 import time
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
+from mslab import coeff, fem, grid, localsolve, msbasis, msgalerkin, specdiag
 
 
 @pytest.fixture(scope="module")
@@ -478,6 +479,88 @@ def test_workers_build_the_same_bases(kind, N, m, monkeypatch):
         for pb, pb2 in zip(basis.patch_bases, basis2.patch_bases):
             assert pb.patch.center == pb2.patch.center
             assert np.array_equal(pb.vectors, pb2.vectors), (lab, pb.patch.center)
+
+
+def _buffer(a):
+    """The buffer at the bottom of an array's chain of views."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_bases_are_views_of_one_store(small_setup, kind):
+    """Every patch basis of one build is a C-contiguous view with nb rows
+    per interior node, into one shared buffer, and no two of them overlap."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, kind)
+    out = msbasis.build_bases(pair, system, 1, [("lod", None), ("lssi", 2), ("lksi", 3)],
+                              workers=2)
+    views = [pb.vectors for _, basis, _, _ in out for pb in basis.patch_bases]
+    rows = [fem.nblock(kind) * pb.patch.interior_nodes.size
+            for _, basis, _, _ in out for pb in basis.patch_bases]
+    buf = _buffer(views[0])
+    whole = np.frombuffer(buf)
+    for V, r in zip(views, rows):
+        assert V.shape[0] == r and V.flags.c_contiguous and not V.flags.owndata
+        assert _buffer(V) is buf and np.shares_memory(V, whole)
+    spans = sorted((V.ctypes.data, V.ctypes.data + V.nbytes) for V in views)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
+def test_nest_result_carries_counts_only(small_setup):
+    """A nest's result holds only numbers, no array, and pickles to under
+    1 KB per request; the slots hold its patches' vectors of a whole build."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, fem.ELASTICITY)
+    patches = grid.build_all_patches(pair, 1)
+    plan = [("lod", "lod", 1), ("lssi-2", "lssi", 2), ("lksi-3", "lksi", 3)]
+    store = msbasis._basis_store(patches, plan, system.kind)
+    nest = max(msbasis.patch_nests(patches), key=lambda nest: len(nest[0]))
+    done = msbasis._nest_bases(system, patches, plan, store, nest)
+    leaves = [x for counts, solves, secs in done for x in (*counts, solves, secs)]
+    assert all(type(x) in (int, float) for x in leaves)
+    assert len(pickle.dumps(done)) < 1024 * len(plan)
+    assert [counts for counts, _, _ in done] == [[8] * len(nest[0]), [8] * len(nest[0]),
+                                                 [6] * len(nest[0])]
+    requests = [("lod", None), ("lssi", 2), ("lksi", 3)]
+    built = msbasis.build_bases(pair, system, 1, requests, workers=1)
+    for j, (_, basis, _, _) in enumerate(built):
+        for k in nest[0]:
+            V = basis.patch_bases[k].vectors
+            assert np.array_equal(store[j][k][:V.size], V.ravel())
+
+
+def test_chain_that_stops_early_gets_a_view_of_its_width(small_setup, monkeypatch):
+    """Krylov chains that stop after 2 iterates on odd patches give those a
+    C-contiguous view of 2 columns in their 4-column slot; forked, the coarse
+    system and solution equal those of the in-process build and of private
+    copies of the vectors bit for bit."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    b = fem.assemble_rhs(pair, fem.DIFFUSION,
+                         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))[system.dofs]
+    kernel = msbasis.lksi_kernel
+
+    def short(sys, psi):
+        return itertools.islice(kernel(sys, psi), 2 if sys.patch.center % 2 else None)
+
+    monkeypatch.setattr(msbasis, "lksi_kernel", short)
+    bases = [msbasis.build_bases(pair, system, 1, [("lksi", 4)], workers=w)[0][1]
+             for w in (2, 1)]
+    forked = bases[0]
+    for pb in forked.patch_bases:
+        assert pb.vectors.shape == (pb.patch.interior_nodes.size,
+                                    2 if pb.patch.center % 2 else 4)
+        assert pb.vectors.flags.c_contiguous
+    bases.append(msbasis.MsBasis(forked.method, forked.kind, [
+        msbasis.PatchBasis(pb.patch, pb.vectors.copy()) for pb in forked.patch_bases]))
+    solved = []
+    for basis in bases:
+        cs = msgalerkin.assemble_coarse(system, b, basis)
+        solved.append((cs.b_ms, cs._factor[0], *msgalerkin.solve_ms(cs)))
+    for got in solved[1:]:
+        assert all(np.array_equal(x, y) for x, y in zip(solved[0], got))
 
 
 @pytest.mark.parametrize("workers", [0, -1])
