@@ -176,13 +176,16 @@ def _mgs_append(M, v, cols, mcols, drop_tol=1e-10, mv=None):
 
 def m_orthonormalize(M, V, drop_tol=1e-10):
     """Modified Gram-Schmidt in the M inner product; drops dependent columns.
+    M V is formed once, as one block product, for the columns' starting
+    norms; a sparse M gives each column the bits of its own M @ v.
 
     Returns (Q, kept_indices).
     """
     V = np.asarray(V, dtype=float)
+    MV = np.ascontiguousarray((M @ V).T)
     cols, mcols = [], []
     kept = [k for k in range(V.shape[1])
-            if _mgs_append(M, V[:, k], cols, mcols, drop_tol)]
+            if _mgs_append(M, V[:, k], cols, mcols, drop_tol, mv=MV[k])]
     Q = np.column_stack(cols) if cols else np.zeros((V.shape[0], 0))
     return Q, kept
 
@@ -249,13 +252,14 @@ def lssi_kernel(sys, Phi):
 
 
 def lksi_kernel(sys, psi):
-    """LKSI iteration kernel: yields the k-th Krylov iterate of the seed `psi`,
-    the single-constraint solve A^{-1} M psi_{k-1} scaled to unit functional.
+    """LKSI iteration kernel: yields (psi_k, q_k), the k-th Krylov iterate of
+    the seed `psi`, the single-constraint solve A^{-1} M psi_{k-1} scaled to
+    unit functional, and q_k, psi_k M-orthonormalized against q_1..q_{k-1}.
 
     Stops on breakdown (nonpositive functional) or once an iterate adds
     nothing to the span of the earlier ones (the seed is not part of it):
-    each iterate is M-orthogonalized against the earlier ones as they were
-    kept, and the chain stagnates once one of them was dropped.
+    the chain stagnates once an iterate was dropped, so q_1..q_k are what
+    m_orthonormalize makes of psi_1..psi_k, bit for bit.
     """
     cols, mcols = [], []
     b = sys.M @ psi
@@ -272,7 +276,7 @@ def lksi_kernel(sys, psi):
             log.info("patch %d: Krylov space stagnated at step %d",
                      sys.patch.center, k)
             return
-        yield psi
+        yield psi, cols[-1]
 
 
 class BuildStats:
@@ -286,7 +290,8 @@ def _run_kernel(sys, name, depth, lod_set):
     """A method's kernel on one patch, drawn `depth` rounds deep up front: a
     chain per seed column for LKSI (per displacement component), a single
     chain otherwise.  Returns the seconds spent on the seed and, per chain,
-    its blocks, fewer if it stops first, and their cumulative seconds:
+    what it yields (blocks; for LKSI (psi, q) pairs), fewer if it stops
+    first, and their cumulative seconds:
     secs[k] is the time of the first k blocks, and a chain that stops early
     gets one more entry, the time up to its stopping step.  So the first n
     rounds cost secs[min(n, len(secs) - 1)], reached or not."""
@@ -398,16 +403,20 @@ def _nest_bases(system, patches, plan, store, nest):
             t0 = time.perf_counter()
             seed_secs, chains = runs[name]
             if name == LKSI:
-                V = np.column_stack([psi for blocks, _ in chains for psi in blocks[:n]])
-                solves[j] += V.shape[1]
+                iterates = [it for blocks, _ in chains for it in blocks[:n]]
+                solves[j] += len(iterates)
+                if len(chains) == 1:        # the chain's own M-orthonormal iterates
+                    Q = np.column_stack([q for _, q in iterates])
+                else:                       # the chains jointly
+                    Q, _ = m_orthonormalize(sys.M, np.column_stack([psi for psi, _ in iterates]))
             else:
                 [(blocks, _)] = chains
                 V = blocks[n - 1]
                 solves[j] += n * V.shape[1]
-            Q, kept = m_orthonormalize(sys.M, V)
-            if name != LKSI and len(kept) != V.shape[1]:
-                raise DependentConstraints(
-                    f"patch {sys.patch.center}: {lab} block degenerate")
+                Q, kept = m_orthonormalize(sys.M, V)
+                if len(kept) != V.shape[1]:
+                    raise DependentConstraints(
+                        f"patch {sys.patch.center}: {lab} block degenerate")
             store[j][k][:Q.size] = Q.ravel()
             counts[j].append(Q.shape[1])
             secs[j] += (seed_secs + sum(s[min(n, len(s) - 1)] for _, s in chains)

@@ -230,7 +230,7 @@ def rate_report(sys, eig, n_max, method="lssi"):
         blocks = msbasis.lssi_kernel(sys, seed)
     elif method == msbasis.LKSI:
         chain = msbasis.lksi_kernel(sys, seed[:, 0])
-        blocks = map(np.column_stack, itertools.accumulate([psi] for psi in chain))
+        blocks = map(np.column_stack, itertools.accumulate([psi] for psi, _ in chain))
     else:
         raise ValueError(f"unknown method: {method}")
     rounds, angles = [], []

@@ -115,6 +115,36 @@ def test_m_orthonormalize_properties(small_setup):
     assert rep.max_angle < 1e-10
 
 
+def test_m_orthonormalize_matches_column_loop(small_setup):
+    """One block product M V for the starting norms gives Q and kept bit for
+    bit as the column-by-column M @ v does, dependent columns included."""
+    pair, field = small_setup
+    patch = grid.Patch(pair, 5, 1)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
+    rng = np.random.default_rng(1)
+    V = rng.standard_normal((sys.ndof, 4))
+    V = np.column_stack([V[:, :2], V[:, 0] - 2 * V[:, 1], V[:, 2:], np.zeros(sys.ndof)])
+    cols, mcols = [], []
+    kept = [k for k in range(V.shape[1]) if msbasis._mgs_append(sys.M, V[:, k], cols, mcols)]
+    Q, got = msbasis.m_orthonormalize(sys.M, V)
+    assert got == kept == [0, 1, 3, 4]
+    assert np.array_equal(Q, np.column_stack(cols))
+
+
+def test_lksi_kernel_orthonormal_iterates(small_setup):
+    """The kernel's own q_k are m_orthonormalize of its iterates bit for bit,
+    which lets a single chain skip the second pass."""
+    pair, field = small_setup
+    patch = grid.Patch(pair, 5, 1)
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
+    psi = msbasis.method_seed(sys, msbasis.LKSI)[:, 0]
+    chain = list(itertools.islice(msbasis.lksi_kernel(sys, psi), 4))
+    assert len(chain) == 4
+    Q, kept = msbasis.m_orthonormalize(sys.M, np.column_stack([p for p, _ in chain]))
+    assert kept == [0, 1, 2, 3]
+    assert np.array_equal(Q, np.column_stack([q for _, q in chain]))
+
+
 def padded_vectors(basis, n_full):
     """Oracle: every basis vector as a dense full fine-grid column."""
     out = np.zeros((n_full, basis.total_dofs))

@@ -1,4 +1,4 @@
-"""Coarse Galerkin solve tests: dense triple-product oracle for the band
+"""Coarse Galerkin solve tests: dense triple-product oracle for the tiled band
 assembly, the load and the prolongation, orthogonality, reporting."""
 
 import tracemalloc
@@ -31,14 +31,23 @@ def _dense_phi(system, basis):
     return out[system.dofs]
 
 
+def _coarse(system, basis):
+    """The coarse matrix in the basis order, its lower triangle taken from
+    the upper one the assembly fills, and its 1-norm."""
+    A, norm, cols = msgalerkin._coarse_matrix(system, basis)
+    assert np.array_equal(np.sort(cols), np.arange(basis.total_dofs))
+    out = np.empty_like(A)
+    out[np.ix_(cols, cols)] = np.triu(A) + np.triu(A, 1).T
+    return out, norm
+
+
 def test_coarse_matrix_is_triple_product(setup):
     _, _, system, b, basis = setup
     Phi = _dense_phi(system, basis)
     oracle = Phi.T @ system.stiffness.toarray() @ Phi
-    A_ms, norm = msgalerkin._coarse_matrix(system, basis)
+    A_ms, norm = _coarse(system, basis)
     np.testing.assert_allclose(A_ms, oracle, atol=1e-10 * np.abs(oracle).max())
-    assert np.array_equal(A_ms, A_ms.T)
-    assert norm == np.abs(A_ms).sum(axis=0).max()
+    np.testing.assert_allclose(norm, np.abs(A_ms).sum(axis=0).max(), rtol=1e-14)
     cs = msgalerkin.assemble_coarse(system, b, basis)
     np.testing.assert_allclose(cs.b_ms, Phi.T @ b, atol=1e-14)
     assert cs.dof == basis.total_dofs
@@ -70,7 +79,7 @@ def _assert_dense_oracle(system, basis):
     """The band-assembled coarse matrix against the dense triple product."""
     Phi = _dense_phi(system, basis)
     oracle = Phi.T @ system.stiffness.toarray() @ Phi
-    A_ms, _ = msgalerkin._coarse_matrix(system, basis)
+    A_ms, _ = _coarse(system, basis)
     assert np.abs(A_ms - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -125,26 +134,112 @@ def test_band_assembly_reversed_patch_order(banded, label):
     _assert_dense_oracle(system, _reversed(bases[label]))
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("label", ["lod", "lksi-3"])
+def test_tiled_assembly_any_tile_width(banded, monkeypatch, label, width):
+    """Five coarse columns in x-tiles of 1 to 6 centre columns: widths that
+    do not divide 5, patches spanning several tiles, and one tile."""
+    system, _, bases = banded
+    monkeypatch.setattr(msgalerkin, "_tile_width", lambda m: width)
+    _assert_dense_oracle(system, bases[label])
+
+
+def _cut_to_zero(basis):
+    """Patches keep 0, 1, 2 or 3 of their columns."""
+    return msbasis.MsBasis(basis.method, basis.kind, [
+        msbasis.PatchBasis(pb.patch, pb.vectors[:, :i % 4])
+        for i, pb in enumerate(basis.patch_bases)])
+
+
+def test_band_assembly_zero_column_counts(banded):
+    """Patches without columns take no coarse DoF; the rest still give the
+    triple product, and the solution is prolonged in the basis order."""
+    system, b, bases = banded
+    basis = _cut_to_zero(bases["lksi-3"])
+    _assert_dense_oracle(system, basis)
+    Phi = _dense_phi(system, basis)
+    cs = msgalerkin.assemble_coarse(system, b, basis)
+    u, c = msgalerkin.solve_ms(cs)
+    np.testing.assert_allclose(u, Phi @ c, rtol=0,
+                               atol=1e-14 * (np.abs(Phi) @ np.abs(c)).max())
+
+
+def test_coarse_order_is_tile_major(banded):
+    """Patches with columns sorted by (x-tile, centre row, centre column)."""
+    system, _, bases = banded
+    basis = _cut_to_zero(_reversed(bases["lod"]))
+    order, tile = msgalerkin._coarse_order(basis)
+    N = basis.patch_bases[0].patch.pair.coarse.n
+    width = msgalerkin._tile_width(basis.patch_bases[0].patch.m)
+    keys = [(pb.patch.center % N // width, pb.patch.center // N, pb.patch.center % N)
+            for pb in (basis.patch_bases[k] for k in order)]
+    assert keys == sorted(keys) and [t for t, _, _ in keys] == list(tile)
+    assert sorted(order) == [k for k, pb in enumerate(basis.patch_bases) if pb.count]
+
+
+def test_coarse_solve_reads_upper_triangle_only(banded, monkeypatch):
+    """The factor, the condition estimate and the solution come from the
+    upper triangle of A_ms alone: with NaN below the diagonal they are the
+    same bit for bit, so what is solved is exactly symmetric."""
+    system, b, bases = banded
+    basis = _reversed(bases["lksi-3"])
+    plain = msgalerkin.assemble_coarse(system, b, basis)
+    galerkin = msgalerkin._galerkin_matrix
+
+    def lower_nan(*args):
+        A = galerkin(*args)
+        A[np.tril_indices_from(A, -1)] = np.nan
+        return A
+
+    monkeypatch.setattr(msgalerkin, "_galerkin_matrix", lower_nan)
+    poisoned = msgalerkin.assemble_coarse(system, b, basis)
+    assert poisoned.cond_estimate == plain.cond_estimate
+    L0, L1 = plain._factor[0], poisoned._factor[0]
+    assert np.array_equal(np.tril(L0), np.tril(L1))
+    for x, y in zip(msgalerkin.solve_ms(plain), msgalerkin.solve_ms(poisoned)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_nearly_singular_coarse_matrix_keeps_smallest_eigenvalue(seed):
+    """At contrast 1e7 lksi-4's coarse matrix has condition up to 5e10.  Its
+    smallest eigenvalue, as assembled, matches that of the symmetric part of
+    the dense Phi^T (A Phi): every entry sums A applied to either of its
+    columns.  Taking each entry from one orientation alone, the upper
+    triangle's, put it off by up to 11 % on these fields."""
+    pair = grid.NestedPair(5, 50)
+    field = coeff.gen_inclusions(pair, 0.12, 1e7, seed=seed, streak_len=(2, 6))
+    system = fem.assemble(pair, field, fem.DIFFUSION)
+    [(_, basis, _, _)] = msbasis.build_bases(pair, system, 2, [("lksi", 4)])
+    Phi = _dense_phi(system, basis)
+    G = Phi.T @ (system.stiffness @ Phi)
+    oracle = np.linalg.eigvalsh(0.5 * (G + G.T))[0]
+    got = np.linalg.eigvalsh(_coarse(system, basis)[0])[0]
+    assert abs(got - oracle) <= 1e-4 * oracle
+
+
 def test_coarse_phase_never_forms_phi():
     """Coarse assembly plus solve allocate less than a sparse Phi would
-    hold, on a grid where that Phi outweighs twice the coarse matrix."""
+    hold, on a grid where that Phi outweighs twice the coarse matrix: with
+    two columns per patch (lksi-2) and with four (lssi-1), where A_ms alone
+    takes 45 % of it."""
     pair = grid.NestedPair(10, 50)
     field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=5)
     system = fem.assemble(pair, field, fem.DIFFUSION)
     f = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     b = fem.assemble_rhs(pair, fem.DIFFUSION, f)[system.dofs]
-    [(_, basis, _, _)] = msbasis.build_bases(pair, system, 2, [("lksi", 2)])
-    n = basis.total_dofs
-    # CSC: a value and a row index per nonzero, a column pointer per column
-    phi_bytes = 16 * sum(pb.vectors.size for pb in basis.patch_bases) + 8 * (n + 1)
-    assert phi_bytes > 2 * 8 * n * n
-    tracemalloc.start()
-    try:
-        msgalerkin.solve_ms(msgalerkin.assemble_coarse(system, b, basis))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < phi_bytes
+    for _, basis, _, _ in msbasis.build_bases(pair, system, 2, [("lksi", 2), ("lssi", 1)]):
+        n = basis.total_dofs
+        # CSC: a value and a row index per nonzero, a column pointer per column
+        phi_bytes = 16 * sum(pb.vectors.size for pb in basis.patch_bases) + 8 * (n + 1)
+        assert phi_bytes > 2 * 8 * n * n
+        tracemalloc.start()
+        try:
+            msgalerkin.solve_ms(msgalerkin.assemble_coarse(system, b, basis))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < phi_bytes
 
 
 def test_galerkin_orthogonality(setup):
@@ -195,7 +290,7 @@ def test_solve_ms_reconstruction(setup):
     cs = msgalerkin.assemble_coarse(system, b, basis)
     u_ms, c = msgalerkin.solve_ms(cs)
     np.testing.assert_allclose(u_ms, _dense_phi(system, basis) @ c, atol=1e-14)
-    A_ms, _ = msgalerkin._coarse_matrix(system, basis)
+    A_ms, _ = _coarse(system, basis)
     np.testing.assert_allclose(A_ms @ c, cs.b_ms, atol=1e-8 * np.abs(cs.b_ms).max())
 
 
@@ -229,5 +324,5 @@ def test_cond_estimate_positive(setup):
     _, _, system, b, basis = setup
     cs = msgalerkin.assemble_coarse(system, b, basis)
     assert cs.cond_estimate >= 1.0
-    exact = np.linalg.cond(msgalerkin._coarse_matrix(system, basis)[0], 1)
+    exact = np.linalg.cond(_coarse(system, basis)[0], 1)
     assert exact / 10 <= cs.cond_estimate <= exact * (1 + 1e-8)
