@@ -310,7 +310,7 @@ def _patch_diag(systems, count, k):
     """The leading `count` eigenpairs of patch k and its lssi and lksi
     rate reports over EIG_ROUNDS rounds."""
     sys_ = systems[k]
-    eig = specdiag.local_eig(sys_, count)
+    eig = specdiag.lanczos_eig(sys_, count)
     # lksi follows one chain towards the leading eigenvector
     lead = specdiag.EigPairs(eig.values[:2], eig.vectors[:, :2])
     return eig, [specdiag.rate_report(sys_, eig, EIG_ROUNDS, method="lssi"),
@@ -321,17 +321,23 @@ def cmd_eig_diag(cfg, out):
     """Angle tables over EIG_ROUNDS rounds, EIG_BOUND_CHECKS interpolation-bound
     pairs and Ritz tables for the config.
 
-    The patch systems are built here, one factor per nest; each patch's
-    eigenpairs and rate reports come from msbasis.forked_map, largest patch
-    first, so forked workers inherit the systems and return only those."""
+    Every patch needs more DOFs than the L+1 pairs taken, checked before any
+    solve.  The patch systems are built here, one factor per nest; each
+    patch's eigenpairs and rate reports come from msbasis.forked_map, largest
+    patch first, so forked workers inherit the systems and return only those."""
     pair = cfg.make_pair()
-    field = cfg.make_field(pair)
     kind = cfg.kind
+    nb = fem.nblock(kind)
+    L = 4 * nb
+    small = [p.center for p in grid.build_all_patches(pair, cfg.m)
+             if nb * p.interior_nodes.size <= L + 1]
+    if small:
+        raise ConfigError(f"eig-diag needs more than {L + 1} DOFs per patch; {len(small)} "
+                          f"have {L + 1} or fewer, the first around coarse element {small[0]}")
+    field = cfg.make_field(pair)
     u_pad, gsys, _ = fem.reference_solve(pair, field, kind, default_rhs(kind))
     systems = msbasis.build_patch_systems(pair, gsys, cfg.m)
     pou = grid.build_pou(pair, [s.patch for s in systems])
-    nb = fem.nblock(kind)
-    L = 4 * nb
     order = sorted(range(len(systems)), key=lambda k: -systems[k].ndof)
     diags = [None] * len(systems)
     for k, diag in zip(order, msbasis.forked_map(

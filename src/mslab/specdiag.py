@@ -3,6 +3,9 @@ Krylov iteration diagnostics, principal angles, and the interpolation bound.
 
 Eigenproblems are posed on the pencil M v = lambda A v, so the eigenvalues are
 those of the local solution operator directly (descending lambda convention).
+eig-diag takes them from lanczos_eig, checked against the dense local_eig:
+eigenvalues agree to about 1e-11 relative, and either may return any basis of
+a repeated eigenspace.
 """
 
 import itertools
@@ -15,8 +18,6 @@ import scipy.sparse.linalg as spla
 
 from . import fem, msbasis
 from .msbasis import m_orthonormalize
-
-DENSE_CAP = 4000
 
 
 @dataclass
@@ -35,20 +36,28 @@ class EigPairs:
         return self.vectors / np.sqrt(self.values)[None, :]
 
 
-def local_eig(sys, count, cap=DENSE_CAP):
-    """Leading eigenpairs of M_omega v = lambda A_omega v.
-
-    Dense (Cholesky reduction inside eigh, computing only the `count` largest
-    pairs) up to `cap` DOFs, Lanczos above.
-    """
+def local_eig(sys, count):
+    """Leading eigenpairs of M_omega v = lambda A_omega v, dense reference
+    (Cholesky reduction inside eigh, computing only the `count` largest)."""
     ndof = sys.ndof
     if count < 1 or count > ndof:
         raise ValueError("eigenpair count out of range")
-    if ndof <= cap:
-        w, v = sla.eigh(sys.M.toarray(), sys.A.toarray(),
-                        subset_by_index=[ndof - count, ndof - 1])
-        return EigPairs(w[::-1], v[:, ::-1])
-    w, v = spla.eigsh(sys.M.tocsc(), k=count, M=sys.A.tocsc(), which="LM")
+    w, v = sla.eigh(sys.M.toarray(), sys.A.toarray(),
+                    subset_by_index=[ndof - count, ndof - 1])
+    return EigPairs(w[::-1], v[:, ::-1])
+
+
+def lanczos_eig(sys, count):
+    """The pairs of local_eig for 1 <= count < ndof by implicitly restarted
+    Lanczos (ARPACK), applying A^{-1} by the patch's own factor (sys.solve).
+    The fixed-seed random start gives the same bits every call and, unlike a
+    symmetric one, meets both members of a symmetric patch's repeated pair."""
+    n = sys.ndof
+    if count < 1 or count >= n:
+        raise ValueError("eigenpair count out of range")
+    inv = spla.LinearOperator((n, n), matvec=sys.solve, dtype=float)
+    w, v = spla.eigsh(sys.M, k=count, M=sys.A, Minv=inv, which="LM", tol=0,
+                      v0=np.random.default_rng(0).standard_normal(n))
     order = np.argsort(w)[::-1]
     return EigPairs(w[order], v[:, order])
 
@@ -146,7 +155,7 @@ def _lumped_mass_inverse(M):
 def check_interp_bound(systems, pou, eigs, u_full, global_system):
     """Evaluate both sides of the eigenfunction-interpolation energy bound.
 
-    eigs[i] holds the leading L+1 eigenpairs of systems[i] (from local_eig).
+    eigs[i] holds the leading L+1 eigenpairs of systems[i] (EigPairs).
     lhs = energy norm of u minus its local-eigenfunction interpolant; rhs =
     sqrt(max_i lambda_i^{L+1}) * sum_i ||discrete-operator(chi_i u)||_{L2},
     with the discrete operator realized as lumped-mass-inverse times stiffness

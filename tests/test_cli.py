@@ -548,6 +548,23 @@ def test_eig_diag_worker_error_keeps_its_type(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("kind", ["diffusion", "elasticity"])
+def test_eig_diag_small_patches_are_a_config_error(tmp_path, monkeypatch, capsys, kind):
+    """At h = H = 1/8, m = 1 every patch has fewer DOFs than the 4 nb + 1
+    eigenpairs eig-diag takes: exit 2 with a config error, before the
+    reference solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("reference_solve ran before the patch-size check")
+
+    monkeypatch.setattr(fem, "reference_solve", no_solve)
+    text = BASE_CONFIG.replace("kind = diffusion", f"kind = {kind}")
+    p = write_config(tmp_path, text.replace("h = 16\nH = 4", "h = 8\nH = 8"))
+    assert cli.main(["eig-diag", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: eig-diag needs more than "
+                          f"{4 * fem.nblock(kind) + 1} DOFs per patch")
+
+
 def test_write_pgm_orientation(tmp_path):
     v = np.zeros((3, 4))
     v[0, :] = 1.0                             # y = 0 row

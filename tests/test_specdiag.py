@@ -1,6 +1,7 @@
 """Spectral diagnostics tests: eigenpairs, Arnoldi, angles, bounds and rates."""
 
 import numpy as np
+import pytest
 import scipy.linalg as sla
 
 from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
@@ -18,11 +19,16 @@ def whole_domain_system(n=24):
     return pair, localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
 
 
-def test_laplace_leading_eigenvalue():
+EIGENSOLVERS = pytest.mark.parametrize("eigen", [specdiag.local_eig, specdiag.lanczos_eig],
+                                       ids=["dense", "lanczos"])
+
+
+@EIGENSOLVERS
+def test_laplace_leading_eigenvalue(eigen):
     """For -Laplace on the unit square, the pencil's top eigenvalue is
     1/(2 pi^2) up to discretization error."""
     _, sys = whole_domain_system(32)
-    eig = specdiag.local_eig(sys, 3)
+    eig = eigen(sys, 3)
     exact = 1.0 / (2 * np.pi ** 2)
     assert abs(eig.values[0] - exact) < 2e-4
     # second/third eigenvalues are the degenerate 1/(5 pi^2) pair
@@ -31,9 +37,10 @@ def test_laplace_leading_eigenvalue():
     assert abs(eig.values[2] - exact2) < 2e-4
 
 
-def test_eigvectors_a_orthonormal():
+@EIGENSOLVERS
+def test_eigvectors_a_orthonormal(eigen):
     _, sys = whole_domain_system(16)
-    eig = specdiag.local_eig(sys, 5)
+    eig = eigen(sys, 5)
     G = eig.vectors.T @ (sys.A @ eig.vectors)
     np.testing.assert_allclose(G, np.eye(5), atol=1e-9)
     # l2-normalized variant has unit mass norm
@@ -42,9 +49,10 @@ def test_eigvectors_a_orthonormal():
     np.testing.assert_allclose(d, 1.0, atol=1e-9)
 
 
-def test_pencil_residual():
+@EIGENSOLVERS
+def test_pencil_residual(eigen):
     _, sys = whole_domain_system(16)
-    eig = specdiag.local_eig(sys, 4)
+    eig = eigen(sys, 4)
     for k in range(4):
         r = sys.M @ eig.vectors[:, k] - eig.values[k] * (sys.A @ eig.vectors[:, k])
         assert np.linalg.norm(r) < 1e-9
@@ -68,8 +76,57 @@ def test_dense_subset_matches_full_eigh():
 def test_iterative_matches_dense():
     _, sys = whole_domain_system(16)
     d = specdiag.local_eig(sys, 4)
-    it = specdiag.local_eig(sys, 4, cap=0)          # Lanczos above the cap
+    it = specdiag.lanczos_eig(sys, 4)
     np.testing.assert_allclose(d.values, it.values, rtol=1e-8)
+
+
+def eig_diag_grids():
+    """(kind, pair, field, m): the eig-diag benchmark grid and a small
+    elasticity grid."""
+    pair = grid.NestedPair(8, 40)
+    yield fem.DIFFUSION, pair, coeff.gen_inclusions(pair, 0.12, 1e4, seed=1), 2
+    pair = grid.NestedPair(4, 16)
+    yield fem.ELASTICITY, pair, coeff.gen_inclusions(pair, 0.15, 1e3, seed=3), 1
+
+
+@pytest.mark.parametrize("kind, pair, field, m", eig_diag_grids(),
+                         ids=[fem.DIFFUSION, fem.ELASTICITY])
+def test_lanczos_matches_dense_on_every_patch(kind, pair, field, m):
+    """On every patch system eig-diag builds (nested and reversed ones
+    included), lanczos_eig gives the dense eigenvalues and, up to the choice
+    of basis in a repeated eigenspace, the same leading eigenspaces, and the
+    same bits on a second call."""
+    count = 4 * fem.nblock(kind) + 1
+    systems = msbasis.build_patch_systems(pair, fem.assemble(pair, field, kind), m)
+    assert any(s.reverse for s in systems)
+    for sys in systems:
+        d = specdiag.local_eig(sys, count)
+        it = specdiag.lanczos_eig(sys, count)
+        np.testing.assert_allclose(it.values, d.values, rtol=1e-10)
+        for j in range(1, count):
+            if d.values[j - 1] > (1 + 1e-8) * d.values[j]:
+                ang = specdiag.principal_angles(it.vectors[:, :j], d.vectors[:, :j],
+                                                inner=sys.M)
+                assert ang.max_angle < 1e-8, (sys.patch.center, j, ang.max_angle)
+        again = specdiag.lanczos_eig(sys, count)
+        assert np.array_equal(again.values, it.values)
+        assert np.array_equal(again.vectors, it.vectors)
+
+
+def test_lanczos_count_range():
+    _, sys = whole_domain_system(8)
+    for count in (0, sys.ndof):
+        with pytest.raises(ValueError):
+            specdiag.lanczos_eig(sys, count)
+
+
+def test_rate_report_flags_repeated_pair_from_lanczos():
+    """The unit-coefficient whole-domain patch has lambda_2 = lambda_3; from
+    Lanczos pairs the report still calls it clustered and fits no rate."""
+    _, sys = whole_domain_system(24)
+    rep = specdiag.rate_report(sys, specdiag.lanczos_eig(sys, 5), 6, method="lssi")
+    assert rep.clustered
+    assert rep.fitted_rate is None
 
 
 def test_arnoldi_tridiagonal_in_energy_inner_product():
