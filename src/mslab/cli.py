@@ -144,7 +144,12 @@ class RunConfig:
 
     def make_field(self, pair, contrast=None, channel_len=None):
         if self.coeff_source == "file":
-            return coeff.load_field(self.coeff_path)
+            field, n = coeff.load_field(self.coeff_path), pair.fine.n
+            if field.values.shape != (n, n):
+                rows, cols = field.values.shape
+                raise ConfigError(f"coeff.path holds {rows} rows of {cols} values; "
+                                  f"problem.h = {self.h_inv} needs {n} rows of {n}")
+            return field
         contrast = self.contrast if contrast is None else contrast
         try:
             if self.generator == "inclusions":
@@ -271,11 +276,17 @@ def cmd_sweep(cfg, out, with_timing=True):
     iterated = list(dict.fromkeys(name for name, _ in cfg.methods if name != msbasis.LOD))
     if axis == "n" and not iterated:
         raise ConfigError("sweep.axis = n needs an lssi or lksi method in problem.methods")
+    if axis == "contrast" and cfg.coeff_source == "file":
+        raise ConfigError("sweep.axis = contrast needs a generated field, not coeff.source = file")
+    if axis == "channel" and not cfg.channel_length():
+        raise ConfigError("sweep.axis = channel needs coeff.generator = channels")
     least = SWEEP_INTEGER_AXES.get(axis)
     for val in cfg.sweep_values:
         if least is not None and not (val.is_integer() and val >= least):
             raise ConfigError(f"sweep.values: {axis} = {val:g} must be an integer "
                               f">= {least}")
+        if axis == "contrast" and val < 1:
+            raise ConfigError(f"sweep.values: contrast = {val:g} must be >= 1")
         if axis == "H" and cfg.h_inv % int(val) != 0:
             raise ConfigError(f"sweep.values: problem.h = {cfg.h_inv} is not a "
                               f"multiple of H = {int(val)}")
@@ -319,7 +330,7 @@ def _patch_diag(systems, count, k):
 
 def cmd_eig_diag(cfg, out):
     """Angle tables over EIG_ROUNDS rounds, EIG_BOUND_CHECKS interpolation-bound
-    pairs and Ritz tables for the config.
+    pairs and the lksi-8 Ritz values of four patches for the config.
 
     Every patch needs more DOFs than the L+1 pairs taken, checked before any
     solve.  The patch systems are built here, one factor per nest; each
@@ -368,11 +379,8 @@ def cmd_eig_diag(cfg, out):
 
     with open(out / "ritz.csv", "w") as f:
         f.write("patch,index,ritz_value\n")
-        for sys_ in systems[: min(4, len(systems))]:
-            x0 = np.ones(sys_.ndof)
-            res = specdiag.arnoldi(lambda v: sys_.solve(sys_.M @ v), x0,
-                                   min(8, sys_.ndof), inner=sys_.A)
-            for i, w in enumerate(res.ritz_values):
+        for sys_ in systems[:4]:
+            for i, w in enumerate(specdiag.ritz_values(sys_, 8)):
                 f.write(f"{sys_.patch.center},{i},{w:.10e}\n")
     return 0
 

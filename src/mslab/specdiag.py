@@ -1,5 +1,5 @@
-"""Spectral oracles and theory checks: local eigenproblems, subspace and
-Krylov iteration diagnostics, principal angles, and the interpolation bound.
+"""Spectral oracles and theory checks: local eigenproblems, the Ritz values
+and rates of the msbasis kernels, principal angles, the interpolation bound.
 
 Eigenproblems are posed on the pencil M v = lambda A v, so the eigenvalues are
 those of the local solution operator directly (descending lambda convention).
@@ -62,51 +62,16 @@ def lanczos_eig(sys, count):
     return EigPairs(w[order], v[:, order])
 
 
-@dataclass
-class ArnoldiResult:
-    basis: np.ndarray          # orthonormal columns (in the chosen inner product)
-    hess: np.ndarray           # (j+1) x j Hessenberg data
-    ritz_values: np.ndarray
-    breakdown: bool
-
-
-def arnoldi(op, x1, l, inner=None):
-    """Arnoldi orthogonalization of the Krylov space of `op`, plus Ritz pairs.
-
-    `inner` is an optional SPD matrix defining the inner product (pass the
-    patch stiffness for the pencil, making the operator self-adjoint and the
-    Hessenberg matrix tridiagonal).
-    """
-    dot = (lambda u, v: float(u @ v)) if inner is None else \
-        (lambda u, v: float(u @ (inner @ v)))
-    x1 = np.asarray(x1, dtype=float)
-    nrm = np.sqrt(dot(x1, x1))
-    if nrm == 0.0:
-        raise ValueError("zero start vector")
-    V = [x1 / nrm]
-    H = np.zeros((l, l))
-    breakdown = False
-    j = 0
-    for j in range(l - 1):
-        w = op(V[j])
-        for i in range(j + 1):
-            H[i, j] = dot(w, V[i])
-            w = w - H[i, j] * V[i]
-        h = np.sqrt(max(dot(w, w), 0.0))
-        H[j + 1, j] = h
-        if h <= 1e-14 * max(1.0, abs(H[: j + 1, j]).max()):
-            breakdown = True
-            break
-        V.append(w / h)
-    k = len(V)
-    Vm = np.column_stack(V)
-    Hm = H[:k, :k]
-    # last column of the square Hessenberg: projections of op(v_k)
-    w = op(V[-1])
-    for i in range(k):
-        Hm[i, k - 1] = dot(w, V[i])
-    w_ritz = np.sort(np.linalg.eig(Hm)[0].real)[::-1]
-    return ArnoldiResult(Vm, H[: k + 1, :k], w_ritz, breakdown)
+def ritz_values(sys, steps):
+    """Ritz values of M v = lambda A v on the patch's LKSI-`steps` space,
+    descending: the pencil projected on Q, the first `steps` lksi_kernel
+    iterates of each seed chain (fewer if one stops), M-orthonormalized
+    together; Q^T M Q stays in, as Gram-Schmidt leaves it ~1e-10 off I."""
+    seed = msbasis.method_seed(sys, msbasis.LKSI)
+    psis = [psi for col in seed.T
+            for psi, _ in itertools.islice(msbasis.lksi_kernel(sys, col), steps)]
+    Q, _ = m_orthonormalize(sys.M, np.column_stack(psis))
+    return sla.eigh(Q.T @ (sys.M @ Q), Q.T @ (sys.A @ Q), eigvals_only=True)[::-1]
 
 
 @dataclass
@@ -119,13 +84,9 @@ class AngleReport:
 
 
 def principal_angles(U, V, inner=None):
-    """Canonical angles between span(U) and span(V) in the given inner product."""
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if U.shape[0] == 1:
-        U = U.T
-    if V.shape[0] == 1:
-        V = V.T
+    """Canonical angles between the column spans of U and V in an inner product."""
+    U = np.asarray(U, dtype=float)
+    V = np.asarray(V, dtype=float)
     W = sp.identity(U.shape[0], format="csr") if inner is None else inner
     Uq, _ = m_orthonormalize(W, U, drop_tol=1e-13)
     Vq, _ = m_orthonormalize(W, V, drop_tol=1e-13)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mslab
-from mslab import cli, coeff, fem, grid, localsolve, msbasis, msgalerkin
+from mslab import cli, coeff, fem, grid, localsolve, msbasis, msgalerkin, specdiag
 from mslab.errors import DependentConstraints, NotSPD, SingularCoarse
 
 
@@ -139,6 +139,13 @@ def test_missing_config_exit_code(tmp_path):
     assert rc == 2
 
 
+def forbid_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the config was rejected")
+
+    monkeypatch.setattr(cli, "run_methods", no_solve)
+
+
 def test_bad_config_exit_code(tmp_path):
     p = write_config(tmp_path, BASE_CONFIG.replace("kind = diffusion",
                                                    "kind = heat"), "bad.ini")
@@ -156,22 +163,23 @@ def test_bad_config_exit_code(tmp_path):
     ("[solver]", "[sweep]\naxis = m\nvalues = 1, -1\n\n[solver]"),
     ("[solver]", "[sweep]\naxis = n\nvalues = 0\n\n[solver]"),
     ("generator = inclusions", "generator = channels\nchannel_len = 9"),
-    ("[solver]", "[sweep]\naxis = channel\nvalues = 2, 9\n\n[solver]"),
+    ("[coeff]\ngenerator = inclusions",
+     "[sweep]\naxis = channel\nvalues = 2, 9\n\n[coeff]\ngenerator = channels"),
+    ("[solver]", "[sweep]\naxis = channel\nvalues = 2, 3\n\n[solver]"),
+    ("[solver]", "[sweep]\naxis = contrast\nvalues = 1e2, 0.5\n\n[solver]"),
 ], ids=["H-zero", "h-missing", "H-negative", "density-2", "contrast-half",
         "density-text", "sweep-value-text", "sweep-H-not-dividing-h", "sweep-H-fraction",
-        "sweep-m-negative", "sweep-n-zero", "channel-too-long", "sweep-channel-too-long"])
+        "sweep-m-negative", "sweep-n-zero", "channel-too-long", "sweep-channel-too-long",
+        "sweep-channel-of-inclusions", "sweep-contrast-below-1"])
 def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, old, new):
     """A bad value in any section, one the coefficient generator rejects, a
-    channel longer than the domain or a sweep value its axis cannot take is
-    a config error (exit 2), raised before any solve, that writes no CSV."""
+    channel longer than the domain, a sweep value its axis cannot take or a
+    sweep axis the field does not depend on is a config error (exit 2),
+    raised before any solve, that writes no CSV."""
     assert old in BASE_CONFIG
     p = write_config(tmp_path, BASE_CONFIG.replace(old, new), "bad.ini")
     out = tmp_path / "out"
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before the config was rejected")
-
-    monkeypatch.setattr(cli, "run_methods", no_solve)
+    forbid_solve(monkeypatch)
     command = "sweep" if "[sweep]" in new else "solve"
     assert cli.main([command, "--config", str(p), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -304,6 +312,37 @@ def test_coeff_from_file_roundtrip(tmp_path):
     assert cli.main(["solve", "--config", str(p2), "--out", str(out2)]) == 0
 
 
+def file_config(tmp_path, values):
+    """BASE_CONFIG reading its coefficient field from a file of `values`."""
+    path = tmp_path / "coeff.txt"
+    coeff.save_field(coeff.CoefficientField(values), path)
+    return write_config(tmp_path, BASE_CONFIG.replace(
+        "[coeff]\n", f"[coeff]\nsource = file\npath = {path}\n"), "file.ini")
+
+
+@pytest.mark.parametrize("shape", [(32, 8), (8, 8)], ids=["same-count", "too-few"])
+def test_coeff_file_of_another_grid_is_config_error(tmp_path, monkeypatch, capsys, shape):
+    """A coefficient file whose grid is not problem.h's, whether or not it
+    holds as many values, is a config error (exit 2) naming both grids,
+    raised before any solve."""
+    p = file_config(tmp_path, np.ones(shape))
+    forbid_solve(monkeypatch)
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"holds {shape[0]} rows of {shape[1]} values" in err
+    assert "problem.h = 16 needs 16 rows of 16" in err
+
+
+def test_sweep_contrast_of_a_file_field_is_config_error(tmp_path, monkeypatch, capsys):
+    """A file fixes the contrast, so a contrast sweep over it is a config
+    error (exit 2) before any solve, not identical rows."""
+    p = file_config(tmp_path, np.ones((16, 16)))
+    p.write_text(p.read_text() + "\n[sweep]\naxis = contrast\nvalues = 1e2, 1e3\n")
+    forbid_solve(monkeypatch)
+    assert cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "coeff.source = file" in capsys.readouterr().err
+
+
 def test_eig_diag_artifacts(tmp_path):
     p = write_config(tmp_path)
     out = tmp_path / "diag"
@@ -317,7 +356,16 @@ def test_eig_diag_artifacts(tmp_path):
     for line in ib[1:]:
         _, lhs, rhs = line.split(",")
         assert float(lhs) <= float(rhs)
-    assert (out / "ritz.csv").exists()
+    # the Ritz values of patches 0-3, none above its patch's dense lambda_1
+    rows = [line.split(",") for line in (out / "ritz.csv").read_text().splitlines()[1:]]
+    assert sorted({int(patch) for patch, _, _ in rows}) == [0, 1, 2, 3]
+    cfg = cli.RunConfig(p)
+    pair = cfg.make_pair()
+    systems = msbasis.build_patch_systems(
+        pair, fem.assemble(pair, cfg.make_field(pair), cfg.kind), cfg.m)
+    for patch, _, value in rows:
+        top = specdiag.local_eig(systems[int(patch)], 1).values[0]
+        assert float(value) <= top * (1 + 1e-10)
 
 
 def count_assemble_calls(monkeypatch):

@@ -1,4 +1,4 @@
-"""Spectral diagnostics tests: eigenpairs, Arnoldi, angles, bounds and rates."""
+"""Spectral diagnostics tests: eigenpairs, Ritz values, angles, bounds and rates."""
 
 import numpy as np
 import pytest
@@ -129,37 +129,29 @@ def test_rate_report_flags_repeated_pair_from_lanczos():
     assert rep.fitted_rate is None
 
 
-def test_arnoldi_tridiagonal_in_energy_inner_product():
-    """With the stiffness inner product the operator is self-adjoint, so the
-    Hessenberg matrix must be tridiagonal."""
+def test_ritz_values_reach_leading_eigenvalue():
     _, sys = whole_domain_system(16)
-    x0 = np.ones(sys.ndof)
-    res = specdiag.arnoldi(lambda v: sys.solve(sys.M @ v),
-                           x0, 6, inner=sys.A)
-    H = res.hess[:6, :6]
-    off = np.triu(np.abs(H), 2)
-    assert off.max() < 1e-8 * np.abs(H).max()
-    # basis A-orthonormal
-    G = res.basis.T @ (sys.A @ res.basis)
-    np.testing.assert_allclose(G, np.eye(res.basis.shape[1]), atol=1e-8)
+    top = specdiag.local_eig(sys, 1).values[0]
+    ritz = specdiag.ritz_values(sys, 8)
+    assert ritz.size == 8 and np.all(np.diff(ritz) < 0)
+    assert abs(ritz[0] - top) < 1e-8 * top
 
 
-def test_arnoldi_ritz_approximates_leading_eigenvalue():
-    _, sys = whole_domain_system(16)
-    eig = specdiag.local_eig(sys, 1)
-    x0 = np.ones(sys.ndof)
-    res = specdiag.arnoldi(lambda v: sys.solve(sys.M @ v),
-                           x0, 10, inner=sys.A)
-    assert abs(res.ritz_values[0] - eig.values[0]) < 1e-8 * eig.values[0]
-
-
-def test_arnoldi_breakdown_on_eigenvector():
-    _, sys = whole_domain_system(16)
-    eig = specdiag.local_eig(sys, 1)
-    res = specdiag.arnoldi(lambda v: sys.solve(sys.M @ v),
-                           eig.vectors[:, 0], 5, inner=sys.A)
-    assert res.breakdown
-    assert res.basis.shape[1] == 1
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_ritz_values_are_those_of_the_lksi_basis(kind):
+    """ritz_values(sys, 8) are the eigenvalues of the pencil projected on the
+    lksi-8 basis the builder makes for the same patch, one chain (diffusion)
+    or two (elasticity)."""
+    pair = grid.NestedPair(4, 16)
+    field = coeff.gen_inclusions(pair, 0.15, 1e3, seed=2)
+    system = fem.assemble(pair, field, kind)
+    patch = grid.Patch(pair, 5, 1)
+    sys = localsolve.PatchSystem.build(system, patch)
+    [(_, basis, _, _)] = msbasis.build_bases(pair, system, 1, [("lksi", 8)],
+                                             patches=[patch])
+    V = basis.patch_bases[0].vectors
+    want = sla.eigh(V.T @ (sys.M @ V), V.T @ (sys.A @ V), eigvals_only=True)[::-1]
+    np.testing.assert_allclose(specdiag.ritz_values(sys, 8), want, rtol=1e-10)
 
 
 def test_principal_angles_identity_and_orthogonal():
