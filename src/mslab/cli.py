@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coeff, fem, grid, msbasis, msgalerkin, specdiag
-from .errors import ChannelOverflow, ConfigError, MsLabError
+from .errors import ChannelOverflow, ConfigError, MsLabError, ParseError
 
 DEFAULT_METHODS = "lod, lssi-1, lssi-2, lssi-4, lksi-4"
 EIG_ROUNDS = 6              # rounds per eig-diag angle table
@@ -144,7 +144,10 @@ class RunConfig:
 
     def make_field(self, pair, contrast=None, channel_len=None):
         if self.coeff_source == "file":
-            field, n = coeff.load_field(self.coeff_path), pair.fine.n
+            try:
+                field, n = coeff.load_field(self.coeff_path), pair.fine.n
+            except ParseError as exc:
+                raise ConfigError(f"coeff.path {self.coeff_path}: {exc}")
             if field.values.shape != (n, n):
                 rows, cols = field.values.shape
                 raise ConfigError(f"coeff.path holds {rows} rows of {cols} values; "
@@ -317,15 +320,24 @@ def cmd_sweep(cfg, out, with_timing=True):
     return 0
 
 
-def _patch_diag(systems, count, k):
-    """The leading `count` eigenpairs of patch k and its lssi and lksi
-    rate reports over EIG_ROUNDS rounds."""
-    sys_ = systems[k]
-    eig = specdiag.lanczos_eig(sys_, count)
-    # lksi follows one chain towards the leading eigenvector
-    lead = specdiag.EigPairs(eig.values[:2], eig.vectors[:, :2])
-    return eig, [specdiag.rate_report(sys_, eig, EIG_ROUNDS, method="lssi"),
-                 specdiag.rate_report(sys_, lead, EIG_ROUNDS, method="lksi")]
+def _nest_diag(gsys, patches, pou, us, count, nest):
+    """eig-diag's work on one nest of `patches`, per patch in nest order:
+    the last of its leading `count` eigenvalues (lanczos_eig), its lssi and
+    lksi rate reports over EIG_ROUNDS rounds, its lksi-8 Ritz values if it
+    is one of patches 0-3 (else None) and its interp_term for each instance
+    in `us`.  The factor and the eigenvectors stay in this task."""
+    out = []
+    for k, sys_ in zip(nest[0], msbasis.nest_systems(gsys, patches, nest)):
+        eig = specdiag.lanczos_eig(sys_, count)
+        # lksi follows one chain towards the leading eigenvector
+        lead = specdiag.EigPairs(eig.values[:2], eig.vectors[:, :2])
+        reports = [specdiag.rate_report(sys_, eig, EIG_ROUNDS, method="lssi"),
+                   specdiag.rate_report(sys_, lead, EIG_ROUNDS, method="lksi")]
+        ritz = specdiag.ritz_values(sys_, 8) if k < 4 else None
+        chi = pou.dense(k)
+        out.append((eig.values[-1], reports, ritz,
+                    [specdiag.interp_term(sys_, chi, eig, u) for u in us]))
+    return out
 
 
 def cmd_eig_diag(cfg, out):
@@ -333,55 +345,55 @@ def cmd_eig_diag(cfg, out):
     pairs and the lksi-8 Ritz values of four patches for the config.
 
     Every patch needs more DOFs than the L+1 pairs taken, checked before any
-    solve.  The patch systems are built here, one factor per nest; each
-    patch's eigenpairs and rate reports come from msbasis.forked_map, largest
-    patch first, so forked workers inherit the systems and return only those."""
+    solve.  The bound's instances (the reference solution, then seeded random
+    vectors) are drawn here, and _nest_diag maps over patch_nests through
+    msbasis.forked_map: the workers inherit the instances, factor the nests
+    and return no eigenvector; the bound's terms are summed here in patch
+    order (specdiag.interp_bound)."""
     pair = cfg.make_pair()
-    kind = cfg.kind
-    nb = fem.nblock(kind)
+    kind, nb = cfg.kind, fem.nblock(cfg.kind)
     L = 4 * nb
-    small = [p.center for p in grid.build_all_patches(pair, cfg.m)
-             if nb * p.interior_nodes.size <= L + 1]
+    patches = grid.build_all_patches(pair, cfg.m)
+    small = [p.center for p in patches if nb * p.interior_nodes.size <= L + 1]
     if small:
         raise ConfigError(f"eig-diag needs more than {L + 1} DOFs per patch; {len(small)} "
                           f"have {L + 1} or fewer, the first around coarse element {small[0]}")
     field = cfg.make_field(pair)
     u_pad, gsys, _ = fem.reference_solve(pair, field, kind, default_rhs(kind))
-    systems = msbasis.build_patch_systems(pair, gsys, cfg.m)
-    pou = grid.build_pou(pair, [s.patch for s in systems])
-    order = sorted(range(len(systems)), key=lambda k: -systems[k].ndof)
-    diags = [None] * len(systems)
-    for k, diag in zip(order, msbasis.forked_map(
-            functools.partial(_patch_diag, systems, L + 1), order)):
-        diags[k] = diag
-    eigs = [eig for eig, _ in diags]
+    rng = np.random.default_rng(cfg.seed)
+    us = [u_pad] + [np.zeros(pair.fine.n_nodes * nb) for _ in range(1, EIG_BOUND_CHECKS)]
+    for u in us[1:]:
+        u[gsys.dofs] = rng.standard_normal(gsys.ndof)
+    pou = grid.build_pou(pair, patches)
+    nests = msbasis.patch_nests(patches)
+    diags = [None] * len(patches)
+    for (ks, _), done in zip(nests, msbasis.forked_map(
+            functools.partial(_nest_diag, gsys, patches, pou, us, L + 1), nests)):
+        for k, diag in zip(ks, done):
+            diags[k] = diag
 
     with open(out / "angles.csv", "w") as f:
         f.write("patch,method,round,angle,envelope,gap,fitted_rate\n")
-        for sys_, (_, reports) in zip(systems, diags):
+        for patch, (_, reports, _, _) in zip(patches, diags):
             for rep in reports:
                 fit = "" if rep.fitted_rate is None else f"{rep.fitted_rate:.6e}"
                 for rnd, ang, env in rep.rows():
-                    f.write(f"{sys_.patch.center},{rep.method},{rnd},{ang:.10e},"
+                    f.write(f"{patch.center},{rep.method},{rnd},{ang:.10e},"
                             f"{env:.10e},{rep.gap:.10e},{fit}\n")
 
-    rng = np.random.default_rng(cfg.seed)
+    lam_next = max(lam for lam, _, _, _ in diags)
     with open(out / "interp_bound.csv", "w") as f:
         f.write("instance,lhs,rhs\n")
-        for k in range(EIG_BOUND_CHECKS):
-            if k == 0:
-                u = u_pad
-            else:
-                u = np.zeros(pair.fine.n_nodes * nb)
-                u[gsys.dofs] = rng.standard_normal(gsys.ndof)
-            lhs, rhs = specdiag.check_interp_bound(systems, pou, eigs, u, gsys)
+        for k, u in enumerate(us):
+            lhs, rhs = specdiag.interp_bound(patches, [terms[k] for *_, terms in diags],
+                                             lam_next, u, gsys)
             f.write(f"{k},{lhs:.10e},{rhs:.10e}\n")
 
     with open(out / "ritz.csv", "w") as f:
         f.write("patch,index,ritz_value\n")
-        for sys_ in systems[:4]:
-            for i, w in enumerate(specdiag.ritz_values(sys_, 8)):
-                f.write(f"{sys_.patch.center},{i},{w:.10e}\n")
+        for patch, (_, _, ritz, _) in zip(patches[:4], diags):
+            for i, w in enumerate(ritz):
+                f.write(f"{patch.center},{i},{w:.10e}\n")
     return 0
 
 

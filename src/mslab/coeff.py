@@ -100,6 +100,8 @@ def gen_channels(pair, spec):
         raise ChannelOverflow(f"channel of {c} coarse cells exceeds domain width {N}")
     if spec.thickness_fine < 1 or spec.thickness_fine > r:
         raise ValueError("channel thickness must be between 1 and r fine cells")
+    if spec.contrast < 1.0:
+        raise ValueError("contrast must be >= 1")
     rng = np.random.default_rng(spec.seed)
     rows = rng.choice(N, size=min(spec.count, N), replace=False)
     i0 = ((N - c) // 2) * r

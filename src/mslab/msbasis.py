@@ -11,18 +11,13 @@ it.  _nest_bases builds every requested basis on one nest, sharing that
 factorization across the nest and the methods, with one Schur pass over the
 master's LOD block for every member (lod_constraints), and draws each
 method's kernel once per patch, as deep as its deepest request.
-build_bases maps _nest_bases over every nest through forked_map; the build
-workers write the patch bases into one shared store per build (one
-anonymous shared mapping, _basis_store) and return counts only, so no basis
-crosses a pipe and the parent, which wraps each patch's slot as a view,
-holds no copy.  forked_map is the one place that chooses a worker count:
-one forked process per CPU by default, at most one per item, and with one
-worker a plain map in this process.  Its workers inherit the task by fork,
-so a global system, a list of patch systems or a store it binds is never
-pickled.  build_patch_systems (eig-diag) builds every patch system in
-this process, one factor per nest, before eig-diag maps its per-patch
-diagnostics through forked_map; `mslab solve` maps each method's coarse
-phase through it after build_bases.
+build_bases maps _nest_bases over the nests through forked_map, the one
+place that chooses a worker count (one forked process per CPU by default,
+at most one per item; with one worker a plain map in this process).  The
+workers inherit the task by fork, so nothing it binds is pickled; they
+write the bases into one shared store per build (_basis_store) and return
+counts only.  eig-diag maps its per-nest task through forked_map too, and
+`mslab solve` each method's coarse phase.
 """
 
 import functools
@@ -135,9 +130,9 @@ def seed_constant(pair, i, kind=fem.DIFFUSION):
     return fem._expand_dofs(nodes, nb), np.kron(np.ones((nodes.size, 1)), np.eye(nb))
 
 
-def restrict_entry(entry, sys, kind):
-    """Restrict full-grid seed columns of operator `kind` to the interior
-    DOFs of a patch system, read from the system itself."""
+def restrict_entry(entry, sys):
+    """Restrict full-grid seed columns to the interior DOFs of a patch
+    system, read from the system itself."""
     dofs, V = entry
     interior = sys.system.dofs                               # sorted
     k = np.minimum(np.searchsorted(interior, dofs), interior.size - 1)
@@ -152,7 +147,7 @@ def method_seed(sys, name):
     for LOD and LSSI, the indicator of its interior for LKSI."""
     pair, kind = sys.patch.pair, sys.system.kind
     shapes = seed_constant if name == LKSI else element_shape_functions
-    return restrict_entry(shapes(pair, sys.patch.center, kind), sys, kind)
+    return restrict_entry(shapes(pair, sys.patch.center, kind), sys)
 
 
 def _mgs_append(M, v, cols, mcols, drop_tol=1e-10, mv=None):
@@ -279,6 +274,16 @@ def lksi_kernel(sys, psi):
         yield psi, cols[-1]
 
 
+def lksi_block(M, chains):
+    """The M-orthonormal LKSI basis of the (psi, q) pairs that one or more
+    lksi_kernel chains yielded: a single chain's own q's, several chains'
+    psi's M-orthonormalized jointly (on one chain the two are the same bits)."""
+    if len(chains) == 1:
+        return np.column_stack([q for _, q in chains[0]])
+    Q, _ = m_orthonormalize(M, np.column_stack([psi for chain in chains for psi, _ in chain]))
+    return Q
+
+
 class BuildStats:
     """Counts the saddle solves performed during a basis construction."""
 
@@ -324,8 +329,9 @@ def patch_nests(patches):
     and lower edge (ilo, ihi, jlo) are leading blocks of the tallest one's
     DOFs; of the rest, those with the same (ilo, ihi, jhi) are trailing blocks
     of it, leading ones once the DOFs are taken backwards (reverse).  Any
-    other patch is a group of one.  Groups come in order of their first
-    position.
+    other patch is a group of one.  Groups come largest first (interior
+    nodes summed over the group), so that a map over them starts the longest
+    tasks first; ties in order of their first position.
     """
     low, high, nests = defaultdict(list), defaultdict(list), []
     for k, p in enumerate(patches):
@@ -338,7 +344,8 @@ def patch_nests(patches):
             high[ilo, ihi, jhi].append(ks[0])
     for ks in high.values():
         nests.append((sorted(ks, key=lambda k: patches[k].box[2]), len(ks) > 1))
-    return sorted(nests, key=lambda nest: min(nest[0]))
+    return sorted(nests, key=lambda nest: (
+        -sum(patches[k].interior_nodes.size for k in nest[0]), min(nest[0])))
 
 
 def nest_systems(system, patches, nest):
@@ -349,17 +356,6 @@ def nest_systems(system, patches, nest):
     master = PatchSystem.build(system, patches[ks[0]], reverse=reverse)
     return [master] + [PatchSystem.build(system, patches[k], within=master)
                        for k in ks[1:]]
-
-
-def build_patch_systems(pair, system, m):
-    """All patch systems of the global system in patch order, one
-    factorization per nest; only for desk-scale problems."""
-    patches = build_all_patches(pair, m)
-    systems = [None] * len(patches)
-    for nest in patch_nests(patches):
-        for k, sys in zip(nest[0], nest_systems(system, patches, nest)):
-            systems[k] = sys
-    return systems
 
 
 def _basis_store(patches, plan, kind):
@@ -403,12 +399,9 @@ def _nest_bases(system, patches, plan, store, nest):
             t0 = time.perf_counter()
             seed_secs, chains = runs[name]
             if name == LKSI:
-                iterates = [it for blocks, _ in chains for it in blocks[:n]]
-                solves[j] += len(iterates)
-                if len(chains) == 1:        # the chain's own M-orthonormal iterates
-                    Q = np.column_stack([q for _, q in iterates])
-                else:                       # the chains jointly
-                    Q, _ = m_orthonormalize(sys.M, np.column_stack([psi for psi, _ in iterates]))
+                iterates = [blocks[:n] for blocks, _ in chains]
+                solves[j] += sum(map(len, iterates))
+                Q = lksi_block(sys.M, iterates)
             else:
                 [(blocks, _)] = chains
                 V = blocks[n - 1]
@@ -515,15 +508,14 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
     LOD and LSSI blocks must keep full rank; LKSI keeps the iterates its
     chains reach.
 
-    The nests go largest first (patch interior DOFs) through forked_map,
-    which passes `workers` on: by default one forked process per CPU, capped
-    at the nest count, and with one worker a map in this process.  Either
-    way the nests write their vectors into one shared store (_basis_store),
-    allocated before the workers fork, and return only column counts, local
-    problem counts and seconds; each PatchBasis holds a C-contiguous view of
-    its slot's written prefix, which keeps the mapping alive.  The bases are
-    the same bit for bit for any count.  Each wall time and count is the sum
-    of the nests', not elapsed time.
+    The nests go largest first (patch_nests) through forked_map, which
+    passes `workers` on; in this process or forked, they write their vectors
+    into one shared store (_basis_store), allocated before any worker forks,
+    and return only column counts, local problem counts and seconds.  Each
+    PatchBasis holds a C-contiguous view of its slot's written prefix, which
+    keeps the mapping alive.  The bases are the same bit for bit for any
+    worker count.  Each wall time and count is the sum of the nests', not
+    elapsed time.
     """
     if any(name not in (LOD, LSSI, LKSI) for name, _ in requests):
         raise ValueError(f"unknown method in {requests}")
@@ -536,8 +528,7 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
         raise ValueError(f"duplicate method requests: {labels}")
     _check_workers(workers)               # before any patch is built
     patches = build_all_patches(pair, m) if patches is None else list(patches)
-    nests = sorted(patch_nests(patches),
-                   key=lambda nest: -sum(patches[k].interior_nodes.size for k in nest[0]))
+    nests = patch_nests(patches)
     store, nb = _basis_store(patches, plan, system.kind), fem.nblock(system.kind)
     done = forked_map(functools.partial(_nest_bases, system, patches, plan, store),
                       nests, workers)

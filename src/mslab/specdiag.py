@@ -63,14 +63,12 @@ def lanczos_eig(sys, count):
 
 
 def ritz_values(sys, steps):
-    """Ritz values of M v = lambda A v on the patch's LKSI-`steps` space,
-    descending: the pencil projected on Q, the first `steps` lksi_kernel
-    iterates of each seed chain (fewer if one stops), M-orthonormalized
-    together; Q^T M Q stays in, as Gram-Schmidt leaves it ~1e-10 off I."""
+    """Ritz values of M v = lambda A v on the patch's lksi-`steps` basis
+    (lksi_block of each seed chain's first `steps` iterates, fewer if one
+    stops), descending; Q^T M Q stays in, as Gram-Schmidt leaves it ~1e-10 off I."""
     seed = msbasis.method_seed(sys, msbasis.LKSI)
-    psis = [psi for col in seed.T
-            for psi, _ in itertools.islice(msbasis.lksi_kernel(sys, col), steps)]
-    Q, _ = m_orthonormalize(sys.M, np.column_stack(psis))
+    Q = msbasis.lksi_block(sys.M, [list(itertools.islice(msbasis.lksi_kernel(sys, col), steps))
+                                   for col in seed.T])
     return sla.eigh(Q.T @ (sys.M @ Q), Q.T @ (sys.A @ Q), eigvals_only=True)[::-1]
 
 
@@ -108,44 +106,40 @@ def principal_angles(U, V, inner=None):
     return AngleReport(angles)
 
 
-def _lumped_mass_inverse(M):
-    d = np.asarray(M.sum(axis=1)).ravel()
-    return 1.0 / d
+def interp_term(sys, chi, eig, u_full):
+    """One patch's terms of the eigenfunction-interpolation energy bound, for
+    its partition-of-unity weight chi (on the fine nodes) and its leading L+1
+    eigenpairs eig: (the interpolant of chi u on the patch's interior DOFs,
+    from the L2-normalized leading L eigenvectors; the L2 norm of the
+    discrete operator, lumped-mass-inverse times stiffness, on chi u)."""
+    w = sys.system.restrict(np.repeat(chi, fem.nblock(sys.system.kind)) * u_full)
+    phi = eig.l2_normalized()[:, :eig.count - 1]
+    g = (1.0 / np.asarray(sys.M.sum(axis=1)).ravel()) * (sys.A @ w)
+    return phi @ (phi.T @ (sys.M @ w)), fem.l2_norm(sys.M, g)
+
+
+def interp_bound(patches, terms, lam_next, u_full, global_system):
+    """Both sides of the bound from the patches' interp_terms, summed in
+    patch order, and lam_next = max_i lambda_i^{L+1}: lhs = energy norm (of
+    the fine-grid global_system) of u minus the summed interpolant; rhs =
+    sqrt(lam_next) times the summed norms.  Returns (lhs, rhs)."""
+    nb = fem.nblock(global_system.kind)
+    interp, rhs_sum = np.zeros_like(u_full), 0.0
+    for patch, (contrib, norm) in zip(patches, terms):
+        interp[patch.interior_dofs(nb)] += contrib
+        rhs_sum += norm
+    d = (u_full - interp)[global_system.dofs]
+    return fem.energy_norm(global_system.stiffness, d), np.sqrt(lam_next) * rhs_sum
 
 
 def check_interp_bound(systems, pou, eigs, u_full, global_system):
-    """Evaluate both sides of the eigenfunction-interpolation energy bound.
-
-    eigs[i] holds the leading L+1 eigenpairs of systems[i] (EigPairs).
-    lhs = energy norm of u minus its local-eigenfunction interpolant; rhs =
-    sqrt(max_i lambda_i^{L+1}) * sum_i ||discrete-operator(chi_i u)||_{L2},
-    with the discrete operator realized as lumped-mass-inverse times stiffness
-    on each patch; global_system is the fine-grid system the energy norm is
-    taken in.  Returns (lhs, rhs).
-    """
-    nb = fem.nblock(global_system.kind)
-    u_full = np.asarray(u_full, dtype=float)
-    interp = np.zeros_like(u_full)
-    lam_next = 0.0
-    rhs_sum = 0.0
-    for i, (sys, eig) in enumerate(zip(systems, eigs)):
-        chi = pou.dense(i)
-        chi_dof = np.repeat(chi, nb) if nb > 1 else chi
-        w_full = chi_dof * u_full
-        w = sys.system.restrict(w_full)
-        L = eig.count - 1
-        lam_next = max(lam_next, eig.values[L])
-        phi = eig.l2_normalized()[:, :L]
-        coeffs = phi.T @ (sys.M @ w)
-        contrib = phi @ coeffs
-        dofs = sys.patch.interior_dofs(nb)
-        interp[dofs] += contrib
-        g = _lumped_mass_inverse(sys.M) * (sys.A @ w)
-        rhs_sum += fem.l2_norm(sys.M, g)
-    d = (u_full - interp)[global_system.dofs]
-    lhs = fem.energy_norm(global_system.stiffness, d)
-    rhs = np.sqrt(lam_next) * rhs_sum
-    return lhs, rhs
+    """Both sides (lhs, rhs) of the eigenfunction-interpolation energy bound,
+    eigs[i] holding the leading L+1 eigenpairs of systems[i]: interp_term on
+    every patch, summed by interp_bound."""
+    terms = [interp_term(sys, pou.dense(i), eig, u_full)
+             for i, (sys, eig) in enumerate(zip(systems, eigs))]
+    return interp_bound([sys.patch for sys in systems], terms,
+                        max(eig.values[-1] for eig in eigs), u_full, global_system)
 
 
 @dataclass

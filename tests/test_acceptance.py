@@ -126,7 +126,7 @@ def test_criterion_5_krylov_span_oracle():
         [(_, basis, _, _)] = msbasis.build_bases(pair, system, patch.m,
                                                  [("lksi", n)], patches=[patch])
         seed_vec = msbasis.restrict_entry(
-            msbasis.seed_constant(pair, center), sys, fem.DIFFUSION)[:, 0]
+            msbasis.seed_constant(pair, center), sys)[:, 0]
         explicit, v = [], seed_vec
         for _ in range(n):
             v = sys.solve(sys.M @ v)

@@ -333,6 +333,29 @@ def test_coeff_file_of_another_grid_is_config_error(tmp_path, monkeypatch, capsy
     assert "problem.h = 16 needs 16 rows of 16" in err
 
 
+def test_malformed_coeff_file_is_config_error(tmp_path, monkeypatch, capsys):
+    """A coefficient file that does not parse is a config error (exit 2)
+    naming the line, raised before any solve."""
+    p = file_config(tmp_path, np.ones((16, 16)))
+    path = tmp_path / "coeff.txt"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "1 x"] + lines[2:]) + "\n")
+    forbid_solve(monkeypatch)
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "line 2" in err
+
+
+def test_channel_contrast_below_one_is_config_error(tmp_path, monkeypatch, capsys):
+    """A channel contrast below 1 would invert the field; as for inclusions
+    it is a config error (exit 2), raised before any solve."""
+    text = BASE_CONFIG.replace("generator = inclusions", "generator = channels")
+    p = write_config(tmp_path, text.replace("contrast = 1e3", "contrast = 0.5"))
+    forbid_solve(monkeypatch)
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "contrast must be >= 1" in capsys.readouterr().err
+
+
 def test_sweep_contrast_of_a_file_field_is_config_error(tmp_path, monkeypatch, capsys):
     """A file fixes the contrast, so a contrast sweep over it is a config
     error (exit 2) before any solve, not identical rows."""
@@ -361,8 +384,10 @@ def test_eig_diag_artifacts(tmp_path):
     assert sorted({int(patch) for patch, _, _ in rows}) == [0, 1, 2, 3]
     cfg = cli.RunConfig(p)
     pair = cfg.make_pair()
-    systems = msbasis.build_patch_systems(
-        pair, fem.assemble(pair, cfg.make_field(pair), cfg.kind), cfg.m)
+    system = fem.assemble(pair, cfg.make_field(pair), cfg.kind)
+    patches = grid.build_all_patches(pair, cfg.m)
+    systems = {k: s for nest in msbasis.patch_nests(patches)
+               for k, s in zip(nest[0], msbasis.nest_systems(system, patches, nest))}
     for patch, _, value in rows:
         top = specdiag.local_eig(systems[int(patch)], 1).values[0]
         assert float(value) <= top * (1 + 1e-10)
@@ -398,6 +423,18 @@ def test_eig_diag_assembles_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def count_factor_calls(monkeypatch):
+    """Record the matrix order of every SpdFactor this process constructs."""
+    init, calls = fem.SpdFactor.__init__, []
+
+    def counting(self, A):
+        calls.append(A.shape[0])
+        init(self, A)
+
+    monkeypatch.setattr(fem.SpdFactor, "__init__", counting)
+    return calls
+
+
 def test_eig_diag_factors_once_per_nest(tmp_path, monkeypatch):
     """eig-diag factors each nest's master once (besides the reference
     solve's global factor), and its patch systems, in patch order, are the
@@ -406,22 +443,21 @@ def test_eig_diag_factors_once_per_nest(tmp_path, monkeypatch):
     pair = cfg.make_pair()
     system = fem.assemble(pair, cfg.make_field(pair), fem.DIFFUSION)
     patches = grid.build_all_patches(pair, cfg.m)
-    init, calls = fem.SpdFactor.__init__, []
-
-    def counting(self, A):
-        calls.append(A.shape[0])
-        init(self, A)
+    nests = msbasis.patch_nests(patches)
 
     with monkeypatch.context() as mp:
-        mp.setattr(fem.SpdFactor, "__init__", counting)
+        force_workers(mp, 1)                  # the nests run in this process
+        calls = count_factor_calls(mp)
         assert cli.cmd_eig_diag(cfg, tmp_path) == 0
     assert calls[0] == system.ndof
-    assert len(calls[1:]) == len(msbasis.patch_nests(patches)) < len(patches)
+    assert len(calls[1:]) == len(nests) < len(patches)
 
-    systems = msbasis.build_patch_systems(pair, system, cfg.m)
+    systems = {k: s for nest in nests
+               for k, s in zip(nest[0], msbasis.nest_systems(system, patches, nest))}
     rng = np.random.default_rng(4)
-    assert len(systems) == len(patches)
-    for p, nested in zip(patches, systems):
+    assert sorted(systems) == list(range(len(patches)))
+    for k, p in enumerate(patches):
+        nested = systems[k]
         own = localsolve.PatchSystem.build(system, p)
         assert nested.patch.center == p.center
         assert np.array_equal(nested.A.toarray(), own.A.toarray())
@@ -430,6 +466,18 @@ def test_eig_diag_factors_once_per_nest(tmp_path, monkeypatch):
         b = rng.standard_normal((own.ndof, 3))
         x = own.solve(b)
         assert np.abs(nested.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_eig_diag_parent_factors_the_global_system_alone(tmp_path, monkeypatch):
+    """With two workers every patch factor of eig-diag is made in a worker:
+    the parent constructs one SpdFactor, the reference solve's."""
+    cfg = cli.RunConfig(write_config(tmp_path))
+    pair = cfg.make_pair()
+    ndof = fem.assemble(pair, cfg.make_field(pair), cfg.kind).ndof
+    force_workers(monkeypatch, 2)
+    calls = count_factor_calls(monkeypatch)
+    assert cli.cmd_eig_diag(cfg, tmp_path) == 0
+    assert calls == [ndof]
 
 
 def force_workers(monkeypatch, workers):

@@ -66,6 +66,13 @@ def test_channels_overflow(pair):
         coeff.gen_channels(pair, spec)
 
 
+def test_channels_contrast_below_one_rejected(pair):
+    """As for inclusions, a contrast below 1 would invert the field."""
+    with pytest.raises(ValueError, match="contrast must be >= 1"):
+        coeff.gen_channels(pair, coeff.ChannelSpec(length_coarse=2, contrast=0.5))
+    assert coeff.gen_channels(pair, coeff.ChannelSpec(2, contrast=1.0)).contrast == 1.0
+
+
 def test_channels_nested_same_seed(pair):
     """Growing the length only extends the existing channels."""
     short = coeff.gen_channels(pair, coeff.ChannelSpec(2, seed=4, count=3))

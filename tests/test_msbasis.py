@@ -84,10 +84,10 @@ def test_restrict_entry_matches_rowwise(small_setup, kind):
                   msbasis.seed_constant(pair, 0, kind),
                   msbasis.element_shape_functions(pair, 5, kind),
                   msbasis.element_shape_functions(pair, 15, kind)]:
-        got = msbasis.restrict_entry(entry, sys, kind)
+        got = msbasis.restrict_entry(entry, sys)
         assert np.array_equal(got, _restrict_rowwise(entry, sys, kind))
     assert np.any(msbasis.restrict_entry(
-        msbasis.element_shape_functions(pair, 5, kind), sys, kind))
+        msbasis.element_shape_functions(pair, 5, kind), sys))
 
 
 def test_seed_gram_rank(small_setup):
@@ -95,7 +95,7 @@ def test_seed_gram_rank(small_setup):
     pair, field = small_setup
     patch = grid.Patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
-    S = msbasis.restrict_entry(msbasis.element_shape_functions(pair, 5), sys, fem.DIFFUSION)
+    S = msbasis.restrict_entry(msbasis.element_shape_functions(pair, 5), sys)
     G = S.T @ (sys.M @ S)
     assert np.linalg.matrix_rank(G, tol=1e-12) == 4
 
@@ -208,7 +208,7 @@ def test_lod_reproduces_constraint_values_of_center_shapes(small_setup):
         cols.append(sys.system.m_pair[:, dofs] @ V)
     B = np.hstack(cols)
     lam = msbasis.restrict_entry(
-        msbasis.element_shape_functions(pair, pb.patch.center), sys, fem.DIFFUSION)
+        msbasis.element_shape_functions(pair, pb.patch.center), sys)
     raw = localsolve.solve_saddle_block(
         sys, localsolve.ConstraintSet(B), rhs=B.T @ lam)
     # same constraint values ...
@@ -263,7 +263,7 @@ def test_lksi_span_matches_explicit_krylov(small_setup):
     for pb in basis.patch_bases:
         sys = localsolve.PatchSystem.build(system, pb.patch)
         seed = msbasis.restrict_entry(
-            msbasis.seed_constant(pair, pb.patch.center), sys, fem.DIFFUSION)[:, 0]
+            msbasis.seed_constant(pair, pb.patch.center), sys)[:, 0]
         explicit = []
         v = seed
         for _ in range(n):
@@ -292,7 +292,7 @@ def test_lssi_one_round_equals_saddle(small_setup):
     pb = basis.patch_bases[3]
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), pb.patch)
     S = msbasis.restrict_entry(
-        msbasis.element_shape_functions(pair, pb.patch.center), sys, fem.DIFFUSION)
+        msbasis.element_shape_functions(pair, pb.patch.center), sys)
     cons = localsolve.ConstraintSet(sys.M @ S)
     Phi = localsolve.solve_saddle_block(sys, cons)
     rep = specdiag.principal_angles(pb.vectors, Phi, inner=sys.M)

@@ -97,8 +97,11 @@ def test_lanczos_matches_dense_on_every_patch(kind, pair, field, m):
     of basis in a repeated eigenspace, the same leading eigenspaces, and the
     same bits on a second call."""
     count = 4 * fem.nblock(kind) + 1
-    systems = msbasis.build_patch_systems(pair, fem.assemble(pair, field, kind), m)
-    assert any(s.reverse for s in systems)
+    system = fem.assemble(pair, field, kind)
+    patches = grid.build_all_patches(pair, m)
+    systems = [s for nest in msbasis.patch_nests(patches)
+               for s in msbasis.nest_systems(system, patches, nest)]
+    assert len(systems) == len(patches) and any(s.reverse for s in systems)
     for sys in systems:
         d = specdiag.local_eig(sys, count)
         it = specdiag.lanczos_eig(sys, count)
@@ -187,6 +190,49 @@ def test_interp_bound_holds_on_random_instances():
         u[gsys.dofs] = rng.standard_normal(gsys.ndof)
         lhs, rhs = specdiag.check_interp_bound(systems, pou, eigs, u, gsys)
         assert lhs <= rhs
+
+
+def one_loop_interp_bound(systems, pou, eigs, u_full, global_system):
+    """The interpolation bound as one loop over the patches, the reference
+    for its split into interp_term and interp_bound."""
+    nb = fem.nblock(global_system.kind)
+    interp, lam_next, rhs_sum = np.zeros_like(u_full), 0.0, 0.0
+    for i, (sys, eig) in enumerate(zip(systems, eigs)):
+        w = sys.system.restrict(np.repeat(pou.dense(i), nb) * u_full)
+        L = eig.count - 1
+        lam_next = max(lam_next, eig.values[L])
+        phi = eig.l2_normalized()[:, :L]
+        interp[sys.patch.interior_dofs(nb)] += phi @ (phi.T @ (sys.M @ w))
+        g = (1.0 / np.asarray(sys.M.sum(axis=1)).ravel()) * (sys.A @ w)
+        rhs_sum += fem.l2_norm(sys.M, g)
+    d = (u_full - interp)[global_system.dofs]
+    return fem.energy_norm(global_system.stiffness, d), np.sqrt(lam_next) * rhs_sum
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_interp_terms_summed_give_check_interp_bound(kind):
+    """interp_term taken nest by nest, as eig-diag's workers take it, and
+    summed in patch order by interp_bound gives check_interp_bound's (lhs,
+    rhs) and the one-loop bound's bit for bit."""
+    pair = grid.NestedPair(4, 16)
+    gsys = fem.assemble(pair, coeff.gen_inclusions(pair, 0.15, 1e3, seed=5), kind)
+    patches = grid.build_all_patches(pair, 1)
+    pou = grid.build_pou(pair, patches)
+    count = 4 * fem.nblock(kind) + 1
+    rng = np.random.default_rng(6)
+    u = np.zeros(pair.fine.n_nodes * fem.nblock(kind))
+    u[gsys.dofs] = rng.standard_normal(gsys.ndof)
+    systems, eigs, terms = [None] * len(patches), [None] * len(patches), {}
+    for nest in msbasis.patch_nests(patches):
+        for k, sys in zip(nest[0], msbasis.nest_systems(gsys, patches, nest)):
+            systems[k], eigs[k] = sys, specdiag.lanczos_eig(sys, count)
+            terms[k] = specdiag.interp_term(sys, pou.dense(k), eigs[k], u)
+    lam_next = max(eig.values[-1] for eig in eigs)
+    split = specdiag.interp_bound(patches, [terms[k] for k in range(len(patches))],
+                                  lam_next, u, gsys)
+    assert split == specdiag.check_interp_bound(systems, pou, eigs, u, gsys)
+    assert split == one_loop_interp_bound(systems, pou, eigs, u, gsys)
+    assert split[0] <= split[1]
 
 
 def test_rate_report_lssi_decay():
