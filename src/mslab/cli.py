@@ -8,6 +8,7 @@ Subcommands: gen-coeff, solve, sweep, eig-diag.  Config files are flat
 
 import argparse
 import configparser
+import copy
 import functools
 import logging
 import math
@@ -23,8 +24,10 @@ from .errors import ChannelOverflow, ConfigError, MsLabError, ParseError
 DEFAULT_METHODS = "lod, lssi-1, lssi-2, lssi-4, lksi-4"
 EIG_ROUNDS = 6              # rounds per eig-diag angle table
 EIG_BOUND_CHECKS = 10       # eig-diag interpolation-bound instances
-# sweep axes whose values are integers, with the least value each may take
-SWEEP_INTEGER_AXES = {"channel": 1, "H": 1, "m": 0, "n": 1}
+# sweep axis -> the RunConfig attribute each point sets, and the least value
+# of an integer axis (None: a real axis)
+SWEEP_AXES = {"contrast": ("contrast", None), "channel": ("channel_len", 1),
+              "H": ("H_inv", 1), "m": ("m", 0), "n": ("methods", 1)}
 
 log = logging.getLogger(__name__)
 
@@ -57,9 +60,10 @@ def m_from_rule(H_inv):
 
 
 class RunConfig:
-    """Validated run configuration read from an INI-style file."""
+    """Validated run configuration read from an INI-style file; `seed`, when
+    given, replaces problem.seed."""
 
-    def __init__(self, path, overrides=None):
+    def __init__(self, path, seed=None):
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         cp.optionxform = str          # h and H are distinct keys
         try:
@@ -82,7 +86,7 @@ class RunConfig:
             m_raw = prob.get("m", "4").strip()
             self.m_rule = m_raw == "ceil2log"
             self.m = m_from_rule(self.H_inv) if self.m_rule else int(m_raw)
-            self.seed = prob.getint("seed", 0)
+            self.seed = prob.getint("seed", 0) if seed is None else seed
             self.methods = [parse_method(t)
                             for t in prob.get("methods", DEFAULT_METHODS).split(",")]
 
@@ -129,20 +133,16 @@ class RunConfig:
         out = cp["output"] if cp.has_section("output") else {}
         self.heatmaps = str(out.get("heatmaps", "false")).lower() in ("1", "true", "yes")
 
-        for key, val in (overrides or {}).items():
-            if val is not None:
-                setattr(self, key, val)
+    def make_pair(self):
+        return grid.NestedPair(self.H_inv, self.h_inv)
 
-    def make_pair(self, H_inv=None):
-        return grid.NestedPair(H_inv or self.H_inv, self.h_inv)
-
-    def channel_length(self, channel_len=None):
+    def channel_length(self):
         """Length of the generated channels, 0 for any other field."""
         if self.coeff_source == "file" or self.generator != "channels":
             return 0
-        return channel_len or self.channel_len
+        return self.channel_len
 
-    def make_field(self, pair, contrast=None, channel_len=None):
+    def make_field(self, pair):
         if self.coeff_source == "file":
             try:
                 field, n = coeff.load_field(self.coeff_path), pair.fine.n
@@ -153,15 +153,14 @@ class RunConfig:
                 raise ConfigError(f"coeff.path holds {rows} rows of {cols} values; "
                                   f"problem.h = {self.h_inv} needs {n} rows of {n}")
             return field
-        contrast = self.contrast if contrast is None else contrast
         try:
             if self.generator == "inclusions":
-                return coeff.gen_inclusions(pair, self.density, contrast, self.seed)
+                return coeff.gen_inclusions(pair, self.density, self.contrast, self.seed)
             if self.generator == "channels":
                 spec = coeff.ChannelSpec(
-                    length_coarse=channel_len or self.channel_len,
+                    length_coarse=self.channel_len,
                     thickness_fine=self.thickness, count=self.channel_count,
-                    seed=self.seed, contrast=contrast)
+                    seed=self.seed, contrast=self.contrast)
                 return coeff.gen_channels(pair, spec)
         except (ValueError, ChannelOverflow) as exc:
             raise ConfigError(f"coeff section: {exc}")
@@ -270,9 +269,11 @@ def cmd_solve(cfg, out, with_timing=True):
 
 
 def cmd_sweep(cfg, out, with_timing=True):
+    """One run_methods per sweep value, on a copy of cfg with the axis's
+    attribute set (SWEEP_AXES): the rows one `mslab solve` per point gives."""
     axis = cfg.sweep_axis
-    if axis not in ("contrast", "channel", "H", "m", "n"):
-        raise ConfigError(f"sweep.axis must be one of contrast/channel/H/m/n, "
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"sweep.axis must be one of {'/'.join(SWEEP_AXES)}, "
                           f"got {axis!r}")
     if not cfg.sweep_values:
         raise ConfigError("sweep.values is empty")
@@ -283,13 +284,13 @@ def cmd_sweep(cfg, out, with_timing=True):
         raise ConfigError("sweep.axis = contrast needs a generated field, not coeff.source = file")
     if axis == "channel" and not cfg.channel_length():
         raise ConfigError("sweep.axis = channel needs coeff.generator = channels")
-    least = SWEEP_INTEGER_AXES.get(axis)
+    attr, least = SWEEP_AXES[axis]
     for val in cfg.sweep_values:
         if least is not None and not (val.is_integer() and val >= least):
             raise ConfigError(f"sweep.values: {axis} = {val:g} must be an integer "
                               f">= {least}")
-        if axis == "contrast" and val < 1:
-            raise ConfigError(f"sweep.values: contrast = {val:g} must be >= 1")
+        if axis == "contrast" and not 1 <= val < math.inf:
+            raise ConfigError(f"sweep.values: contrast = {val:g} must be finite and >= 1")
         if axis == "H" and cfg.h_inv % int(val) != 0:
             raise ConfigError(f"sweep.values: problem.h = {cfg.h_inv} is not a "
                               f"multiple of H = {int(val)}")
@@ -298,23 +299,14 @@ def cmd_sweep(cfg, out, with_timing=True):
                               f"exceeds the domain width {cfg.H_inv}")
     rows = []
     for val in cfg.sweep_values:
-        pair = cfg.make_pair(H_inv=int(val) if axis == "H" else None)
-        m, methods, channel_len = cfg.m, cfg.methods, None
-        if axis == "contrast":
-            field = cfg.make_field(pair, contrast=val)
-        elif axis == "channel":
-            channel_len = int(val)
-            field = cfg.make_field(pair, channel_len=channel_len)
-        else:
-            field = cfg.make_field(pair)
+        point = copy.copy(cfg)
+        val = val if least is None else int(val)
+        setattr(point, attr, [(name, val) for name in iterated] if axis == "n" else val)
         if axis == "H" and cfg.m_rule:
-            m = m_from_rule(int(val))
-        elif axis == "m":
-            m = int(val)
-        elif axis == "n":
-            methods = [(name, int(val)) for name in iterated]
-        res, _ = run_methods(pair, field, cfg.kind, m, methods,
-                             channel_len=cfg.channel_length(channel_len))
+            point.m = m_from_rule(val)
+        pair = point.make_pair()
+        res, _ = run_methods(pair, point.make_field(pair), point.kind, point.m,
+                             point.methods, channel_len=point.channel_length())
         rows.extend(res)
     write_csv(out / f"sweep_{axis}.csv", rows, with_timing=with_timing)
     return 0
@@ -410,16 +402,14 @@ def main(argv=None):
                     help="blank the wall-time column for byte-stable CSVs")
     args = ap.parse_args(argv)
 
-    try:
-        cfg = RunConfig(args.config, overrides={"seed": args.seed})
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=_sys.stderr)
-        return 2
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with_timing = not args.no_timing
     try:
+        cfg = RunConfig(args.config, seed=args.seed)
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: {exc.strerror}")
         if args.command == "gen-coeff":
             return cmd_gen_coeff(cfg, out)
         if args.command == "solve":

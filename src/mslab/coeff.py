@@ -13,14 +13,15 @@ from .errors import ChannelOverflow, ParseError
 
 
 class CoefficientField:
-    """Per-fine-element positive scalar field (kappa, or the shared Lame geometry)."""
+    """Per-fine-element finite positive scalar field (kappa, or the shared
+    Lame geometry)."""
 
     def __init__(self, values):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError("field values must be a 2D array")
-        if np.any(values <= 0.0):
-            raise ValueError("coefficient values must be positive")
+        if not np.all(np.isfinite(values) & (values > 0.0)):
+            raise ValueError("coefficient values must be finite and positive")
         self.values = values
         self.contrast = float(values.max() / values.min())
 
@@ -58,7 +59,7 @@ def gen_inclusions(pair, density, contrast, seed, streak_len=(1, 3)):
     """
     if not 0.0 <= density < 1.0:
         raise ValueError("density must be in [0, 1)")
-    if contrast < 1.0:
+    if not contrast >= 1.0:                 # NaN fails it too
         raise ValueError("contrast must be >= 1")
     n = pair.fine.n
     r = pair.r
@@ -100,7 +101,7 @@ def gen_channels(pair, spec):
         raise ChannelOverflow(f"channel of {c} coarse cells exceeds domain width {N}")
     if spec.thickness_fine < 1 or spec.thickness_fine > r:
         raise ValueError("channel thickness must be between 1 and r fine cells")
-    if spec.contrast < 1.0:
+    if not spec.contrast >= 1.0:            # NaN fails it too
         raise ValueError("contrast must be >= 1")
     rng = np.random.default_rng(spec.seed)
     rows = rng.choice(N, size=min(spec.count, N), replace=False)
@@ -152,6 +153,8 @@ def load_field(path):
                 values[j] = [float(t) for t in toks]
             except ValueError as exc:
                 raise ParseError(f"bad number: {exc}", line=2 + j)
-    if np.any(values <= 0.0):
-        raise ParseError("coefficient values must be positive", line=2)
+            bad = np.flatnonzero(~(np.isfinite(values[j]) & (values[j] > 0.0)))
+            if bad.size:
+                raise ParseError(f"coefficient {toks[bad[0]]} is not finite and positive",
+                                 line=2 + j, column=bad[0] + 1)
     return CoefficientField(values)

@@ -136,29 +136,14 @@ class AssembledSystem:
         Every element touching an interior node lies inside the patch, so the
         patch matrices are exactly the rows and columns of the patch DOFs in
         this system (and m_pair its rows), entries summed in the same order.
-        Stiffness and mass are assembled from the same element DOF pairs, so
-        they share one sparsity pattern: one gather serves both.
         """
         dofs = patch.interior_dofs(nblock(self.kind))
         pos = np.minimum(np.searchsorted(self.dofs, dofs), self.ndof - 1)
         if not np.array_equal(self.dofs[pos], dofs):
             raise ValueError(f"patch around coarse element {patch.center} "
                              "has DOFs that are not free in this system")
-        A, n = self.stiffness, dofs.size
-        take, bounds = _row_entries(A.indptr, pos)
-        local = np.full(self.ndof, -1, dtype=A.indices.dtype)
-        local[pos] = np.arange(n)
-        cols = local[A.indices[take]]
-        keep = cols >= 0
-        kept = np.zeros(take.size + 1, dtype=A.indptr.dtype)
-        np.cumsum(keep, out=kept[1:])
-        take, pattern = take[keep], (cols[keep], kept[bounds])
-        mt, mbounds = _row_entries(self.m_pair.indptr, pos)
-        m_pair = sp.csr_matrix((self.m_pair.data[mt], self.m_pair.indices[mt], mbounds),
-                               shape=(n, self.n_full))
-        return AssembledSystem(sp.csr_matrix((A.data[take], *pattern), shape=(n, n)),
-                               sp.csr_matrix((self.mass.data[take], *pattern), shape=(n, n)),
-                               dofs, self.n_full, self.kind, m_pair=m_pair)
+        return AssembledSystem(self.stiffness[pos][:, pos], self.mass[pos][:, pos],
+                               dofs, self.n_full, self.kind, m_pair=self.m_pair[pos])
 
     def on_range(self, lo, hi):
         """The system on its free DOFs lo:hi, with homogeneous Dirichlet
@@ -170,15 +155,6 @@ class AssembledSystem:
         s = slice(lo, hi)
         return AssembledSystem(self.stiffness[s, s], self.mass[s, s], self.dofs[s],
                                self.n_full, self.kind, m_pair=self.m_pair[s])
-
-
-def _row_entries(indptr, rows):
-    """Positions of the entries of the given CSR rows in its data array, row
-    after row, and where each row starts and ends in that list (an indptr)."""
-    start = indptr[rows]
-    bounds = np.zeros(rows.size + 1, dtype=indptr.dtype)
-    np.cumsum(indptr[rows + 1] - start, out=bounds[1:])
-    return np.repeat(start - bounds[:-1], np.diff(bounds)) + np.arange(bounds[-1]), bounds
 
 
 def _expand_dofs(nodes, nb):

@@ -117,8 +117,6 @@ class ConstraintSet:
             B = sp.csr_matrix(B, dtype=float)
         else:
             B = np.asarray(B, dtype=float)
-            if B.ndim == 1:
-                B = B[:, None]
         self.B = B
         self.schur = schur
 

@@ -12,8 +12,8 @@ factorization across the nest and the methods, with one Schur pass over the
 master's LOD block for every member (lod_constraints), and draws each
 method's kernel once per patch, as deep as its deepest request.
 build_bases maps _nest_bases over the nests through forked_map, the one
-place that chooses a worker count (one forked process per CPU by default,
-at most one per item; with one worker a plain map in this process).  The
+place that chooses a worker count (one forked process per CPU, at most one
+per item; with one worker a plain map in this process).  The
 workers inherit the task by fork, so nothing it binds is pickled; they
 write the bases into one shared store per build (_basis_store) and return
 counts only.  eig-diag maps its per-nest task through forked_map too, and
@@ -55,8 +55,6 @@ class PatchBasis:
     def __init__(self, patch, vectors):
         self.patch = patch
         vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim == 1:
-            vectors = vectors[:, None]
         if vectors.shape[0] % patch.interior_nodes.size != 0:
             raise ValueError("vector length inconsistent with patch")
         self.vectors = vectors
@@ -150,13 +148,13 @@ def method_seed(sys, name):
     return restrict_entry(shapes(pair, sys.patch.center, kind), sys)
 
 
-def _mgs_append(M, v, cols, mcols, drop_tol=1e-10, mv=None):
+def _mgs_append(M, v, mv, cols, mcols, drop_tol=1e-10):
     """One modified Gram-Schmidt step in the M inner product: M-orthogonalize
-    a copy of v (`mv` = M v, if known) against the kept columns `cols` (with
+    a copy of v (`mv` = M v) against the kept columns `cols` (with
     `mcols` = M cols) and append it, normalized, unless it depends on them.
     Returns whether it was kept."""
     v = np.array(v, dtype=float)
-    norm0 = np.sqrt(max(v @ (M @ v if mv is None else mv), 0.0))
+    norm0 = np.sqrt(max(v @ mv, 0.0))
     for q, mq in zip(cols, mcols):
         v -= (mq @ v) * q
     mv = M @ v
@@ -180,7 +178,7 @@ def m_orthonormalize(M, V, drop_tol=1e-10):
     MV = np.ascontiguousarray((M @ V).T)
     cols, mcols = [], []
     kept = [k for k in range(V.shape[1])
-            if _mgs_append(M, V[:, k], cols, mcols, drop_tol, mv=MV[k])]
+            if _mgs_append(M, V[:, k], MV[k], cols, mcols, drop_tol)]
     Q = np.column_stack(cols) if cols else np.zeros((V.shape[0], 0))
     return Q, kept
 
@@ -266,7 +264,7 @@ def lksi_kernel(sys, psi):
             return
         psi = y / s
         b = sys.M @ psi                      # for its M-norm and the next step
-        _mgs_append(sys.M, psi, cols, mcols, mv=b)
+        _mgs_append(sys.M, psi, b, cols, mcols)
         if k > 1 and len(cols) < k:
             log.info("patch %d: Krylov space stagnated at step %d",
                      sys.patch.center, k)
@@ -442,11 +440,6 @@ def _cpu_count():
     return len(os.sched_getaffinity(0))
 
 
-def _check_workers(workers):
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def _forked_map(task, items, workers):
     """map(task, items) over `workers` forked processes, in Pool.map's chunks
     of about a quarter of a worker's share, each to the next free worker.
@@ -474,27 +467,26 @@ def _forked_map(task, items, workers):
     return [result for _, result in done]
 
 
-def forked_map(task, items, workers=None):
+def forked_map(task, items):
     """list(map(task, items)), in this process or in forked workers.
 
-    workers defaults to the CPUs this process may run on where it can fork,
-    else 1, and is capped at the item count.  One worker maps in this
+    The worker count is the CPUs this process may run on where it can fork,
+    else 1 (_cpu_count), capped at the item count.  One worker maps in this
     process; more fork a pool of that many (_forked_map), which inherits
     `task` and everything it binds, so only the items and the results are
     pickled, and a shared mapping it binds (build_bases's store) is the
     same pages in every worker.  The results come back in item order; as
     with map, the error raised is the first failing item's, with its class
-    and message.  A count below 1 is a ValueError.
+    and message.
     """
-    _check_workers(workers)
     items = list(items)
-    workers = min(_cpu_count() if workers is None else workers, len(items))
+    workers = min(_cpu_count(), len(items))
     if workers <= 1:
         return list(map(task, items))
     return _forked_map(task, items, workers)
 
 
-def build_bases(pair, system, m, requests, patches=None, workers=None):
+def build_bases(pair, system, m, requests, patches=None):
     """Build several bases, one nest of `patches` at a time (_nest_bases).
 
     requests is a list of (method, n), no two alike: LSSI-n takes round n of
@@ -508,8 +500,8 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
     LOD and LSSI blocks must keep full rank; LKSI keeps the iterates its
     chains reach.
 
-    The nests go largest first (patch_nests) through forked_map, which
-    passes `workers` on; in this process or forked, they write their vectors
+    The nests go largest first (patch_nests) through forked_map, one
+    worker per CPU; in this process or forked, they write their vectors
     into one shared store (_basis_store), allocated before any worker forks,
     and return only column counts, local problem counts and seconds.  Each
     PatchBasis holds a C-contiguous view of its slot's written prefix, which
@@ -526,12 +518,10 @@ def build_bases(pair, system, m, requests, patches=None, workers=None):
     labels = [lab for lab, _, _ in plan]
     if len(set(labels)) < len(labels):
         raise ValueError(f"duplicate method requests: {labels}")
-    _check_workers(workers)               # before any patch is built
     patches = build_all_patches(pair, m) if patches is None else list(patches)
     nests = patch_nests(patches)
     store, nb = _basis_store(patches, plan, system.kind), fem.nblock(system.kind)
-    done = forked_map(functools.partial(_nest_bases, system, patches, plan, store),
-                      nests, workers)
+    done = forked_map(functools.partial(_nest_bases, system, patches, plan, store), nests)
     out = []
     for j, (lab, name, _) in enumerate(plan):
         bases, stats, wall = [None] * len(patches), BuildStats(), 0.0

@@ -12,3 +12,13 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+def force_workers(monkeypatch, workers):
+    """Make msbasis.forked_map, which the basis builds, the coarse phase and
+    eig-diag share, take `workers` processes (at most one per item); None
+    keeps one per CPU."""
+    from mslab import msbasis
+
+    if workers is not None:
+        monkeypatch.setattr(msbasis, "_cpu_count", lambda: workers)

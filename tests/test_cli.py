@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mslab
+from conftest import force_workers
 from mslab import cli, coeff, fem, grid, localsolve, msbasis, msgalerkin, specdiag
 from mslab.errors import DependentConstraints, NotSPD, SingularCoarse
 
@@ -167,10 +168,16 @@ def test_bad_config_exit_code(tmp_path):
      "[sweep]\naxis = channel\nvalues = 2, 9\n\n[coeff]\ngenerator = channels"),
     ("[solver]", "[sweep]\naxis = channel\nvalues = 2, 3\n\n[solver]"),
     ("[solver]", "[sweep]\naxis = contrast\nvalues = 1e2, 0.5\n\n[solver]"),
+    ("contrast = 1e3", "contrast = nan"),
+    ("generator = inclusions\ndensity = 0.12\ncontrast = 1e3",
+     "generator = channels\ncontrast = inf"),
+    ("[solver]", "[sweep]\naxis = contrast\nvalues = 1e2, nan\n\n[solver]"),
+    ("[solver]", "[sweep]\naxis = contrast\nvalues = 1e2, inf\n\n[solver]"),
 ], ids=["H-zero", "h-missing", "H-negative", "density-2", "contrast-half",
         "density-text", "sweep-value-text", "sweep-H-not-dividing-h", "sweep-H-fraction",
         "sweep-m-negative", "sweep-n-zero", "channel-too-long", "sweep-channel-too-long",
-        "sweep-channel-of-inclusions", "sweep-contrast-below-1"])
+        "sweep-channel-of-inclusions", "sweep-contrast-below-1", "contrast-nan",
+        "channels-contrast-inf", "sweep-contrast-nan", "sweep-contrast-inf"])
 def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, old, new):
     """A bad value in any section, one the coefficient generator rejects, a
     channel longer than the domain, a sweep value its axis cannot take or a
@@ -261,6 +268,40 @@ def test_sweep_contrast_rows(tmp_path):
     assert len(lines) == 1 + 2 * 3            # header + 2 values x 3 methods
 
 
+# axis -> (the BASE_CONFIG text a point sets, the point's text, sweep values)
+SWEEP_POINTS = {
+    "n": ("methods = lod, lssi-1, lksi-2", "methods = lssi-{v}, lksi-{v}", "1, 3"),
+    "contrast": ("contrast = 1e3", "contrast = {v}", "1e2, 1e4"),
+    "channel": ("generator = inclusions", "generator = channels\nchannel_len = {v}", "2, 3"),
+    "H": ("H = 4\nm = 1", "H = {v}\nm = ceil2log", "2, 4"),
+    "m": ("m = 1", "m = {v}", "0, 2"),
+}
+
+
+@pytest.mark.parametrize("axis", list(SWEEP_POINTS))
+def test_sweep_rows_are_one_solve_per_point(tmp_path, axis):
+    """Under --no-timing, sweep_<axis>.csv holds the rows that one
+    `mslab solve` per sweep value gives, in value order."""
+    old, point, values = SWEEP_POINTS[axis]
+    # the sweep config is at the first point, but for n: it lists lod and
+    # lssi-1, lksi-2, and each point drops lod and gives the others its count
+    text = BASE_CONFIG if axis == "n" else BASE_CONFIG.replace(
+        old, point.format(v=values.split(",")[0]))
+    p = write_config(tmp_path, text + f"\n[sweep]\naxis = {axis}\nvalues = {values}\n")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(p), "--out", str(out), "--no-timing"]) == 0
+    want = []
+    for k, v in enumerate(values.split(",")):
+        q = write_config(tmp_path, BASE_CONFIG.replace(old, point.format(v=v.strip())),
+                         f"point{k}.ini")
+        assert cli.main(["solve", "--config", str(q), "--out", str(tmp_path / f"p{k}"),
+                         "--no-timing"]) == 0
+        lines = (tmp_path / f"p{k}" / "results.csv").read_text().splitlines(True)
+        want += lines if k == 0 else lines[1:]
+    assert (out / f"sweep_{axis}.csv").read_text() == "".join(want)
+    assert len(want) == 1 + 2 * (2 if axis == "n" else 3)
+
+
 def test_sweep_requires_axis(tmp_path):
     p = write_config(tmp_path)
     rc = cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")])
@@ -344,6 +385,30 @@ def test_malformed_coeff_file_is_config_error(tmp_path, monkeypatch, capsys):
     assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "line 2" in err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_nonfinite_coeff_file_is_config_error(tmp_path, monkeypatch, capsys, token):
+    """A coefficient file holding a value that is not finite is a config
+    error (exit 2) naming its line and column, raised before any solve."""
+    p = file_config(tmp_path, np.ones((16, 16)))
+    path = tmp_path / "coeff.txt"
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].replace("1", token, 1)
+    path.write_text("\n".join(lines) + "\n")
+    forbid_solve(monkeypatch)
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "line 4, column 1" in err
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    """An --out that names an existing file is a config error (exit 2)."""
+    p = write_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli.main(["solve", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
 
 
 def test_channel_contrast_below_one_is_config_error(tmp_path, monkeypatch, capsys):
@@ -480,13 +545,6 @@ def test_eig_diag_parent_factors_the_global_system_alone(tmp_path, monkeypatch):
     assert calls == [ndof]
 
 
-def force_workers(monkeypatch, workers):
-    """Make forked_map, which the basis builds, the coarse phase and eig-diag
-    share, take `workers` processes by default; None keeps one per CPU."""
-    if workers is not None:
-        monkeypatch.setattr(msbasis, "_cpu_count", lambda: workers)
-
-
 @pytest.mark.parametrize("kind", ["diffusion", "elasticity"])
 def test_solve_csv_same_for_any_worker_count(tmp_path, monkeypatch, kind):
     """results.csv under --no-timing is byte-identical with one worker, two
@@ -520,13 +578,13 @@ def test_worker_error_keeps_its_type(tmp_path, monkeypatch, capsys, error):
     cfg = cli.RunConfig(write_config(tmp_path))
     pair = cfg.make_pair()
     system = fem.assemble(pair, cfg.make_field(pair), fem.DIFFUSION)
+    force_workers(monkeypatch, 2)
     with pytest.raises(error) as info:
-        msbasis.build_bases(pair, system, 1, [("lssi", 1)], workers=2)
+        msbasis.build_bases(pair, system, 1, [("lssi", 1)])
     assert type(info.value) is error and str(info.value) == f"patch {victim}: injected"
     assert calls == []                        # the kernel ran in the workers alone
     assert multiprocessing.active_children() == []
 
-    force_workers(monkeypatch, 2)
     p = write_config(tmp_path)
     assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
     assert f"patch {victim}: injected" in capsys.readouterr().err
@@ -566,10 +624,10 @@ def test_coarse_phase_is_one_forked_map(tmp_path, monkeypatch):
     per method, besides the basis build's own map over the nests."""
     forked, calls = msbasis.forked_map, []
 
-    def counting(task, items, workers=None):
+    def counting(task, items):
         items = list(items)
         calls.append((getattr(task, "func", task), items))
-        return forked(task, items, workers)
+        return forked(task, items)
 
     monkeypatch.setattr(msbasis, "forked_map", counting)
     cfg = cli.RunConfig(write_config(tmp_path))

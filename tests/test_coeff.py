@@ -17,6 +17,14 @@ def test_field_positive_required():
         coeff.CoefficientField(np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_field_finite_required(value):
+    v = np.ones((4, 4))
+    v[1, 2] = value
+    with pytest.raises(ValueError, match="finite and positive"):
+        coeff.CoefficientField(v)
+
+
 def test_field_contrast():
     v = np.ones((4, 4))
     v[0, 0] = 100.0
@@ -50,6 +58,8 @@ def test_inclusions_bad_args(pair):
         coeff.gen_inclusions(pair, 1.5, 1e3, seed=0)
     with pytest.raises(ValueError):
         coeff.gen_inclusions(pair, 0.1, 0.5, seed=0)
+    with pytest.raises(ValueError, match="contrast must be >= 1"):
+        coeff.gen_inclusions(pair, 0.1, np.nan, seed=0)
 
 
 def test_channels_full_width(pair):
@@ -70,6 +80,10 @@ def test_channels_contrast_below_one_rejected(pair):
     """As for inclusions, a contrast below 1 would invert the field."""
     with pytest.raises(ValueError, match="contrast must be >= 1"):
         coeff.gen_channels(pair, coeff.ChannelSpec(length_coarse=2, contrast=0.5))
+    with pytest.raises(ValueError, match="contrast must be >= 1"):
+        coeff.gen_channels(pair, coeff.ChannelSpec(length_coarse=2, contrast=np.nan))
+    with pytest.raises(ValueError, match="finite and positive"):
+        coeff.gen_channels(pair, coeff.ChannelSpec(length_coarse=2, contrast=np.inf))
     assert coeff.gen_channels(pair, coeff.ChannelSpec(2, contrast=1.0)).contrast == 1.0
 
 
@@ -133,3 +147,14 @@ def test_load_nonpositive_rejected(tmp_path):
     p.write_text("2 2\n1 2\n3 -4\n")
     with pytest.raises(ParseError):
         coeff.load_field(p)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_load_nonfinite_rejected(tmp_path, token):
+    """A value that parses as a float but is not finite is a ParseError
+    naming its line and column."""
+    p = tmp_path / "bad.txt"
+    p.write_text(f"2 2\n1 2\n3 {token}\n")
+    with pytest.raises(ParseError, match="not finite and positive") as err:
+        coeff.load_field(p)
+    assert (err.value.line, err.value.column) == (3, 2)

@@ -125,15 +125,13 @@ def test_sparse_duplicate_column_detected():
 
 
 def test_constraint_set_dense_block():
-    """A dense set keeps its block as a float array, a vector as one column."""
+    """A dense set keeps its block as a float array."""
     _, sys = make_patch_system()
     rng = np.random.default_rng(6)
     F = rng.standard_normal((sys.ndof, 2))
     cons = localsolve.ConstraintSet(sys.M @ F)
     np.testing.assert_array_equal(cons.B, sys.M @ F)
     assert cons.count == 2 and cons.schur is None
-    one = localsolve.ConstraintSet(sys.M @ F[:, 0])
-    assert one.B.shape == (sys.ndof, 1) and one.count == 1
 
 
 def test_pair_full_matches_mass_on_interior():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from conftest import force_workers
 from mslab import coeff, fem, grid, localsolve, msbasis, msgalerkin, specdiag
 
 
@@ -125,7 +126,8 @@ def test_m_orthonormalize_matches_column_loop(small_setup):
     V = rng.standard_normal((sys.ndof, 4))
     V = np.column_stack([V[:, :2], V[:, 0] - 2 * V[:, 1], V[:, 2:], np.zeros(sys.ndof)])
     cols, mcols = [], []
-    kept = [k for k in range(V.shape[1]) if msbasis._mgs_append(sys.M, V[:, k], cols, mcols)]
+    kept = [k for k in range(V.shape[1])
+            if msbasis._mgs_append(sys.M, V[:, k], sys.M @ V[:, k], cols, mcols)]
     Q, got = msbasis.m_orthonormalize(sys.M, V)
     assert got == kept == [0, 1, 3, 4]
     assert np.array_equal(Q, np.column_stack(cols))
@@ -345,8 +347,8 @@ def test_saddle_solves_once_per_round(small_setup, monkeypatch, lod):
 
     monkeypatch.setattr(msbasis, "solve_saddle_block", counting)
     requests = [("lssi", 1), ("lssi", 4), ("lssi", 2), ("lksi", 3)]
-    # in-process: a forked worker's calls would not reach this list
-    msbasis.build_bases(pair, system, 1, [("lod", None)] * lod + requests, workers=1)
+    force_workers(monkeypatch, 1)     # a forked worker's calls would not reach this list
+    msbasis.build_bases(pair, system, 1, [("lod", None)] * lod + requests)
     assert len(calls) == pair.coarse.n_elems * (lod + 4)
 
 
@@ -458,8 +460,8 @@ def test_build_bases_factors_once_per_nest(small_setup, monkeypatch):
         init(self, A)
 
     monkeypatch.setattr(fem.SpdFactor, "__init__", counting)
-    msbasis.build_bases(pair, system, 1, [("lod", None), ("lssi", 1), ("lksi", 2)],
-                        workers=1)
+    force_workers(monkeypatch, 1)
+    msbasis.build_bases(pair, system, 1, [("lod", None), ("lssi", 1), ("lksi", 2)])
     assert len(calls) == len(msbasis.patch_nests(grid.build_all_patches(pair, 1))) == 8
 
 
@@ -493,7 +495,9 @@ def test_workers_build_the_same_bases(kind, N, m, monkeypatch):
     nests = msbasis.patch_nests(grid.build_all_patches(pair, m))
     assert any(len(ks) > 1 for ks, _ in nests)
     requests = [("lod", None), ("lssi", 1), ("lssi", 2), ("lksi", 3)]
-    serial = msbasis.build_bases(pair, system, m, requests, workers=1)
+    with monkeypatch.context() as mp:
+        force_workers(mp, 1)
+        serial = msbasis.build_bases(pair, system, m, requests)
     forked, calls = msbasis._forked_map, []
 
     def counting(*args):
@@ -501,7 +505,8 @@ def test_workers_build_the_same_bases(kind, N, m, monkeypatch):
         return forked(*args)
 
     monkeypatch.setattr(msbasis, "_forked_map", counting)
-    split = msbasis.build_bases(pair, system, m, requests, workers=2)
+    force_workers(monkeypatch, 2)
+    split = msbasis.build_bases(pair, system, m, requests)
     assert calls == [2]
     for (lab, basis, stats, _), (lab2, basis2, stats2, _) in zip(serial, split):
         assert lab == lab2 and stats.n_local_problems == stats2.n_local_problems
@@ -519,13 +524,13 @@ def _buffer(a):
 
 
 @pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
-def test_bases_are_views_of_one_store(small_setup, kind):
+def test_bases_are_views_of_one_store(small_setup, monkeypatch, kind):
     """Every patch basis of one build is a C-contiguous view with nb rows
     per interior node, into one shared buffer, and no two of them overlap."""
     pair, field = small_setup
     system = fem.assemble(pair, field, kind)
-    out = msbasis.build_bases(pair, system, 1, [("lod", None), ("lssi", 2), ("lksi", 3)],
-                              workers=2)
+    force_workers(monkeypatch, 2)
+    out = msbasis.build_bases(pair, system, 1, [("lod", None), ("lssi", 2), ("lksi", 3)])
     views = [pb.vectors for _, basis, _, _ in out for pb in basis.patch_bases]
     rows = [fem.nblock(kind) * pb.patch.interior_nodes.size
             for _, basis, _, _ in out for pb in basis.patch_bases]
@@ -538,7 +543,7 @@ def test_bases_are_views_of_one_store(small_setup, kind):
     assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
-def test_nest_result_carries_counts_only(small_setup):
+def test_nest_result_carries_counts_only(small_setup, monkeypatch):
     """A nest's result holds only numbers, no array, and pickles to under
     1 KB per request; the slots hold its patches' vectors of a whole build."""
     pair, field = small_setup
@@ -554,7 +559,8 @@ def test_nest_result_carries_counts_only(small_setup):
     assert [counts for counts, _, _ in done] == [[8] * len(nest[0]), [8] * len(nest[0]),
                                                  [6] * len(nest[0])]
     requests = [("lod", None), ("lssi", 2), ("lksi", 3)]
-    built = msbasis.build_bases(pair, system, 1, requests, workers=1)
+    force_workers(monkeypatch, 1)
+    built = msbasis.build_bases(pair, system, 1, requests)
     for j, (_, basis, _, _) in enumerate(built):
         for k in nest[0]:
             V = basis.patch_bases[k].vectors
@@ -576,8 +582,10 @@ def test_chain_that_stops_early_gets_a_view_of_its_width(small_setup, monkeypatc
         return itertools.islice(kernel(sys, psi), 2 if sys.patch.center % 2 else None)
 
     monkeypatch.setattr(msbasis, "lksi_kernel", short)
-    bases = [msbasis.build_bases(pair, system, 1, [("lksi", 4)], workers=w)[0][1]
-             for w in (2, 1)]
+    bases = []
+    for workers in (2, 1):
+        force_workers(monkeypatch, workers)
+        bases.append(msbasis.build_bases(pair, system, 1, [("lksi", 4)])[0][1])
     forked = bases[0]
     for pb in forked.patch_bases:
         assert pb.vectors.shape == (pb.patch.interior_nodes.size,
@@ -593,41 +601,23 @@ def test_chain_that_stops_early_gets_a_view_of_its_width(small_setup, monkeypatc
         assert all(np.array_equal(x, y) for x, y in zip(solved[0], got))
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_build_bases_rejects_worker_count(small_setup, monkeypatch, workers):
-    """A worker count below 1 is an error, raised before any patch is built,
-    so no process starts."""
-    pair, field = small_setup
-    system = fem.assemble(pair, field, fem.DIFFUSION)
-
-    def no_patches(*args):
-        pytest.fail("patches built with an invalid worker count")
-
-    monkeypatch.setattr(msbasis, "build_all_patches", no_patches)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        msbasis.build_bases(pair, system, 1, [("lssi", 1)], workers=workers)
-    assert multiprocessing.active_children() == []
-
-
 @pytest.mark.parametrize("items, forked", [(range(7), True), ([3], False), ([], False)])
 def test_forked_map_keeps_item_order(monkeypatch, items, forked):
     """forked_map returns the results in item order, from forked workers
     when there are two items or more, and in this process with a single
     item (the count is capped at the item count)."""
-    monkeypatch.setattr(msbasis, "_cpu_count", lambda: 2)
+    force_workers(monkeypatch, 2)
     done = msbasis.forked_map(lambda x: (x * x, os.getpid()), items)
     assert [x for x, _ in done] == [x * x for x in items]
     assert all((pid != os.getpid()) == forked for _, pid in done)
     assert multiprocessing.active_children() == []
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        msbasis.forked_map(abs, items, workers=0)
 
 
 def test_forked_map_raises_first_failing_item(monkeypatch):
     """With several items failing, forked_map raises the error of the first
     failing item in item order, as map does, even when a later item's
     worker fails first in time."""
-    monkeypatch.setattr(msbasis, "_cpu_count", lambda: 2)
+    force_workers(monkeypatch, 2)
 
     def failing(k):
         if k == 0:
@@ -639,5 +629,6 @@ def test_forked_map_raises_first_failing_item(monkeypatch):
         msbasis.forked_map(failing, [0, 1])
     assert type(info.value) is KeyError and info.value.args == ("item 0",)
     assert multiprocessing.active_children() == []
+    force_workers(monkeypatch, 1)
     with pytest.raises(KeyError, match="item 0"):
-        msbasis.forked_map(failing, [0, 1], workers=1)
+        msbasis.forked_map(failing, [0, 1])
