@@ -24,10 +24,9 @@ from .errors import ChannelOverflow, ConfigError, MsLabError, ParseError
 DEFAULT_METHODS = "lod, lssi-1, lssi-2, lssi-4, lksi-4"
 EIG_ROUNDS = 6              # rounds per eig-diag angle table
 EIG_BOUND_CHECKS = 10       # eig-diag interpolation-bound instances
-# sweep axis -> the RunConfig attribute each point sets, and the least value
-# of an integer axis (None: a real axis)
-SWEEP_AXES = {"contrast": ("contrast", None), "channel": ("channel_len", 1),
-              "H": ("H_inv", 1), "m": ("m", 0), "n": ("methods", 1)}
+# sweep axis -> the RunConfig attribute each point sets, and the type it takes
+SWEEP_AXES = {"contrast": ("contrast", float), "channel": ("channel_len", int),
+              "H": ("H_inv", int), "m": ("m_given", int), "n": ("methods", int)}
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +60,8 @@ def m_from_rule(H_inv):
 
 class RunConfig:
     """Validated run configuration read from an INI-style file; `seed`, when
-    given, replaces problem.seed."""
+    given, replaces problem.seed.  A sweep point is a copy with one attribute
+    set, held to the same rules (check) and generators (make_field)."""
 
     def __init__(self, path, seed=None):
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -81,11 +81,8 @@ class RunConfig:
                                   f"got {self.kind!r}")
             self.h_inv = prob.getint("h", 0)
             self.H_inv = prob.getint("H", 0)
-            if min(self.h_inv, self.H_inv) < 1:
-                raise ConfigError("problem.h and problem.H must be given and >= 1")
             m_raw = prob.get("m", "4").strip()
-            self.m_rule = m_raw == "ceil2log"
-            self.m = m_from_rule(self.H_inv) if self.m_rule else int(m_raw)
+            self.m_given = m_raw if m_raw == "ceil2log" else int(m_raw)
             self.seed = prob.getint("seed", 0) if seed is None else seed
             self.methods = [parse_method(t)
                             for t in prob.get("methods", DEFAULT_METHODS).split(",")]
@@ -113,25 +110,39 @@ class RunConfig:
             self.tol = float(sol.get("tol", 1e-10))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{section} section: {exc}")
+        if self.seed < 0:
+            raise ConfigError(f"problem.seed (or --seed) must be >= 0, got {self.seed}")
+        if self.coeff_source == "file":
+            if not self.coeff_path or not Path(self.coeff_path).exists():
+                raise ConfigError(f"coeff.path does not exist: {self.coeff_path!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"problem.methods lists a method twice: {prob['methods']}")
+        self.check()
+
+        out = cp["output"] if cp.has_section("output") else {}
+        self.heatmaps = str(out.get("heatmaps", "false")).lower() in ("1", "true", "yes")
+
+    @property
+    def m(self):
+        """Oversampling layers: problem.m, or m_from_rule(H) for m = ceil2log."""
+        return m_from_rule(self.H_inv) if self.m_given == "ceil2log" else self.m_given
+
+    def check(self):
+        """The rules on h, H, m and the methods, which cmd_sweep holds every
+        point to as well: h and H at least 1, H dividing h, m at least 0 and
+        each iteration count at least 1, given unless sweep.axis = n."""
+        if min(self.h_inv, self.H_inv) < 1:
+            raise ConfigError("problem.h and problem.H must be given and >= 1")
         if self.h_inv % self.H_inv != 0:
             raise ConfigError("problem.h must be a multiple of problem.H")
         if self.m < 0:
             raise ConfigError("problem.m must be >= 0")
-        if self.coeff_source == "file":
-            if not self.coeff_path or not Path(self.coeff_path).exists():
-                raise ConfigError(f"coeff.path does not exist: {self.coeff_path!r}")
-
         for name, n in self.methods:
             if n is None and self.sweep_axis != "n":
                 raise ConfigError(f"method {name} needs an iteration count, as in "
                                   f"{name}-2, unless sweep.axis = n")
             if n is not None and n < 1:
                 raise ConfigError(f"method {name}-{n}: iteration count must be >= 1")
-        if len(set(self.methods)) < len(self.methods):
-            raise ConfigError(f"problem.methods lists a method twice: {prob['methods']}")
-
-        out = cp["output"] if cp.has_section("output") else {}
-        self.heatmaps = str(out.get("heatmaps", "false")).lower() in ("1", "true", "yes")
 
     def make_pair(self):
         return grid.NestedPair(self.H_inv, self.h_inv)
@@ -198,8 +209,7 @@ def run_methods(pair, field, kind, m, methods, tol=None, channel_len=0):
     u_ref = system.restrict(u_ref_pad)
 
     built = msbasis.build_bases(pair, system, m, methods)
-    meta = {"m": m, "H": pair.H, "h": pair.h, "contrast": field.contrast,
-            "channel_len": channel_len}
+    meta = (m, pair.H, pair.h, field.contrast, channel_len)
     done = msbasis.forked_map(
         functools.partial(_coarse_solve, system, b, u_ref, meta, methods, built),
         range(len(methods)))
@@ -217,19 +227,20 @@ def run_methods(pair, field, kind, m, methods, tol=None, channel_len=0):
 def _coarse_solve(system, b, u_ref, meta, methods, built, j):
     """Assemble, factor and solve method j's coarse system and report on it.
 
-    Returns (ResultRow, free-DOF solution, coarse DoFs, condition estimate).
-    The row's wall time is the method's build seconds plus its coarse
-    assembly and solve seconds.  run_methods maps this over the methods
-    through msbasis.forked_map, so each worker inherits the system and the
-    bases and holds one method's coarse system at a time."""
+    Returns (ResultRow, free-DOF solution, coarse DoFs, condition estimate);
+    meta holds the row's m, H, h, contrast and channel_len.  The row's wall
+    time is the method's build seconds plus its coarse assembly and solve
+    seconds.  run_methods maps this over the methods through
+    msbasis.forked_map, so each worker inherits the system and the bases and
+    holds one method's coarse system at a time."""
     label, basis, stats, wall_build = built[j]
     t0 = time.perf_counter()
     cs = msgalerkin.assemble_coarse(system, b, basis)
     u_ms, _ = msgalerkin.solve_ms(cs)
     wall = time.perf_counter() - t0 + wall_build
-    row = msgalerkin.report(u_ref, u_ms, system.stiffness, system.mass, dict(
-        meta, method=label, n=methods[j][1], DoF=basis.total_dofs, wall_time_s=wall,
-        NoLP=stats.n_local_problems))
+    errors = fem.relative_errors(u_ref, u_ms, system.stiffness, system.mass)
+    row = msgalerkin.ResultRow(label, msbasis.iteration_count(methods[j]), *meta, *errors,
+                               basis.total_dofs, wall, stats.n_local_problems)
     return row, u_ms, cs.dof, cs.cond_estimate
 
 
@@ -270,7 +281,9 @@ def cmd_solve(cfg, out, with_timing=True):
 
 def cmd_sweep(cfg, out, with_timing=True):
     """One run_methods per sweep value, on a copy of cfg with the axis's
-    attribute set (SWEEP_AXES): the rows one `mslab solve` per point gives."""
+    attribute set (SWEEP_AXES): the rows one `mslab solve` per point gives.
+    Every point is checked and given its pair and field before the first
+    solve, so a value the config or the generator rejects runs none."""
     axis = cfg.sweep_axis
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep.axis must be one of {'/'.join(SWEEP_AXES)}, "
@@ -284,29 +297,24 @@ def cmd_sweep(cfg, out, with_timing=True):
         raise ConfigError("sweep.axis = contrast needs a generated field, not coeff.source = file")
     if axis == "channel" and not cfg.channel_length():
         raise ConfigError("sweep.axis = channel needs coeff.generator = channels")
-    attr, least = SWEEP_AXES[axis]
+    attr, cast = SWEEP_AXES[axis]
+    points = []
     for val in cfg.sweep_values:
-        if least is not None and not (val.is_integer() and val >= least):
-            raise ConfigError(f"sweep.values: {axis} = {val:g} must be an integer "
-                              f">= {least}")
-        if axis == "contrast" and not 1 <= val < math.inf:
-            raise ConfigError(f"sweep.values: contrast = {val:g} must be finite and >= 1")
-        if axis == "H" and cfg.h_inv % int(val) != 0:
-            raise ConfigError(f"sweep.values: problem.h = {cfg.h_inv} is not a "
-                              f"multiple of H = {int(val)}")
-        if axis == "channel" and val > cfg.H_inv:
-            raise ConfigError(f"sweep.values: a channel of {int(val)} coarse cells "
-                              f"exceeds the domain width {cfg.H_inv}")
-    rows = []
-    for val in cfg.sweep_values:
+        if cast is int and not val.is_integer():
+            raise ConfigError(f"sweep.values: {axis} = {val:g} must be an integer")
         point = copy.copy(cfg)
-        val = val if least is None else int(val)
-        setattr(point, attr, [(name, val) for name in iterated] if axis == "n" else val)
-        if axis == "H" and cfg.m_rule:
-            point.m = m_from_rule(val)
-        pair = point.make_pair()
-        res, _ = run_methods(pair, point.make_field(pair), point.kind, point.m,
-                             point.methods, channel_len=point.channel_length())
+        setattr(point, attr, [(name, int(val)) for name in iterated] if axis == "n"
+                else cast(val))
+        try:
+            point.check()
+            pair = point.make_pair()
+            points.append((point, pair, point.make_field(pair)))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.values: {axis} = {val:g}: {exc}")
+    rows = []
+    for point, pair, field in points:
+        res, _ = run_methods(pair, field, point.kind, point.m, point.methods,
+                             channel_len=point.channel_length())
         rows.extend(res)
     write_csv(out / f"sweep_{axis}.csv", rows, with_timing=with_timing)
     return 0

@@ -49,6 +49,11 @@ class ChannelSpec:
     contrast: float = 1e4
 
 
+def _check_contrast(contrast):
+    if not 1.0 <= contrast < np.inf:        # NaN fails it too
+        raise ValueError(f"contrast must be >= 1 and finite, got {contrast:g}")
+
+
 def gen_inclusions(pair, density, contrast, seed, streak_len=(1, 3)):
     """Scatter high-value rectangular blocks on background 1.
 
@@ -59,8 +64,7 @@ def gen_inclusions(pair, density, contrast, seed, streak_len=(1, 3)):
     """
     if not 0.0 <= density < 1.0:
         raise ValueError("density must be in [0, 1)")
-    if not contrast >= 1.0:                 # NaN fails it too
-        raise ValueError("contrast must be >= 1")
+    _check_contrast(contrast)
     n = pair.fine.n
     r = pair.r
     values = np.ones((n, n))
@@ -101,8 +105,7 @@ def gen_channels(pair, spec):
         raise ChannelOverflow(f"channel of {c} coarse cells exceeds domain width {N}")
     if spec.thickness_fine < 1 or spec.thickness_fine > r:
         raise ValueError("channel thickness must be between 1 and r fine cells")
-    if not spec.contrast >= 1.0:            # NaN fails it too
-        raise ValueError("contrast must be >= 1")
+    _check_contrast(spec.contrast)
     rng = np.random.default_rng(spec.seed)
     rows = rng.choice(N, size=min(spec.count, N), replace=False)
     i0 = ((N - c) // 2) * r

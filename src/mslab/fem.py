@@ -167,6 +167,16 @@ def _expand_dofs(nodes, nb):
     return d
 
 
+def canonical_csr(X):
+    """X as a CSR matrix with sorted indices and no duplicate entries,
+    copied before it is summed so that X itself is left as it is."""
+    X = sp.csr_matrix(X)
+    if not X.has_canonical_format:
+        X = X.copy()
+        X.sum_duplicates()
+    return X
+
+
 def assemble(pair, field, kind=DIFFUSION):
     """Assemble stiffness and mass on the whole mesh, with the homogeneous
     Dirichlet rows/columns of the outer boundary eliminated."""
@@ -215,10 +225,7 @@ class SpdFactor:
     """
 
     def __init__(self, A):
-        A = sp.csr_matrix(A)
-        if not A.has_canonical_format:
-            A = A.copy()
-            A.sum_duplicates()
+        A = canonical_csr(A)
         n = A.shape[0]
         rows = np.repeat(np.arange(n), np.diff(A.indptr))
         low = rows >= A.indices
@@ -278,10 +285,7 @@ class SpdFactor:
         S[q, q] + Y[q, :j] Y[q, :j]^T, where q are its columns and the first
         j stacked rows reach down to that row.
         """
-        B = sp.csr_matrix(B)
-        if not B.has_canonical_format:
-            B = B.copy()
-            B.sum_duplicates()
+        B = canonical_csr(B)
         n, ncols = B.shape
         k = self._band.shape[0]
         wanted = [(n, ncols)] if blocks is None else list(blocks)

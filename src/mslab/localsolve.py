@@ -96,10 +96,7 @@ class PatchSystem:
 def _reversed(X):
     """A sparse matrix with its rows and its columns taken backwards, as CSR;
     reversing the entry arrays of a canonical CSR matrix keeps it canonical."""
-    X = sp.csr_matrix(X)
-    if not X.has_canonical_format:
-        X = X.copy()
-        X.sum_duplicates()
+    X = fem.canonical_csr(X)
     return sp.csr_matrix((X.data[::-1], X.shape[1] - 1 - X.indices[::-1],
                           X.nnz - X.indptr[::-1]), shape=X.shape)
 

@@ -49,6 +49,12 @@ def method_label(method):
     return name if name == LOD else f"{name}-{n}"
 
 
+def iteration_count(method):
+    """(name, n) -> the rounds it takes: LOD runs one, whatever n it names."""
+    name, n = method
+    return 1 if name == LOD else n
+
+
 class PatchBasis:
     """Basis vectors of one patch, stored on the patch interior DOFs."""
 
@@ -513,8 +519,7 @@ def build_bases(pair, system, m, requests, patches=None):
         raise ValueError(f"unknown method in {requests}")
     if any(name != LOD and (n is None or n < 1) for name, n in requests):
         raise ValueError("iteration count must be >= 1")
-    plan = [(method_label((name, n)), name, 1 if name == LOD else n)
-            for name, n in requests]
+    plan = [(method_label(req), req[0], iteration_count(req)) for req in requests]
     labels = [lab for lab, _, _ in plan]
     if len(set(labels)) < len(labels):
         raise ValueError(f"duplicate method requests: {labels}")

@@ -1,15 +1,12 @@
-"""Coarse Galerkin solve in a multiscale space and result reporting."""
+"""Coarse Galerkin solve in a multiscale space and the result row."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import fem
 from .errors import SingularCoarse
-
-CSV_COLUMNS = ["method", "n", "m", "H", "h", "contrast", "channel_len",
-               "e_energy", "e_L2", "DoF", "wall_time_s", "NoLP"]
 
 
 @dataclass
@@ -117,7 +114,7 @@ def _galerkin_matrix(system, basis, order, tile):
     def dofs(ys):
         """Free DOFs of the fine rows ys, x-major: (column, row, component)."""
         node = (np.asarray(ys, dtype=int) - 1) * (n - 1) + np.arange(n - 1)[:, None]
-        return (node[:, :, None] * nb + np.arange(nb)).ravel()
+        return fem._expand_dofs(node.ravel(), nb)
 
     A_ms = np.zeros((counts.sum(), counts.sum()))
     for j in range(N):
@@ -260,24 +257,6 @@ class ResultRow:
             str(self.DoF), t, str(self.NoLP),
         ])
 
-    @staticmethod
-    def header():
-        return ",".join(CSV_COLUMNS)
-
-
-def report(u_ref, u_ms, A, M, metadata):
-    """Build a ResultRow from a reference/multiscale solution pair.
-
-    metadata must provide: method, n, m, H, h, contrast, channel_len, DoF,
-    wall_time_s, NoLP.
-    """
-    ea, el = fem.relative_errors(np.asarray(u_ref), np.asarray(u_ms), A, M)
-    return ResultRow(
-        method=metadata["method"], n=int(metadata["n"]), m=int(metadata["m"]),
-        H=float(metadata["H"]), h=float(metadata["h"]),
-        contrast=float(metadata["contrast"]),
-        channel_len=int(metadata.get("channel_len", 0)),
-        e_energy=ea, e_L2=el, DoF=int(metadata["DoF"]),
-        wall_time_s=float(metadata.get("wall_time_s", 0.0)),
-        NoLP=int(metadata["NoLP"]),
-    )
+    @classmethod
+    def header(cls):
+        return ",".join(f.name for f in fields(cls))

@@ -173,16 +173,22 @@ def test_bad_config_exit_code(tmp_path):
      "generator = channels\ncontrast = inf"),
     ("[solver]", "[sweep]\naxis = contrast\nvalues = 1e2, nan\n\n[solver]"),
     ("[solver]", "[sweep]\naxis = contrast\nvalues = 1e2, inf\n\n[solver]"),
+    ("seed = 3", "seed = -1"),
+    ("[coeff]\ngenerator = inclusions",
+     "[sweep]\naxis = H\nvalues = 4, 2\n\n[coeff]\ngenerator = channels\nchannel_len = 4"),
+    ("density = 0.12\ncontrast = 1e3", "density = 0\ncontrast = inf"),
 ], ids=["H-zero", "h-missing", "H-negative", "density-2", "contrast-half",
         "density-text", "sweep-value-text", "sweep-H-not-dividing-h", "sweep-H-fraction",
         "sweep-m-negative", "sweep-n-zero", "channel-too-long", "sweep-channel-too-long",
         "sweep-channel-of-inclusions", "sweep-contrast-below-1", "contrast-nan",
-        "channels-contrast-inf", "sweep-contrast-nan", "sweep-contrast-inf"])
+        "channels-contrast-inf", "sweep-contrast-nan", "sweep-contrast-inf", "seed-negative",
+        "sweep-H-below-channel", "contrast-inf-density-0"])
 def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, old, new):
-    """A bad value in any section, one the coefficient generator rejects, a
-    channel longer than the domain, a sweep value its axis cannot take or a
-    sweep axis the field does not depend on is a config error (exit 2),
-    raised before any solve, that writes no CSV."""
+    """A bad value in any section, one the coefficient generator rejects (at
+    any density), a negative seed, a channel longer than the domain, a sweep
+    value that the config or the generator rejects at any point or a sweep
+    axis the field does not depend on is a config error (exit 2), raised
+    before any solve, that writes no CSV."""
     assert old in BASE_CONFIG
     p = write_config(tmp_path, BASE_CONFIG.replace(old, new), "bad.ini")
     out = tmp_path / "out"
@@ -429,6 +435,31 @@ def test_sweep_contrast_of_a_file_field_is_config_error(tmp_path, monkeypatch, c
     forbid_solve(monkeypatch)
     assert cli.main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "coeff.source = file" in capsys.readouterr().err
+
+
+def test_negative_seed_is_config_error(tmp_path, monkeypatch, capsys):
+    """--seed -1 on a file field, which draws no field from the seed, is a
+    config error (exit 2) naming the seed, raised before the reference solve."""
+    p = file_config(tmp_path, np.ones((16, 16)))
+    out = tmp_path / "o"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the seed was rejected")
+
+    monkeypatch.setattr(fem, "reference_solve", no_solve)
+    assert cli.main(["eig-diag", "--config", str(p), "--out", str(out), "--seed", "-1"]) == 2
+    assert "seed (or --seed) must be >= 0, got -1" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_lod_without_count_gives_the_rows_of_lod_1():
+    """build_bases takes ("lod", None) as LOD's one round, and so do the rows."""
+    pair = grid.NestedPair(4, 16)
+    field = coeff.gen_inclusions(pair, 0.12, 1e3, seed=3)
+    runs = [cli.run_methods(pair, field, fem.DIFFUSION, 1, [("lod", n), ("lssi", 1)])[0]
+            for n in (None, 1)]
+    assert [[r.to_csv(with_timing=False) for r in rows] for rows in runs] == \
+        [[r.to_csv(with_timing=False) for r in runs[1]]] * 2
 
 
 def test_eig_diag_artifacts(tmp_path):

@@ -60,6 +60,8 @@ def test_inclusions_bad_args(pair):
         coeff.gen_inclusions(pair, 0.1, 0.5, seed=0)
     with pytest.raises(ValueError, match="contrast must be >= 1"):
         coeff.gen_inclusions(pair, 0.1, np.nan, seed=0)
+    with pytest.raises(ValueError, match="contrast must be >= 1 and finite"):
+        coeff.gen_inclusions(pair, 0.0, np.inf, seed=0)     # at any density
 
 
 def test_channels_full_width(pair):
@@ -82,7 +84,7 @@ def test_channels_contrast_below_one_rejected(pair):
         coeff.gen_channels(pair, coeff.ChannelSpec(length_coarse=2, contrast=0.5))
     with pytest.raises(ValueError, match="contrast must be >= 1"):
         coeff.gen_channels(pair, coeff.ChannelSpec(length_coarse=2, contrast=np.nan))
-    with pytest.raises(ValueError, match="finite and positive"):
+    with pytest.raises(ValueError, match="contrast must be >= 1 and finite"):
         coeff.gen_channels(pair, coeff.ChannelSpec(length_coarse=2, contrast=np.inf))
     assert coeff.gen_channels(pair, coeff.ChannelSpec(2, contrast=1.0)).contrast == 1.0
 

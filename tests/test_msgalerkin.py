@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mslab import coeff, fem, grid, msbasis, msgalerkin
+from mslab import cli, coeff, fem, grid, msbasis, msgalerkin
 from mslab.errors import SingularCoarse
 
 
@@ -300,7 +300,9 @@ def test_result_row_csv():
         e_energy=1.2e-2, e_L2=3.4e-4, DoF=64, wall_time_s=1.5, NoLP=128)
     line = row.to_csv()
     parts = line.split(",")
-    assert len(parts) == len(msgalerkin.CSV_COLUMNS)
+    assert row.header() == ("method,n,m,H,h,contrast,channel_len,e_energy,e_L2,DoF,"
+                            "wall_time_s,NoLP")
+    assert len(parts) == len(row.header().split(","))
     assert parts[0] == "lssi-2"
     assert parts[10] == "1.500"
     # timing blanked when requested
@@ -308,16 +310,15 @@ def test_result_row_csv():
 
 
 def test_report_errors_match_direct(setup):
-    _, _, system, b, basis = setup
-    cs = msgalerkin.assemble_coarse(system, b, basis)
-    u_ms, _ = msgalerkin.solve_ms(cs)
-    u = fem.SpdFactor(system.stiffness).solve(b)
-    row = msgalerkin.report(u, u_ms, system.stiffness, system.mass, {
-        "method": "lssi-1", "n": 1, "m": 1, "H": 0.25, "h": 0.0625,
-        "contrast": 1e3, "DoF": 64, "wall_time_s": 0.0, "NoLP": 64})
-    ea, el = fem.relative_errors(u, u_ms, system.stiffness, system.mass)
-    assert row.e_energy == ea
-    assert row.e_L2 == el
+    """run_methods' rows carry fem.relative_errors of the solutions it returns."""
+    pair, field, _, _, _ = setup
+    rows, ctx = cli.run_methods(pair, field, fem.DIFFUSION, 1, [("lod", 1), ("lssi", 1)])
+    system = ctx["system"]
+    u = system.restrict(ctx["u_ref_pad"])
+    for row in rows:
+        u_ms = system.restrict(ctx["solutions"][row.method])
+        ea, el = fem.relative_errors(u, u_ms, system.stiffness, system.mass)
+        assert (row.e_energy, row.e_L2) == (ea, el)
 
 
 def test_cond_estimate_positive(setup):
