@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coeff, fem, grid, msbasis, msgalerkin, specdiag
-from .errors import ChannelOverflow, ConfigError, MsLabError, ParseError
+from .errors import ChannelOverflow, ConfigError, CoverGap, MsLabError, ParseError
 
 DEFAULT_METHODS = "lod, lssi-1, lssi-2, lssi-4, lksi-4"
 EIG_ROUNDS = 6              # rounds per eig-diag angle table
@@ -324,8 +324,8 @@ def _nest_diag(gsys, patches, pou, us, count, nest):
     """eig-diag's work on one nest of `patches`, per patch in nest order:
     the last of its leading `count` eigenvalues (lanczos_eig), its lssi and
     lksi rate reports over EIG_ROUNDS rounds, its lksi-8 Ritz values if it
-    is one of patches 0-3 (else None) and its interp_term for each instance
-    in `us`.  The factor and the eigenvectors stay in this task."""
+    is one of patches 0-3 (else None) and its interp_terms for the instances
+    `us`.  The factor and the eigenvectors stay in this task."""
     out = []
     for k, sys_ in zip(nest[0], msbasis.nest_systems(gsys, patches, nest)):
         eig = specdiag.lanczos_eig(sys_, count)
@@ -334,9 +334,8 @@ def _nest_diag(gsys, patches, pou, us, count, nest):
         reports = [specdiag.rate_report(sys_, eig, EIG_ROUNDS, method="lssi"),
                    specdiag.rate_report(sys_, lead, EIG_ROUNDS, method="lksi")]
         ritz = specdiag.ritz_values(sys_, 8) if k < 4 else None
-        chi = pou.dense(k)
         out.append((eig.values[-1], reports, ritz,
-                    [specdiag.interp_term(sys_, chi, eig, u) for u in us]))
+                    specdiag.interp_terms(sys_, pou.dense(k), eig, us)))
     return out
 
 
@@ -344,12 +343,13 @@ def cmd_eig_diag(cfg, out):
     """Angle tables over EIG_ROUNDS rounds, EIG_BOUND_CHECKS interpolation-bound
     pairs and the lksi-8 Ritz values of four patches for the config.
 
-    Every patch needs more DOFs than the L+1 pairs taken, checked before any
-    solve.  The bound's instances (the reference solution, then seeded random
-    vectors) are drawn here, and _nest_diag maps over patch_nests through
-    msbasis.forked_map: the workers inherit the instances, factor the nests
-    and return no eigenvector; the bound's terms are summed here in patch
-    order (specdiag.interp_bound)."""
+    Every patch needs more DOFs than the L+1 pairs taken, and the patches'
+    partition of unity must cover the fine grid (m = 0 leaves it uncovered),
+    both checked before any solve.  The bound's instances (the reference
+    solution, then seeded random vectors) are drawn here, and _nest_diag
+    maps over patch_nests through msbasis.forked_map: the workers inherit
+    the instances, factor the nests and return no eigenvector; the bound's
+    terms are summed here in patch order (specdiag.interp_bound)."""
     pair = cfg.make_pair()
     kind, nb = cfg.kind, fem.nblock(cfg.kind)
     L = 4 * nb
@@ -358,13 +358,16 @@ def cmd_eig_diag(cfg, out):
     if small:
         raise ConfigError(f"eig-diag needs more than {L + 1} DOFs per patch; {len(small)} "
                           f"have {L + 1} or fewer, the first around coarse element {small[0]}")
+    try:
+        pou = grid.build_pou(pair, patches)
+    except CoverGap as exc:
+        raise ConfigError(f"problem.m = {cfg.m} leaves the fine grid uncovered: {exc}")
     field = cfg.make_field(pair)
     u_pad, gsys, _ = fem.reference_solve(pair, field, kind, default_rhs(kind))
     rng = np.random.default_rng(cfg.seed)
     us = [u_pad] + [np.zeros(pair.fine.n_nodes * nb) for _ in range(1, EIG_BOUND_CHECKS)]
     for u in us[1:]:
         u[gsys.dofs] = rng.standard_normal(gsys.ndof)
-    pou = grid.build_pou(pair, patches)
     nests = msbasis.patch_nests(patches)
     diags = [None] * len(patches)
     for (ks, _), done in zip(nests, msbasis.forked_map(

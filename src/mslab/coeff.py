@@ -105,6 +105,8 @@ def gen_channels(pair, spec):
         raise ChannelOverflow(f"channel of {c} coarse cells exceeds domain width {N}")
     if spec.thickness_fine < 1 or spec.thickness_fine > r:
         raise ValueError("channel thickness must be between 1 and r fine cells")
+    if spec.count < 0:
+        raise ValueError(f"channel count must be >= 0, got {spec.count}")
     _check_contrast(spec.contrast)
     rng = np.random.default_rng(spec.seed)
     rows = rng.choice(N, size=min(spec.count, N), replace=False)

@@ -218,10 +218,13 @@ class SpdFactor:
     The bandwidth is read off the lower triangle of A.  Lexicographic DOFs on a
     box make it about one grid row (times the block size) wide, so the band is
     a small multiple of the nonzeros.  A failed factorization certifies that A
-    is not SPD.  Besides solves (LAPACK pbtrs), the factor forms the energy
-    Gram matrix B^T A^{-1} B of a sparse column block (gram).  The
-    leading n x n block of L is the factor of the leading n x n block of A;
-    leading(n) serves it as a view on the band, without a new factorization.
+    is not SPD.  Besides solves (LAPACK pbtrs), the factor applies the two
+    triangular halves of a solve to a vector, L^{-1} b (forward) and
+    L^{-T} b (back), with BLAS tbsv on the band, so that A^{-1} b =
+    back(forward(b)), and forms the energy Gram matrix B^T A^{-1} B of a
+    sparse column block (gram).  The leading n x n block of L is the factor
+    of the leading n x n block of A; leading(n) serves it as a view on the
+    band, without a new factorization, and all of these work on it.
     """
 
     def __init__(self, A):
@@ -254,6 +257,16 @@ class SpdFactor:
         """A^{-1} b for a vector or a column block."""
         return sla.cho_solve_banded((self._band, True), np.asarray(b, dtype=float),
                                     check_finite=False)
+
+    def forward(self, b):
+        """L^{-1} b for a vector b: the first half of solve."""
+        return sla.blas.dtbsv(self._band.shape[0] - 1, self._band,
+                              np.asarray(b, dtype=float), lower=1)
+
+    def back(self, b):
+        """L^{-T} b for a vector b: the second half of solve."""
+        return sla.blas.dtbsv(self._band.shape[0] - 1, self._band,
+                              np.asarray(b, dtype=float), lower=1, trans=1)
 
     def _dense(self, r0, r1, c0, c1):
         """Strided view of L[r0:r1, c0:c1].  In the Fortran-ordered band L[i, j]

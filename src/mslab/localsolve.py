@@ -37,8 +37,9 @@ class PatchSystem:
     leading rows of a taller patch's DOFs, or its trailing rows, is cut out
     of that patch's system and runs on a leading block of its factor
     (SpdFactor.leading).  For trailing rows the factor is of the DOFs taken
-    backwards, which turns them into leading ones; solve and gram apply
-    that reversal, so callers always see natural order.
+    backwards, which turns them into leading ones; solve, its halves
+    (forward, back) and gram apply that reversal, so callers always see
+    natural order.
     """
 
     def __init__(self, patch, system, factor, reverse=False):
@@ -77,11 +78,26 @@ class PatchSystem:
     def ndof(self):
         return self.A.shape[0]
 
+    def _natural(self, apply, b):
+        """apply, a map of the factor's order, on b in natural order: on b
+        taken backwards and the result taken back in a reversed system."""
+        if not self.reverse:
+            return apply(b)
+        return apply(np.asarray(b, dtype=float)[::-1])[::-1]
+
     def solve(self, b):
         """A_omega^{-1} b for a vector or a column block."""
-        if not self.reverse:
-            return self._factor.solve(b)
-        return self._factor.solve(np.asarray(b, dtype=float)[::-1])[::-1]
+        return self._natural(self._factor.solve, b)
+
+    def forward(self, b):
+        """F b for a vector b, with F the first half of solve: A_omega^{-1} =
+        F^T F.  F is L^{-1} of the factor A_omega = L L^T, or in a reversed
+        system L^{-1} with the DOFs taken backwards on both sides."""
+        return self._natural(self._factor.forward, b)
+
+    def back(self, b):
+        """F^T b for a vector b (forward has F): the second half of solve."""
+        return self._natural(self._factor.back, b)
 
     def gram(self, B, blocks=None):
         """B^T A_omega^{-1} B for a sparse column block B, or with `blocks`,

@@ -3,9 +3,11 @@ and rates of the msbasis kernels, principal angles, the interpolation bound.
 
 Eigenproblems are posed on the pencil M v = lambda A v, so the eigenvalues are
 those of the local solution operator directly (descending lambda convention).
-eig-diag takes them from lanczos_eig, checked against the dense local_eig:
-eigenvalues agree to about 1e-11 relative, and either may return any basis of
-a repeated eigenspace.
+eig-diag takes them from lanczos_eig, Lanczos in standard form on
+L^{-1} M L^{-T} with A = L L^T the patch's banded factor, applied by the
+two triangular halves of its solve; it is checked against the dense
+local_eig: eigenvalues agree to about 1e-11 relative, and either may return
+any basis of a repeated eigenspace.
 """
 
 import itertools
@@ -49,17 +51,23 @@ def local_eig(sys, count):
 
 def lanczos_eig(sys, count):
     """The pairs of local_eig for 1 <= count < ndof by implicitly restarted
-    Lanczos (ARPACK), applying A^{-1} by the patch's own factor (sys.solve).
-    The fixed-seed random start gives the same bits every call and, unlike a
-    symmetric one, meets both members of a symmetric patch's repeated pair."""
+    Lanczos (ARPACK) in standard form, on C = L^{-1} M L^{-T} with A = L L^T
+    the patch's banded factor: C has the pencil's eigenvalues, and its
+    orthonormal eigenvectors y give the A-orthonormal v = L^{-T} y.  L^{-1}
+    and L^{-T} are the two halves of the factor's solve (sys.forward,
+    sys.back), so each Lanczos step is a back half, a mass product and a
+    forward half.  The fixed-seed random start gives the same bits every
+    call and, unlike a symmetric one, meets both members of a symmetric
+    patch's repeated pair."""
     n = sys.ndof
     if count < 1 or count >= n:
         raise ValueError("eigenpair count out of range")
-    inv = spla.LinearOperator((n, n), matvec=sys.solve, dtype=float)
-    w, v = spla.eigsh(sys.M, k=count, M=sys.A, Minv=inv, which="LM", tol=0,
+    op = spla.LinearOperator((n, n), matvec=lambda y: sys.forward(sys.M @ sys.back(y)),
+                             dtype=float)
+    w, y = spla.eigsh(op, k=count, which="LM", tol=0,
                       v0=np.random.default_rng(0).standard_normal(n))
     order = np.argsort(w)[::-1]
-    return EigPairs(w[order], v[:, order])
+    return EigPairs(w[order], np.column_stack([sys.back(col) for col in y[:, order].T]))
 
 
 def ritz_values(sys, steps):
@@ -88,7 +96,12 @@ def principal_angles(U, V, inner=None):
     W = sp.identity(U.shape[0], format="csr") if inner is None else inner
     Uq, _ = m_orthonormalize(W, U, drop_tol=1e-13)
     Vq, _ = m_orthonormalize(W, V, drop_tol=1e-13)
-    cross = Uq.T @ (W @ Vq)
+    return _angles(W, Uq, Vq, W @ Vq)
+
+
+def _angles(W, Uq, Vq, WVq):
+    """principal_angles of W-orthonormal Uq and Vq, given WVq = W Vq."""
+    cross = Uq.T @ WVq
     s = np.linalg.svd(cross, compute_uv=False)
     k = min(Uq.shape[1], Vq.shape[1])
     s = np.clip(s[:k], 0.0, 1.0)
@@ -106,23 +119,32 @@ def principal_angles(U, V, inner=None):
     return AngleReport(angles)
 
 
-def interp_term(sys, chi, eig, u_full):
+def interp_terms(sys, chi, eig, us):
     """One patch's terms of the eigenfunction-interpolation energy bound, for
-    its partition-of-unity weight chi (on the fine nodes) and its leading L+1
-    eigenpairs eig: (the interpolant of chi u on the patch's interior DOFs,
-    from the L2-normalized leading L eigenvectors; the L2 norm of the
-    discrete operator, lumped-mass-inverse times stiffness, on chi u)."""
-    w = sys.system.restrict(np.repeat(chi, fem.nblock(sys.system.kind)) * u_full)
+    its partition-of-unity weight chi (on the fine nodes), its leading L+1
+    eigenpairs eig and each instance u in `us` (on the full fine DOFs):
+    (the interpolant of chi u on the patch's interior DOFs, from the
+    L2-normalized leading L eigenvectors; the L2 norm of the discrete
+    operator, lumped-mass-inverse times stiffness, on chi u).  The lumped
+    mass and the normalized eigenvectors are formed once; each instance
+    gets the bits it would get alone."""
+    weight = np.repeat(chi, fem.nblock(sys.system.kind))
     phi = eig.l2_normalized()[:, :eig.count - 1]
-    g = (1.0 / np.asarray(sys.M.sum(axis=1)).ravel()) * (sys.A @ w)
-    return phi @ (phi.T @ (sys.M @ w)), fem.l2_norm(sys.M, g)
+    inv_lumped = 1.0 / np.asarray(sys.M.sum(axis=1)).ravel()
+    terms = []
+    for u in us:
+        w = sys.system.restrict(weight * u)
+        g = inv_lumped * (sys.A @ w)
+        terms.append((phi @ (phi.T @ (sys.M @ w)), fem.l2_norm(sys.M, g)))
+    return terms
 
 
 def interp_bound(patches, terms, lam_next, u_full, global_system):
-    """Both sides of the bound from the patches' interp_terms, summed in
-    patch order, and lam_next = max_i lambda_i^{L+1}: lhs = energy norm (of
-    the fine-grid global_system) of u minus the summed interpolant; rhs =
-    sqrt(lam_next) times the summed norms.  Returns (lhs, rhs)."""
+    """Both sides of the bound from the patches' interp_terms for one
+    instance u_full, summed in patch order, and lam_next = max_i
+    lambda_i^{L+1}: lhs = energy norm (of the fine-grid global_system) of u
+    minus the summed interpolant; rhs = sqrt(lam_next) times the summed
+    norms.  Returns (lhs, rhs)."""
     nb = fem.nblock(global_system.kind)
     interp, rhs_sum = np.zeros_like(u_full), 0.0
     for patch, (contrib, norm) in zip(patches, terms):
@@ -134,9 +156,9 @@ def interp_bound(patches, terms, lam_next, u_full, global_system):
 
 def check_interp_bound(systems, pou, eigs, u_full, global_system):
     """Both sides (lhs, rhs) of the eigenfunction-interpolation energy bound,
-    eigs[i] holding the leading L+1 eigenpairs of systems[i]: interp_term on
+    eigs[i] holding the leading L+1 eigenpairs of systems[i]: interp_terms on
     every patch, summed by interp_bound."""
-    terms = [interp_term(sys, pou.dense(i), eig, u_full)
+    terms = [interp_terms(sys, pou.dense(i), eig, [u_full])[0]
              for i, (sys, eig) in enumerate(zip(systems, eigs))]
     return interp_bound([sys.patch for sys in systems], terms,
                         max(eig.values[-1] for eig in eigs), u_full, global_system)
@@ -181,27 +203,35 @@ def rate_report(sys, eig, n_max, method="lssi"):
     block width, or 1 to follow LKSI towards the leading eigenvector.  The
     rounds come from the method's iteration kernel and seed in msbasis, so
     they are the iterates its basis is built from; an LKSI chain that breaks
-    down or stagnates ends the table early.
+    down or stagnates ends the table early.  The eigenvectors are
+    M-orthonormalized once, with their M product, for every round; an LSSI
+    round's block is M-orthonormalized for its angle, and LKSI rounds take
+    the chain's own q's, what M-orthonormalizing its iterates would give.
     """
     L = eig.count - 1
-    lead = eig.vectors[:, :L]
     gap = float(eig.values[L] / eig.values[L - 1])
     gamma = (eig.values[:-1] - eig.values[1:]) / eig.values[1:]
     clustered = bool(np.any(gamma < 1e-10))
 
     seed = msbasis.method_seed(sys, method)
     if method == msbasis.LSSI:
-        blocks = msbasis.lssi_kernel(sys, seed)
+        blocks = (m_orthonormalize(sys.M, Phi, drop_tol=1e-13)[0]
+                  for Phi in msbasis.lssi_kernel(sys, seed))
     elif method == msbasis.LKSI:
         chain = msbasis.lksi_kernel(sys, seed[:, 0])
-        blocks = map(np.column_stack, itertools.accumulate([psi] for psi, _ in chain))
+        blocks = map(np.column_stack, itertools.accumulate([q] for _, q in chain))
     else:
         raise ValueError(f"unknown method: {method}")
+    target, _ = m_orthonormalize(sys.M, eig.vectors[:, :L], drop_tol=1e-13)
+    m_target = sys.M @ target
     rounds, angles = [], []
-    for n, block in enumerate(itertools.islice(blocks, n_max), 1):
-        target = lead if method == msbasis.LSSI else lead[:, :min(n, L)]
+    for n, Uq in enumerate(itertools.islice(blocks, n_max), 1):
+        j = L if method == msbasis.LSSI else min(n, L)
         rounds.append(n)
-        angles.append(principal_angles(block, target, inner=sys.M).max_angle)
+        # C-contiguous, as a fresh M-orthonormalization leaves the target:
+        # the bits of the dense products depend on the layout
+        angles.append(_angles(sys.M, Uq, np.ascontiguousarray(target[:, :j]),
+                              np.ascontiguousarray(m_target[:, :j])).max_angle)
 
     rounds = np.asarray(rounds)
     angles = np.asarray(angles)

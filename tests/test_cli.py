@@ -177,12 +177,13 @@ def test_bad_config_exit_code(tmp_path):
     ("[coeff]\ngenerator = inclusions",
      "[sweep]\naxis = H\nvalues = 4, 2\n\n[coeff]\ngenerator = channels\nchannel_len = 4"),
     ("density = 0.12\ncontrast = 1e3", "density = 0\ncontrast = inf"),
+    ("generator = inclusions", "generator = channels\ncount = -1"),
 ], ids=["H-zero", "h-missing", "H-negative", "density-2", "contrast-half",
         "density-text", "sweep-value-text", "sweep-H-not-dividing-h", "sweep-H-fraction",
         "sweep-m-negative", "sweep-n-zero", "channel-too-long", "sweep-channel-too-long",
         "sweep-channel-of-inclusions", "sweep-contrast-below-1", "contrast-nan",
         "channels-contrast-inf", "sweep-contrast-nan", "sweep-contrast-inf", "seed-negative",
-        "sweep-H-below-channel", "contrast-inf-density-0"])
+        "sweep-H-below-channel", "contrast-inf-density-0", "channel-count-negative"])
 def test_config_value_errors_exit_2(tmp_path, monkeypatch, capsys, old, new):
     """A bad value in any section, one the coefficient generator rejects (at
     any density), a negative seed, a channel longer than the domain, a sweep
@@ -748,6 +749,21 @@ def test_eig_diag_small_patches_are_a_config_error(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("config error: eig-diag needs more than "
                           f"{4 * fem.nblock(kind) + 1} DOFs per patch")
+
+
+@pytest.mark.parametrize("kind", ["diffusion", "elasticity"])
+def test_eig_diag_uncovered_grid_is_a_config_error(tmp_path, monkeypatch, capsys, kind):
+    """At m = 0 the patches' partition of unity leaves fine nodes uncovered:
+    exit 2 with a config error naming problem.m, before any assembly."""
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before the cover was checked")
+
+    monkeypatch.setattr(fem, "assemble", no_assembly)
+    text = BASE_CONFIG.replace("kind = diffusion", f"kind = {kind}")
+    p = write_config(tmp_path, text.replace("m = 1", "m = 0"))
+    assert cli.main(["eig-diag", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: problem.m = 0 leaves the fine grid uncovered")
 
 
 def test_write_pgm_orientation(tmp_path):

@@ -108,6 +108,8 @@ def test_channels_thickness_and_count(pair):
     assert chan_rows.size == 4 * 2
     ncols = (f.values > 1.0).sum(axis=1)
     assert np.all(ncols[chan_rows] == 3 * pair.r)
+    with pytest.raises(ValueError, match="channel count must be >= 0, got -1"):
+        coeff.gen_channels(pair, coeff.ChannelSpec(3, thickness_fine=2, count=-1, seed=0))
 
 
 def test_save_load_roundtrip(tmp_path, pair):

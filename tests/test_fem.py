@@ -324,6 +324,22 @@ def test_spd_factor_leading_block_equals_fresh_factor(kind):
         assert_close(lead.gram(Bn), fresh.gram(Bn))
 
 
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_spd_factor_halves_compose_to_solve(kind):
+    """forward and back are L^{-1} and L^{-T} of the Cholesky factor, and
+    back(forward(b)) is solve(b), on the full factor and on leading(n) views."""
+    A = patch_stiffness(kind, 12)
+    full = fem.SpdFactor(A)
+    k = full._band.shape[0]
+    rng = np.random.default_rng(13)
+    for f, n in [(full, A.shape[0])] + [(full.leading(n), n) for n in (k // 3, 2 * k + 5)]:
+        L = np.linalg.cholesky(A[:n, :n].toarray())
+        b = rng.standard_normal(n)
+        assert_close(f.forward(b), np.linalg.solve(L, b))
+        assert_close(f.back(b), np.linalg.solve(L.T, b))
+        assert_close(f.back(f.forward(b)), f.solve(b))
+
+
 def test_spd_factor_leading_rejects_bad_size():
     f = fem.SpdFactor(banded_spd(6, 2, seed=0))
     for n in (0, 7):

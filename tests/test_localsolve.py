@@ -167,7 +167,9 @@ def nest_systems(system, patches, reverse):
 @pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
 def test_nested_systems_solve_in_natural_order(kind):
     """Members on a leading block of the master's factor, natural or reversed,
-    solve like a patch system with its own factor; only the master factors."""
+    solve like a patch system with its own factor, and so do the halves of
+    their solve composed, the first of which is a square root of A^{-1}
+    (|F b|^2 = b^T A^{-1} b); only the master factors."""
     system, nests = column_nests(kind)
     rng = np.random.default_rng(9)
     for patches, reverse in nests:
@@ -178,6 +180,9 @@ def test_nested_systems_solve_in_natural_order(kind):
             x = own.solve(b)
             assert np.abs(sys.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
             assert np.abs(sys.solve(b[:, 0]) - x[:, 0]).max() <= 1e-12 * np.abs(x).max()
+            half = sys.forward(b[:, 0])
+            assert np.abs(sys.back(half) - x[:, 0]).max() <= 1e-12 * np.abs(x).max()
+            assert abs(half @ half - b[:, 0] @ x[:, 0]) <= 1e-12 * abs(b[:, 0] @ x[:, 0])
         assert all(s._factor._band.base is systems[0]._factor._band for s in systems[1:])
 
 

@@ -1,8 +1,11 @@
 """Spectral diagnostics tests: eigenpairs, Ritz values, angles, bounds and rates."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from mslab import coeff, fem, grid, localsolve, msbasis, specdiag
 
@@ -93,9 +96,9 @@ def eig_diag_grids():
                          ids=[fem.DIFFUSION, fem.ELASTICITY])
 def test_lanczos_matches_dense_on_every_patch(kind, pair, field, m):
     """On every patch system eig-diag builds (nested and reversed ones
-    included), lanczos_eig gives the dense eigenvalues and, up to the choice
-    of basis in a repeated eigenspace, the same leading eigenspaces, and the
-    same bits on a second call."""
+    included), lanczos_eig gives the dense eigenvalues, A-orthonormal vectors
+    and, up to the choice of basis in a repeated eigenspace, the same leading
+    eigenspaces, and the same bits on a second call."""
     count = 4 * fem.nblock(kind) + 1
     system = fem.assemble(pair, field, kind)
     patches = grid.build_all_patches(pair, m)
@@ -106,6 +109,7 @@ def test_lanczos_matches_dense_on_every_patch(kind, pair, field, m):
         d = specdiag.local_eig(sys, count)
         it = specdiag.lanczos_eig(sys, count)
         np.testing.assert_allclose(it.values, d.values, rtol=1e-10)
+        assert np.abs(it.vectors.T @ (sys.A @ it.vectors) - np.eye(count)).max() <= 1e-10
         for j in range(1, count):
             if d.values[j - 1] > (1 + 1e-8) * d.values[j]:
                 ang = specdiag.principal_angles(it.vectors[:, :j], d.vectors[:, :j],
@@ -114,6 +118,27 @@ def test_lanczos_matches_dense_on_every_patch(kind, pair, field, m):
         again = specdiag.lanczos_eig(sys, count)
         assert np.array_equal(again.values, it.values)
         assert np.array_equal(again.vectors, it.vectors)
+
+
+def test_lanczos_runs_on_the_factor_halves():
+    """lanczos_eig makes no solve and no stiffness product: its Lanczos steps
+    take the halves of the solve and a mass product alone."""
+    _, sys = whole_domain_system(16)
+    want = specdiag.local_eig(sys, 4)
+    calls = {"solve": 0, "stiffness": 0}
+    A, solve = sys.A, sys.solve
+
+    def counted(name, apply):
+        def run(x):
+            calls[name] += 1
+            return apply(x)
+        return run
+
+    sys.solve = counted("solve", solve)
+    sys.A = spla.LinearOperator(A.shape, matvec=counted("stiffness", A.dot), dtype=float)
+    eig = specdiag.lanczos_eig(sys, 4)
+    assert calls == {"solve": 0, "stiffness": 0}
+    np.testing.assert_allclose(eig.values, want.values, rtol=1e-10)
 
 
 def test_lanczos_count_range():
@@ -194,7 +219,7 @@ def test_interp_bound_holds_on_random_instances():
 
 def one_loop_interp_bound(systems, pou, eigs, u_full, global_system):
     """The interpolation bound as one loop over the patches, the reference
-    for its split into interp_term and interp_bound."""
+    for its split into interp_terms and interp_bound."""
     nb = fem.nblock(global_system.kind)
     interp, lam_next, rhs_sum = np.zeros_like(u_full), 0.0, 0.0
     for i, (sys, eig) in enumerate(zip(systems, eigs)):
@@ -209,30 +234,46 @@ def one_loop_interp_bound(systems, pou, eigs, u_full, global_system):
     return fem.energy_norm(global_system.stiffness, d), np.sqrt(lam_next) * rhs_sum
 
 
+def one_instance_interp_term(sys, chi, eig, u_full):
+    """One patch's terms of the bound for one instance, forming the lumped
+    mass and the normalized eigenvectors anew: the reference for
+    interp_terms, which forms them once for all instances."""
+    w = sys.system.restrict(np.repeat(chi, fem.nblock(sys.system.kind)) * u_full)
+    phi = eig.l2_normalized()[:, :eig.count - 1]
+    g = (1.0 / np.asarray(sys.M.sum(axis=1)).ravel()) * (sys.A @ w)
+    return phi @ (phi.T @ (sys.M @ w)), fem.l2_norm(sys.M, g)
+
+
 @pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
 def test_interp_terms_summed_give_check_interp_bound(kind):
-    """interp_term taken nest by nest, as eig-diag's workers take it, and
-    summed in patch order by interp_bound gives check_interp_bound's (lhs,
-    rhs) and the one-loop bound's bit for bit."""
+    """interp_terms taken nest by nest, as eig-diag's workers take it, for
+    several instances at once gives each instance the bits of its own
+    one-instance terms, and, summed in patch order by interp_bound,
+    check_interp_bound's (lhs, rhs) and the one-loop bound's bit for bit."""
     pair = grid.NestedPair(4, 16)
     gsys = fem.assemble(pair, coeff.gen_inclusions(pair, 0.15, 1e3, seed=5), kind)
     patches = grid.build_all_patches(pair, 1)
     pou = grid.build_pou(pair, patches)
     count = 4 * fem.nblock(kind) + 1
     rng = np.random.default_rng(6)
-    u = np.zeros(pair.fine.n_nodes * fem.nblock(kind))
-    u[gsys.dofs] = rng.standard_normal(gsys.ndof)
+    us = [np.zeros(pair.fine.n_nodes * fem.nblock(kind)) for _ in range(3)]
+    for u in us:
+        u[gsys.dofs] = rng.standard_normal(gsys.ndof)
     systems, eigs, terms = [None] * len(patches), [None] * len(patches), {}
     for nest in msbasis.patch_nests(patches):
         for k, sys in zip(nest[0], msbasis.nest_systems(gsys, patches, nest)):
             systems[k], eigs[k] = sys, specdiag.lanczos_eig(sys, count)
-            terms[k] = specdiag.interp_term(sys, pou.dense(k), eigs[k], u)
+            terms[k] = specdiag.interp_terms(sys, pou.dense(k), eigs[k], us)
+            for (contrib, norm), u in zip(terms[k], us):
+                want = one_instance_interp_term(sys, pou.dense(k), eigs[k], u)
+                assert np.array_equal(contrib, want[0]) and norm == want[1]
     lam_next = max(eig.values[-1] for eig in eigs)
-    split = specdiag.interp_bound(patches, [terms[k] for k in range(len(patches))],
-                                  lam_next, u, gsys)
-    assert split == specdiag.check_interp_bound(systems, pou, eigs, u, gsys)
-    assert split == one_loop_interp_bound(systems, pou, eigs, u, gsys)
-    assert split[0] <= split[1]
+    for i, u in enumerate(us):
+        split = specdiag.interp_bound(patches, [terms[k][i] for k in range(len(patches))],
+                                      lam_next, u, gsys)
+        assert split == specdiag.check_interp_bound(systems, pou, eigs, u, gsys)
+        assert split == one_loop_interp_bound(systems, pou, eigs, u, gsys)
+        assert split[0] <= split[1]
 
 
 def test_rate_report_lssi_decay():
@@ -264,3 +305,43 @@ def test_rate_report_lksi_follows_lksi_basis():
         want = specdiag.principal_angles(basis.patch_bases[0].vectors,
                                          eig.vectors[:, :1], inner=sys.M).max_angle
         assert abs(rep.angles[n - 1] - want) < 1e-8
+
+
+def per_round_angles(sys, eig, n_max, method):
+    """rate_report's angles as one principal_angles call per round, which
+    M-orthonormalizes the round's iterates (for LKSI the chain's psi's) and
+    the target anew: the reference for rate_report's reuse of the target and
+    of the chain's q's."""
+    L = eig.count - 1
+    lead = eig.vectors[:, :L]
+    seed = msbasis.method_seed(sys, method)
+    if method == msbasis.LSSI:
+        blocks = msbasis.lssi_kernel(sys, seed)
+    else:
+        chain = msbasis.lksi_kernel(sys, seed[:, 0])
+        blocks = map(np.column_stack, itertools.accumulate([psi] for psi, _ in chain))
+    angles = []
+    for n, block in enumerate(itertools.islice(blocks, n_max), 1):
+        target = lead if method == msbasis.LSSI else lead[:, :min(n, L)]
+        angles.append(specdiag.principal_angles(block, target, inner=sys.M).max_angle)
+    return np.asarray(angles)
+
+
+@pytest.mark.parametrize("kind, pair, field, m", eig_diag_grids(),
+                         ids=[fem.DIFFUSION, fem.ELASTICITY])
+def test_rate_report_angles_are_the_per_round_angles(kind, pair, field, m):
+    """On every patch system eig-diag builds, rate_report's lssi angles, and
+    its lksi angles towards the leading eigenvector and towards the leading
+    L, are the bits of the per-round reference."""
+    count = 4 * fem.nblock(kind) + 1
+    system = fem.assemble(pair, field, kind)
+    patches = grid.build_all_patches(pair, m)
+    for nest in msbasis.patch_nests(patches):
+        for sys in msbasis.nest_systems(system, patches, nest):
+            eig = specdiag.lanczos_eig(sys, count)
+            lead = specdiag.EigPairs(eig.values[:2], eig.vectors[:, :2])
+            for pairs, method in [(eig, msbasis.LSSI), (lead, msbasis.LKSI),
+                                  (eig, msbasis.LKSI)]:
+                rep = specdiag.rate_report(sys, pairs, 6, method=method)
+                assert np.array_equal(rep.angles, per_round_angles(sys, pairs, 6, method)), \
+                    (sys.patch.center, method, pairs.count)
