@@ -27,6 +27,14 @@ EIG_BOUND_CHECKS = 10       # eig-diag interpolation-bound instances
 # sweep axis -> the RunConfig attribute each point sets, and the type it takes
 SWEEP_AXES = {"contrast": ("contrast", float), "channel": ("channel_len", int),
               "H": ("H_inv", int), "m": ("m_given", int), "n": ("methods", int)}
+# the config sections and the keys of each that RunConfig reads; any other
+# section or key is a config error
+CONFIG_KEYS = {"problem": ("kind", "h", "H", "m", "seed", "methods"),
+               "coeff": ("source", "path", "generator", "density", "contrast",
+                         "channel_len", "thickness", "count"),
+               "sweep": ("axis", "values"),
+               "solver": ("tol",),
+               "output": ("heatmaps",)}
 
 log = logging.getLogger(__name__)
 
@@ -59,9 +67,10 @@ def m_from_rule(H_inv):
 
 
 class RunConfig:
-    """Validated run configuration read from an INI-style file; `seed`, when
-    given, replaces problem.seed.  A sweep point is a copy with one attribute
-    set, held to the same rules (check) and generators (make_field)."""
+    """Validated run configuration read from an INI-style file, of the
+    sections and keys in CONFIG_KEYS alone; `seed`, when given, replaces
+    problem.seed.  A sweep point is a copy with one attribute set, held to
+    the same rules (check) and generators (make_field)."""
 
     def __init__(self, path, seed=None):
         cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -72,6 +81,14 @@ class RunConfig:
             raise ConfigError(f"malformed config file {path}: {exc}")
         if not read:
             raise ConfigError(f"cannot read config file {path}")
+        for name in cp.sections():
+            if name not in CONFIG_KEYS:
+                raise ConfigError(f"unknown section [{name}]; the sections are "
+                                  f"{', '.join(CONFIG_KEYS)}")
+            unknown = [key for key in cp[name] if key not in CONFIG_KEYS[name]]
+            if unknown:
+                raise ConfigError(f"unknown key {name}.{unknown[0]}; [{name}] takes "
+                                  f"{', '.join(CONFIG_KEYS[name])}")
         section = "problem"
         try:
             prob = cp["problem"]
@@ -112,6 +129,9 @@ class RunConfig:
             raise ConfigError(f"{section} section: {exc}")
         if self.seed < 0:
             raise ConfigError(f"problem.seed (or --seed) must be >= 0, got {self.seed}")
+        if self.coeff_source not in ("generator", "file"):
+            raise ConfigError(f"coeff.source must be generator or file, "
+                              f"got {self.coeff_source!r}")
         if self.coeff_source == "file":
             if not self.coeff_path or not Path(self.coeff_path).exists():
                 raise ConfigError(f"coeff.path does not exist: {self.coeff_path!r}")

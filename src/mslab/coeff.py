@@ -25,10 +25,6 @@ class CoefficientField:
         self.values = values
         self.contrast = float(values.max() / values.min())
 
-    @property
-    def n(self):
-        return self.values.shape[0]
-
     def per_elem(self):
         """Flat per-fine-element values in element-index order (x fastest)."""
         return self.values.ravel()
@@ -131,7 +127,8 @@ def save_field(field, path):
 
 
 def load_field(path):
-    """Read the ASCII grid format written by save_field."""
+    """Read the ASCII grid format written by save_field; only blank lines
+    may follow the rows the header declares."""
     with open(path) as f:
         header = f.readline()
         if not header:
@@ -162,4 +159,7 @@ def load_field(path):
             if bad.size:
                 raise ParseError(f"coefficient {toks[bad[0]]} is not finite and positive",
                                  line=2 + j, column=bad[0] + 1)
+        for k, line in enumerate(f, start=2 + nrows):
+            if line.strip():
+                raise ParseError(f"data past the {nrows} rows the header declares", line=k)
     return CoefficientField(values)

@@ -122,7 +122,7 @@ class AssembledSystem:
 
     def pad(self, v):
         """Embed a free-DOF vector into the full fine numbering."""
-        out = np.zeros(self.n_full) if v.ndim == 1 else np.zeros((self.n_full, v.shape[1]))
+        out = np.zeros(self.n_full)
         out[self.dofs] = v
         return out
 
@@ -221,10 +221,10 @@ class SpdFactor:
     is not SPD.  Besides solves (LAPACK pbtrs), the factor applies the two
     triangular halves of a solve to a vector, L^{-1} b (forward) and
     L^{-T} b (back), with BLAS tbsv on the band, so that A^{-1} b =
-    back(forward(b)), and forms the energy Gram matrix B^T A^{-1} B of a
-    sparse column block (gram).  The leading n x n block of L is the factor
-    of the leading n x n block of A; leading(n) serves it as a view on the
-    band, without a new factorization, and all of these work on it.
+    back(forward(b)), and forms the Grams B^T A^{-1} B of the leading blocks
+    of a sparse column block (gram).  The leading n x n block of L is the
+    factor of the leading n x n block of A; leading(n) serves it as a view
+    on the band, without a new factorization, and all of these work on it.
     """
 
     def __init__(self, A):
@@ -276,12 +276,11 @@ class SpdFactor:
         return np.ndarray((r1 - r0, c1 - c0), buffer=self._band,
                           offset=(r0 + c0 * bw) * item, strides=(item, bw * item))
 
-    def gram(self, B, blocks=None):
-        """B^T A^{-1} B = X^T X with X = L^{-1} B, for a sparse column block B.
-
-        With `blocks`, a list of (rows, cols) sizes, it returns instead the
-        list of the Grams of the leading blocks B[:rows, :cols], each against
-        the leading rows x rows block of A, from the same pass.
+    def gram(self, B, blocks):
+        """The Grams of the leading blocks B[:rows, :cols] of a sparse column
+        block B, one per (rows, cols) size in `blocks`, each against the
+        leading rows x rows block of A, from one pass: B^T A^{-1} B = X^T X
+        with X = L^{-1} B for the whole block.
 
         The forward half runs over dense row blocks of the band, as high as
         the band (k = bw + 1 rows): X_b = D_b^{-1} (B_b - P_b X_{b-1}), with
@@ -301,9 +300,8 @@ class SpdFactor:
         B = canonical_csr(B)
         n, ncols = B.shape
         k = self._band.shape[0]
-        wanted = [(n, ncols)] if blocks is None else list(blocks)
         due = {}
-        for i, (r, c) in enumerate(wanted):
+        for i, (r, c) in enumerate(blocks):
             if not (0 < r <= n and 0 <= c <= ncols):
                 raise ValueError(f"no leading {r} x {c} block in a {n} x {ncols} block")
             due.setdefault((r - 1) // k * k, []).append(i)
@@ -323,7 +321,7 @@ class SpdFactor:
         S = np.zeros((ncols, ncols))
         stack, used = np.zeros((0, 0)), 0
         Xt = stack
-        grams = [None] * len(wanted)
+        grams = [None] * len(blocks)
         for r0, r1, p in zip(starts, ends, reach):
             if p > 0:
                 if p != stack.shape[0] or used + r1 - r0 > stack.shape[1]:
@@ -345,7 +343,7 @@ class SpdFactor:
                     Xt = Bt
                 used += r1 - r0
             for i in due.get(r0, ()):
-                r, c = wanted[i]
+                r, c = blocks[i]
                 q = rank[:c]
                 G = S[np.ix_(q, q)]
                 live = q < stack.shape[0]
@@ -355,7 +353,7 @@ class SpdFactor:
                 else:
                     G[np.ix_(live, live)] += Y @ Y.T
                 grams[i] = G
-        return grams[0] if blocks is None else grams
+        return grams
 
 
 # rows of X = L^{-1} B that SpdFactor.gram stacks before adding them into S

@@ -81,12 +81,8 @@ class Patch:
         self.m = m
         ci, cj = center % N, center // N
         # m rounds of closure-intersection growth, clipped at the boundary
-        ilo, ihi, jlo, jhi = ci, ci, cj, cj
-        for _ in range(m):
-            ilo = max(ilo - 1, 0)
-            jlo = max(jlo - 1, 0)
-            ihi = min(ihi + 1, N - 1)
-            jhi = min(jhi + 1, N - 1)
+        ilo, ihi = max(ci - m, 0), min(ci + m, N - 1)
+        jlo, jhi = max(cj - m, 0), min(cj + m, N - 1)
         self.box = (ilo, ihi, jlo, jhi)
 
         self.coarse_elems = box_indices(ilo, ihi + 1, jlo, jhi + 1, N)

@@ -7,16 +7,13 @@ banded Cholesky factor A = L L^T, its own or the leading block of the
 factor of the patch it nests in (natural order, or reversed for patches
 that share the top edge).  Saddle problems with L2 constraints B are solved
 through the Schur complement S = B^T A^{-1} B, on one of two paths chosen
-by the type of B:
+by whether the set carries S already formed:
 
-- a sparse B (the LOD block: 4 or 8 columns per coarse cell of the patch, up
-  to a few hundred, each zero above its cell) goes through
-  SpdFactor.gram, one pass over dense row blocks of the band with GEMM and
-  TRSM that never stores L^{-1} B; the solution A^{-1} (B C) is one solve on
-  the few target columns.  A set may carry S already formed: the LOD sets
-  of a nest get theirs from one pass over the master's block
-  (msbasis.lod_constraints);
-- a dense B (the LSSI block M Phi, 4 or 8 columns) is solved whole,
+- with S (the LOD sets of a nest: 4 or 8 sparse columns per coarse cell of
+  the patch, up to a few hundred, all their Schur complements from one pass
+  of SpdFactor.gram over the master's block, msbasis.lod_constraints), the
+  solution A^{-1} (B C) is one solve on the few target columns;
+- without S (the LSSI block M Phi, 4 or 8 dense columns), B is solved whole,
   X = A^{-1} B (one banded solve), S = B^T X, and the solution is X C.
 
 Both paths check S for dependent constraints the same way.
@@ -99,14 +96,14 @@ class PatchSystem:
         """F^T b for a vector b (forward has F): the second half of solve."""
         return self._natural(self._factor.back, b)
 
-    def gram(self, B, blocks=None):
-        """B^T A_omega^{-1} B for a sparse column block B, or with `blocks`,
-        (rows, cols) sizes, the Grams of its nested blocks: the leading rows
-        and columns of B, or in a reversed system the trailing ones."""
+    def gram(self, B, blocks):
+        """The Grams B_i^T A_i^{-1} B_i of the nested blocks of a sparse column
+        block B, one per (rows, cols) size in `blocks`: the leading rows and
+        columns of B, or in a reversed system the trailing ones, each against
+        the same rows of A_omega."""
         if not self.reverse:
             return self._factor.gram(B, blocks)
-        out = self._factor.gram(_reversed(B), blocks)
-        return out[::-1, ::-1] if blocks is None else [G[::-1, ::-1] for G in out]
+        return [G[::-1, ::-1] for G in self._factor.gram(_reversed(B), blocks)]
 
 
 def _reversed(X):
@@ -118,18 +115,12 @@ def _reversed(X):
 
 
 class ConstraintSet:
-    """Mass-weighted constraint vectors b_j for a patch saddle problem, as a
-    dense array or a sparse matrix (which selects the block-row Schur path).
-
-    A sparse set may carry its Schur complement S = B^T A^{-1} B, formed
-    beforehand (`schur`); its saddle solves then start from it.
+    """Mass-weighted constraint vectors b_j for a patch saddle problem, the
+    columns of B, and optionally their Schur complement S = B^T A^{-1} B
+    formed beforehand (`schur`), which its saddle solves then start from.
     """
 
     def __init__(self, B, schur=None):
-        if sp.issparse(B):
-            B = sp.csr_matrix(B, dtype=float)
-        else:
-            B = np.asarray(B, dtype=float)
         self.B = B
         self.schur = schur
 
@@ -140,16 +131,14 @@ class ConstraintSet:
 
 def _schur_solve(sys, B, S=None):
     """A Cholesky factor of S = B^T A^{-1} B and the map C -> A^{-1} B C;
-    raises on dependence.  For a sparse B, S may come already formed; a
-    dense B is solved whole, X = A^{-1} B, and the map is C -> X C."""
-    if sp.issparse(B):
-        if S is None:
-            S = sys.gram(B)
-        apply = lambda C: sys.solve(B @ C)
-    else:
+    raises on dependence.  Given S, the map solves B C; else B is solved
+    whole, X = A^{-1} B, S = B^T X, and the map is C -> X C."""
+    if S is None:
         X = sys.solve(B)
         S = B.T @ X
         apply = lambda C: X @ C
+    else:
+        apply = lambda C: sys.solve(B @ C)
     try:
         cf = sla.cho_factor(S, lower=True)
     except sla.LinAlgError:
@@ -165,9 +154,9 @@ def solve_saddle_block(sys, constraints, rhs=None):
     columns of ``rhs`` (L x p) when given.
 
     Shares one factorization and one Schur complement across the block; the
-    solution A^{-1} B C is one solve on the p solution columns for a sparse
-    set, X C from the solved block X = A^{-1} B for a dense one.  A set that
-    carries its Schur complement starts from it.
+    solution A^{-1} B C is one solve on the p solution columns for a set
+    that carries its Schur complement, else X C from the solved block
+    X = A^{-1} B.
     """
     apply, cf = _schur_solve(sys, constraints.B, constraints.schur)
     if rhs is None:

@@ -73,8 +73,7 @@ class PatchBasis:
 class MsBasis:
     """Collection of per-patch basis vectors defining a multiscale space."""
 
-    def __init__(self, method, kind, patch_bases):
-        self.method = method
+    def __init__(self, kind, patch_bases):
         self.kind = kind
         self.patch_bases = patch_bases
 
@@ -226,8 +225,8 @@ def lod_kernel(sys, lam, constraints):
     block `lam` against the Q1 shapes of every coarse element in the patch,
     the patch's set from lod_constraints.  Seeded with the center element's
     shapes, it decays exponentially away from the center element, so
-    moderate oversampling suffices.  The constraint block stays sparse,
-    which sends the saddle solve down the block-row Schur path.
+    moderate oversampling suffices.  The set carries its Schur complement,
+    so the saddle solve is one solve on the seed's columns.
     """
     B = constraints.B
     try:
@@ -427,15 +426,8 @@ _FORKED = None
 
 
 def _forked_task(item):
-    """(None, result) or (error, None): an item's error travels back as its
-    result, so the parent sees every item's and raises the first in item
-    order.  Wrapped as Pool wraps its own, it carries the worker's traceback."""
-    try:
-        return None, _FORKED(item)
-    except Exception as exc:
-        from multiprocessing.pool import ExceptionWithTraceback
-
-        return ExceptionWithTraceback(exc, exc.__traceback__), None
+    """_FORKED on one item: what the pool pickles, by name, in its place."""
+    return _FORKED(item)
 
 
 def _cpu_count():
@@ -448,18 +440,19 @@ def _cpu_count():
 
 def _forked_map(task, items, workers):
     """map(task, items) over `workers` forked processes, in Pool.map's chunks
-    of about a quarter of a worker's share, each to the next free worker.
-    The pool is closed (terminated on error) and joined before this returns.
-    Every item runs; the error of the first failing item in item order, as
-    map would raise it, is raised here with its class and message, whichever
-    worker failed first in time."""
+    of about a quarter of a worker's share, each to the next free worker,
+    collected in item order.  The first failing item in item order stops
+    the map: its error is raised here with its class, its message and the
+    worker's traceback as __cause__, and the pool is terminated, whatever
+    items are still running or waiting.  The pool is joined before this
+    returns."""
     import multiprocessing                  # here: only a forked map needs it
 
     global _FORKED
     _FORKED = task
     pool = multiprocessing.get_context("fork").Pool(workers)
     try:
-        done = pool.map(_forked_task, items)
+        done = list(pool.imap(_forked_task, items, -(-len(items) // (4 * workers))))
         pool.close()
     except BaseException:
         pool.terminate()
@@ -467,10 +460,7 @@ def _forked_map(task, items, workers):
     finally:
         pool.join()
         _FORKED = None
-    for error, _ in done:
-        if error is not None:
-            raise error
-    return [result for _, result in done]
+    return done
 
 
 def forked_map(task, items):
@@ -482,8 +472,8 @@ def forked_map(task, items):
     `task` and everything it binds, so only the items and the results are
     pickled, and a shared mapping it binds (build_bases's store) is the
     same pages in every worker.  The results come back in item order; as
-    with map, the error raised is the first failing item's, with its class
-    and message.
+    with map, the first failing item in item order stops the map, and its
+    error is raised with its class and message.
     """
     items = list(items)
     workers = min(_cpu_count(), len(items))
@@ -528,7 +518,7 @@ def build_bases(pair, system, m, requests, patches=None):
     store, nb = _basis_store(patches, plan, system.kind), fem.nblock(system.kind)
     done = forked_map(functools.partial(_nest_bases, system, patches, plan, store), nests)
     out = []
-    for j, (lab, name, _) in enumerate(plan):
+    for j, lab in enumerate(labels):
         bases, stats, wall = [None] * len(patches), BuildStats(), 0.0
         for (ks, _), results in zip(nests, done):
             counts, solves, secs = results[j]
@@ -537,5 +527,5 @@ def build_bases(pair, system, m, requests, patches=None):
                 bases[k] = PatchBasis(patches[k], store[j][k][:rows * c].reshape(rows, c))
             stats.n_local_problems += solves
             wall += secs
-        out.append((lab, MsBasis(name, system.kind, bases), stats, wall))
+        out.append((lab, MsBasis(system.kind, bases), stats, wall))
     return out

@@ -225,7 +225,7 @@ def test_gen_coeff_artifacts(tmp_path):
     rc = cli.main(["gen-coeff", "--config", str(p), "--out", str(out)])
     assert rc == 0
     field = coeff.load_field(out / "coeff.txt")
-    assert field.n == 16
+    assert field.values.shape == (16, 16)
     pgm = (out / "coeff.pgm").read_text().splitlines()
     assert pgm[0] == "P2"
     assert pgm[1] == "16 16"
@@ -407,6 +407,24 @@ def test_nonfinite_coeff_file_is_config_error(tmp_path, monkeypatch, capsys, tok
     assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "line 4, column 1" in err
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("[coeff]\n", "[coeff]\nsource = files\n", "coeff.source must be generator or file, "
+                                                 "got 'files'"),
+    ("methods = lod, lssi-1, lksi-2", "method = lssi-2", "unknown key problem.method"),
+    ("contrast = 1e3", "contrst = 1e6", "unknown key coeff.contrst"),
+    ("[solver]", "[solvers]", "unknown section [solvers]"),
+], ids=["source", "problem-key", "coeff-key", "section"])
+def test_config_typo_is_config_error(tmp_path, monkeypatch, capsys, old, new, named):
+    """A misspelt section, key or coeff.source is a config error (exit 2)
+    that names it, raised before any solve, not a run on the defaults."""
+    assert old in BASE_CONFIG
+    p = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    forbid_solve(monkeypatch)
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
 
 
 def test_out_naming_a_file_is_config_error(tmp_path, capsys):
@@ -677,16 +695,16 @@ def test_coarse_worker_error_exits_3(tmp_path, monkeypatch, capsys):
     assemble, calls = msgalerkin.assemble_coarse, []
 
     def failing(system, b, basis):
-        calls.append(basis.method)
-        if basis.method == msbasis.LSSI:
-            raise SingularCoarse("lssi: injected")
+        calls.append(basis.total_dofs)
+        if basis.total_dofs < 4 * len(basis.patch_bases):    # lksi-2: 2 a patch
+            raise SingularCoarse("lksi: injected")
         return assemble(system, b, basis)
 
     monkeypatch.setattr(msgalerkin, "assemble_coarse", failing)
     force_workers(monkeypatch, 2)
     p = write_config(tmp_path)
     assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 3
-    assert "numerical failure: lssi: injected" in capsys.readouterr().err
+    assert "numerical failure: lksi: injected" in capsys.readouterr().err
     assert calls == []                        # the coarse phase ran in the workers alone
     assert multiprocessing.active_children() == []
 

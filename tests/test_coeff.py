@@ -162,3 +162,15 @@ def test_load_nonfinite_rejected(tmp_path, token):
     with pytest.raises(ParseError, match="not finite and positive") as err:
         coeff.load_field(p)
     assert (err.value.line, err.value.column) == (3, 2)
+
+
+def test_load_rows_past_header_rejected(tmp_path):
+    """Data past the rows the header declares is a ParseError at its first
+    line; blank lines after the declared rows are not."""
+    p = tmp_path / "long.txt"
+    p.write_text("2 2\n1 2\n3 4\n\n5 6\n7 8\n")
+    with pytest.raises(ParseError, match="past the 2 rows") as err:
+        coeff.load_field(p)
+    assert err.value.line == 5
+    p.write_text("2 2\n1 2\n3 4\n\n  \n")
+    np.testing.assert_array_equal(coeff.load_field(p).values, [[1, 2], [3, 4]])

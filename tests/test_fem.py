@@ -236,7 +236,7 @@ def gram_oracle(A, B):
 
 
 def assert_gram(A, B):
-    S = fem.SpdFactor(A).gram(B)
+    S = fem.SpdFactor(A).gram(B, [B.shape])[0]
     oracle = gram_oracle(A, B)
     assert S.shape == oracle.shape
     assert np.abs(S - oracle).max() <= 1e-10 * np.abs(oracle).max()
@@ -261,7 +261,7 @@ def test_spd_factor_gram_zero_column(where):
     cols = list(range(B.shape[1]))
     cols.insert(where % (B.shape[1] + 1), B.shape[1])
     Bz = sp.hstack([B, sp.csr_matrix((B.shape[0], 1))]).tocsr()[:, cols]
-    S = fem.SpdFactor(A).gram(Bz)
+    S = fem.SpdFactor(A).gram(Bz, [Bz.shape])[0]
     z = cols.index(B.shape[1])
     assert np.all(S[z] == 0.0) and np.all(S[:, z] == 0.0)
     assert_gram(A, Bz)
@@ -296,7 +296,7 @@ def test_spd_factor_gram_accepts_duplicate_entries():
     twice = sp.csr_matrix((np.repeat(B.data / 2, 2), np.repeat(B.indices, 2),
                            2 * B.indptr), shape=B.shape)
     assert not twice.has_canonical_format
-    S = fem.SpdFactor(A).gram(twice)
+    S = fem.SpdFactor(A).gram(twice, [twice.shape])[0]
     np.testing.assert_allclose(S, gram_oracle(A, B), atol=1e-10 * np.abs(S).max())
 
 
@@ -321,7 +321,7 @@ def test_spd_factor_leading_block_equals_fresh_factor(kind):
         b = rng.standard_normal((n, 3))
         assert_close(lead.solve(b), fresh.solve(b))
         Bn = B[:n, :B.shape[1] // 2]
-        assert_close(lead.gram(Bn), fresh.gram(Bn))
+        assert_close(lead.gram(Bn, [Bn.shape])[0], fresh.gram(Bn, [Bn.shape])[0])
 
 
 @pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
@@ -353,14 +353,15 @@ def test_spd_factor_gram_shuffled_columns_permute(kind):
     A, B = patch_lod_block(kind, 12)
     perm = np.random.default_rng(5).permutation(B.shape[1])
     f = fem.SpdFactor(A)
-    assert_close(f.gram(B[:, perm]), f.gram(B)[np.ix_(perm, perm)])
+    shuffled, = f.gram(B[:, perm], [B.shape])
+    assert_close(shuffled, f.gram(B, [B.shape])[0][np.ix_(perm, perm)])
 
 
 @pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
 def test_spd_factor_gram_of_leading_blocks(kind):
     """Each requested (rows, cols) block gets B[:rows, :cols]^T A[:rows, :rows]^{-1}
-    B[:rows, :cols], from one pass, in the order asked; the whole block is
-    the plain gram."""
+    B[:rows, :cols], from one pass, in the order asked; the whole block
+    asked alone gets the same Gram."""
     A, B = patch_lod_block(kind, 0, m=2)
     n, p = B.shape
     f = fem.SpdFactor(A)
@@ -373,7 +374,7 @@ def test_spd_factor_gram_of_leading_blocks(kind):
         assert G.shape == (c, c)
         if c:
             assert np.abs(G - want).max() <= 1e-10 * np.abs(want).max()
-    assert_close(grams[0], f.gram(B))
+    assert_close(grams[0], f.gram(B, [B.shape])[0])
     for bad in [(0, 1), (n + 1, 1), (n, p + 1)]:
         with pytest.raises(ValueError):
             f.gram(B, [bad])

@@ -100,11 +100,12 @@ def lod_constraints(sys):
 
 
 def test_sparse_constraints_take_gram_path_and_match_dense():
-    """A sparse block is solved through SpdFactor.gram and A^{-1}(B C); it
-    agrees with the dense W = L^{-1} B path and with the dense KKT oracle."""
+    """A sparse block with its Schur complement from SpdFactor.gram is solved
+    through A^{-1}(B C); it agrees with the path that solves a dense B whole
+    and with the dense KKT oracle."""
     _, sys = make_patch_system()
     B = lod_constraints(sys)
-    cons = localsolve.ConstraintSet(B)
+    cons = localsolve.ConstraintSet(B, schur=sys.gram(B, [B.shape])[0])
     assert sp.issparse(cons.B) and cons.count == B.shape[1]
     rhs = np.random.default_rng(8).standard_normal((B.shape[1], 4))
     sparse = localsolve.solve_saddle_block(sys, cons, rhs=rhs)
@@ -121,11 +122,53 @@ def test_sparse_duplicate_column_detected():
     B = lod_constraints(sys)
     dup = sp.hstack([B, B[:, 3]]).tocsr()
     with pytest.raises(DependentConstraints):
-        localsolve.solve_saddle_block(sys, localsolve.ConstraintSet(dup))
+        localsolve.solve_saddle_block(
+            sys, localsolve.ConstraintSet(dup, schur=sys.gram(dup, [dup.shape])[0]))
+
+
+def recorded_solves(monkeypatch):
+    """The shapes of the right-hand sides PatchSystem.solve gets from here
+    on; a PatchSystem.gram call fails the test."""
+    solve, shapes = localsolve.PatchSystem.solve, []
+
+    def recording(self, b):
+        shapes.append(np.shape(b))
+        return solve(self, b)
+
+    def no_gram(self, B, blocks):
+        raise AssertionError("gram called in a saddle solve")
+
+    monkeypatch.setattr(localsolve.PatchSystem, "solve", recording)
+    monkeypatch.setattr(localsolve.PatchSystem, "gram", no_gram)
+    return shapes
+
+
+def test_lod_solve_with_schur_is_one_solve_on_rhs_columns(monkeypatch):
+    """An LOD round on a set that carries its Schur complement solves once,
+    on the right-hand side's 4 columns, not on the constraint block's, and
+    forms no Gram."""
+    _, sys = make_patch_system()
+    [cons] = msbasis.lod_constraints([sys])
+    lam = msbasis.method_seed(sys, msbasis.LOD)
+    assert cons.schur is not None and cons.count > lam.shape[1] == 4
+    shapes = recorded_solves(monkeypatch)
+    [Phi] = msbasis.lod_kernel(sys, lam, cons)
+    assert shapes == [(sys.ndof, 4)] and Phi.shape == (sys.ndof, 4)
+
+
+def test_lssi_round_is_one_solve_on_block_columns(monkeypatch):
+    """An LSSI round, whose set carries no Schur complement, solves once, on
+    the columns of its constraint block M Phi, and forms no Gram."""
+    _, sys = make_patch_system()
+    Phi = msbasis.method_seed(sys, msbasis.LSSI)
+    shapes = recorded_solves(monkeypatch)
+    nxt = next(msbasis.lssi_kernel(sys, Phi))
+    assert shapes == [(sys.ndof, 4)] and nxt.shape == Phi.shape
 
 
 def test_constraint_set_dense_block():
-    """A dense set keeps its block as a float array."""
+    """A set keeps its block as given, with no Schur complement unless one
+    is given."""
     _, sys = make_patch_system()
     rng = np.random.default_rng(6)
     F = rng.standard_normal((sys.ndof, 2))
@@ -195,7 +238,7 @@ def test_nest_schur_blocks_match_per_member_gram(kind, monkeypatch):
     system, nests = column_nests(kind)
     gram, calls = localsolve.PatchSystem.gram, []
 
-    def counting(self, B, blocks=None):
+    def counting(self, B, blocks):
         calls.append(self.patch.center)
         return gram(self, B, blocks)
 
@@ -208,11 +251,12 @@ def test_nest_schur_blocks_match_per_member_gram(kind, monkeypatch):
         calls.clear()
         for sys, cons in zip(systems, sets):
             own = localsolve.PatchSystem.build(system, sys.patch)
-            want = own.gram(cons.B)
+            want = own.gram(cons.B, [cons.B.shape])[0]
             assert np.abs(cons.schur - want).max() <= 1e-12 * np.abs(want).max()
             rhs = np.ones((cons.count, 2))
             got = localsolve.solve_saddle_block(sys, cons, rhs=rhs)
-            ref = localsolve.solve_saddle_block(own, localsolve.ConstraintSet(cons.B), rhs=rhs)
+            ref = localsolve.solve_saddle_block(own, localsolve.ConstraintSet(cons.B, want),
+                                                rhs=rhs)
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 

@@ -473,7 +473,7 @@ def test_nest_schur_pass_counts_for_lod_alone(small_setup, monkeypatch):
     gram = localsolve.PatchSystem.gram
     pause = 0.1
 
-    def slow(self, B, blocks=None):
+    def slow(self, B, blocks):
         time.sleep(pause)
         return gram(self, B, blocks)
 
@@ -591,7 +591,7 @@ def test_chain_that_stops_early_gets_a_view_of_its_width(small_setup, monkeypatc
         assert pb.vectors.shape == (pb.patch.interior_nodes.size,
                                     2 if pb.patch.center % 2 else 4)
         assert pb.vectors.flags.c_contiguous
-    bases.append(msbasis.MsBasis(forked.method, forked.kind, [
+    bases.append(msbasis.MsBasis(forked.kind, [
         msbasis.PatchBasis(pb.patch, pb.vectors.copy()) for pb in forked.patch_bases]))
     solved = []
     for basis in bases:
@@ -616,7 +616,8 @@ def test_forked_map_keeps_item_order(monkeypatch, items, forked):
 def test_forked_map_raises_first_failing_item(monkeypatch):
     """With several items failing, forked_map raises the error of the first
     failing item in item order, as map does, even when a later item's
-    worker fails first in time."""
+    worker fails first in time, with the worker's traceback as its
+    __cause__."""
     force_workers(monkeypatch, 2)
 
     def failing(k):
@@ -628,6 +629,9 @@ def test_forked_map_raises_first_failing_item(monkeypatch):
     with pytest.raises(KeyError) as info:
         msbasis.forked_map(failing, [0, 1])
     assert type(info.value) is KeyError and info.value.args == ("item 0",)
+    cause = info.value.__cause__
+    assert isinstance(cause, multiprocessing.pool.RemoteTraceback)
+    assert "in failing" in str(cause) and "KeyError: 'item 0'" in str(cause)
     assert multiprocessing.active_children() == []
     force_workers(monkeypatch, 1)
     with pytest.raises(KeyError, match="item 0"):

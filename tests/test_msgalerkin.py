@@ -91,13 +91,13 @@ def test_band_assembly_dense_oracle(banded, label):
 
 def _cut(basis):
     """Patches keep 1, 2 or 3 of their columns, as after a Krylov breakdown."""
-    return msbasis.MsBasis(basis.method, basis.kind, [
+    return msbasis.MsBasis(basis.kind, [
         msbasis.PatchBasis(pb.patch, pb.vectors[:, :1 + i % 3])
         for i, pb in enumerate(basis.patch_bases)])
 
 
 def _reversed(basis):
-    return msbasis.MsBasis(basis.method, basis.kind, basis.patch_bases[::-1])
+    return msbasis.MsBasis(basis.kind, basis.patch_bases[::-1])
 
 
 @pytest.mark.parametrize("label", ["lod", "lssi-2", "lksi-3", "lksi-3-cut",
@@ -146,7 +146,7 @@ def test_tiled_assembly_any_tile_width(banded, monkeypatch, label, width):
 
 def _cut_to_zero(basis):
     """Patches keep 0, 1, 2 or 3 of their columns."""
-    return msbasis.MsBasis(basis.method, basis.kind, [
+    return msbasis.MsBasis(basis.kind, [
         msbasis.PatchBasis(pb.patch, pb.vectors[:, :i % 4])
         for i, pb in enumerate(basis.patch_bases)])
 
@@ -275,7 +275,7 @@ def test_singular_coarse_detected(setup):
     _, _, system, b, basis = setup
     for pb in basis.patch_bases:
         for col in pb.vectors.T:
-            twin = msbasis.MsBasis(basis.method, basis.kind, [
+            twin = msbasis.MsBasis(basis.kind, [
                 msbasis.PatchBasis(pb.patch, np.column_stack([col, col]))])
             with pytest.raises(SingularCoarse, match="smallest eigenvalue") as exc:
                 msgalerkin.assemble_coarse(system, b, twin)
