@@ -89,6 +89,9 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown key {name}.{unknown[0]}; [{name}] takes "
                                   f"{', '.join(CONFIG_KEYS[name])}")
+        if not cp.has_section("problem"):
+            raise ConfigError("missing section [problem]; problem.h and problem.H "
+                              "must be given")
         section = "problem"
         try:
             prob = cp["problem"]
@@ -125,6 +128,14 @@ class RunConfig:
             section = "solver"
             sol = cp["solver"] if cp.has_section("solver") else {}
             self.tol = float(sol.get("tol", 1e-10))
+
+            # configparser's boolean words, in any case
+            out = cp["output"] if cp.has_section("output") else {}
+            heatmaps = out.get("heatmaps", "false")
+            if heatmaps.lower() not in cp.BOOLEAN_STATES:
+                raise ConfigError(f"output.heatmaps must be one of "
+                                  f"{', '.join(cp.BOOLEAN_STATES)}, got {heatmaps!r}")
+            self.heatmaps = cp.BOOLEAN_STATES[heatmaps.lower()]
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{section} section: {exc}")
         if self.seed < 0:
@@ -138,9 +149,6 @@ class RunConfig:
         if len(set(self.methods)) < len(self.methods):
             raise ConfigError(f"problem.methods lists a method twice: {prob['methods']}")
         self.check()
-
-        out = cp["output"] if cp.has_section("output") else {}
-        self.heatmaps = str(out.get("heatmaps", "false")).lower() in ("1", "true", "yes")
 
     @property
     def m(self):

@@ -67,7 +67,8 @@ class Patch:
     Growth is by closure intersection, so diagonal neighbours are included and
     the block is an axis-aligned box of coarse elements clipped at the domain
     boundary.  Interior DOFs are the fine nodes strictly inside the box (which
-    also excludes every node on the outer domain boundary).
+    also excludes every node on the outer domain boundary): interior_box
+    holds their inclusive fine-node ranges (x0, x1, y0, y1).
     """
 
     def __init__(self, pair, center, m):
@@ -90,7 +91,8 @@ class Patch:
         n, r = pair.fine.n, pair.r
         i0, i1, j0, j1 = ilo * r, (ihi + 1) * r, jlo * r, (jhi + 1) * r
         self.fine_nodes = box_indices(i0, i1 + 1, j0, j1 + 1, n + 1)
-        self.interior_nodes = box_indices(i0 + 1, i1, j0 + 1, j1, n + 1)
+        x0, x1, y0, y1 = self.interior_box = (i0 + 1, i1 - 1, j0 + 1, j1 - 1)
+        self.interior_nodes = box_indices(x0, x1 + 1, y0, y1 + 1, n + 1)
         if self.interior_nodes.size == 0:
             raise PatchEmptyInterior(
                 f"patch around coarse element {center} with m={m} has no interior fine DOFs"

@@ -82,39 +82,27 @@ class MsBasis:
         return sum(pb.count for pb in self.patch_bases)
 
 
-def _cell_nodes(pair, coarse_elem, inset):
-    """Fine nodes of one coarse cell, lexicographic; inset=1 keeps only the
-    nodes strictly inside it.  Returns (nodes, xi, eta) with cell coordinates."""
-    N, r, n = pair.coarse.n, pair.r, pair.fine.n
-    ci, cj = coarse_elem % N, coarse_elem // N
-    nodes = box_indices(ci * r + inset, (ci + 1) * r + 1 - inset,
-                        cj * r + inset, (cj + 1) * r + 1 - inset, n + 1)
-    fj, fi = np.divmod(nodes, n + 1)
-    return nodes, (fi - ci * r) / r, (fj - cj * r) / r
-
-
-def element_shape_functions(pair, coarse_elem, kind=fem.DIFFUSION):
-    """The Q1 shape functions of one coarse element, sampled on its fine nodes;
-    the LOD and LSSI seed.
-
-    Returns (dofs, V): fine DOF indices of the closed cell and a matrix whose
-    columns are the 4 shapes (scalar) or 8 per-component shapes (elasticity).
-    """
-    nodes, xi, eta = _cell_nodes(pair, coarse_elem, 0)
-    shapes = np.column_stack(
-        [(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta]
-    )
+def _cell_block(pair, kind):
+    """The Q1 shapes of a coarse cell on its (r+1) x (r+1) fine nodes, the
+    same in every cell, shaped (rows, columns, components, shapes): 4 shapes
+    (scalar) or 8 per-component ones (elasticity, component c of shape s in
+    column nb s + c)."""
+    t = np.arange(pair.r + 1) / pair.r
+    xi, eta = t[None, :], t[:, None]
+    shapes = np.stack([(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta],
+                      axis=-1).reshape(-1, 4)
     nb = fem.nblock(kind)
-    return fem._expand_dofs(nodes, nb), np.kron(shapes, np.eye(nb))
+    return np.kron(shapes, np.eye(nb)).reshape(pair.r + 1, pair.r + 1, nb, 4 * nb)
 
 
 def _cell_shapes_matrix(pair, coarse_elems, kind):
-    """element_shape_functions of several coarse elements as one sparse
-    full-DOF matrix, 4 (scalar) or 8 (elasticity) columns per element in the
-    given order.  Every cell carries the same shapes, shifted by its origin."""
-    dofs, V = element_shape_functions(pair, 0, kind)
-    elems = np.asarray(coarse_elems, dtype=np.int64)
+    """The Q1 shapes of several coarse elements as one sparse full-DOF
+    matrix, 4 (scalar) or 8 (elasticity) columns per element in the given
+    order: _cell_block placed at each cell's origin."""
     N, r, nb = pair.coarse.n, pair.r, fem.nblock(kind)
+    V = _cell_block(pair, kind).reshape((r + 1) ** 2 * nb, -1)
+    dofs = fem._expand_dofs(box_indices(0, r + 1, 0, r + 1, pair.fine.n + 1), nb)
+    elems = np.asarray(coarse_elems, dtype=np.int64)
     shift = nb * r * ((elems // N) * (pair.fine.n + 1) + elems % N)
     d, c = np.nonzero(V)
     w = V.shape[1]
@@ -126,31 +114,25 @@ def _cell_shapes_matrix(pair, coarse_elems, kind):
                          shape=(n_full, w * elems.size))
 
 
-def seed_constant(pair, i, kind=fem.DIFFUSION):
-    """LKSI seed: indicator of the fine nodes strictly inside K_i (1 scalar / 2 elasticity)."""
-    nodes, _, _ = _cell_nodes(pair, i, 1)
-    nb = fem.nblock(kind)
-    return fem._expand_dofs(nodes, nb), np.kron(np.ones((nodes.size, 1)), np.eye(nb))
-
-
-def restrict_entry(entry, sys):
-    """Restrict full-grid seed columns to the interior DOFs of a patch
-    system, read from the system itself."""
-    dofs, V = entry
-    interior = sys.system.dofs                               # sorted
-    k = np.minimum(np.searchsorted(interior, dofs), interior.size - 1)
-    hit = interior[k] == dofs
-    out = np.zeros((sys.ndof, V.shape[1]))
-    out[k[hit]] = V[hit]
-    return out
-
-
 def method_seed(sys, name):
-    """A method's seed block on the patch interior: the center cell's Q1 shapes
-    for LOD and LSSI, the indicator of its interior for LKSI."""
-    pair, kind = sys.patch.pair, sys.system.kind
-    shapes = seed_constant if name == LKSI else element_shape_functions
-    return restrict_entry(shapes(pair, sys.patch.center, kind), sys)
+    """A method's seed block on the patch interior, cut from a block on the
+    center cell's nodes to the patch's interior box: the cell's Q1 shapes
+    (_cell_block) for LOD and LSSI, the indicator of its interior nodes (1
+    scalar column, 2 elasticity ones) for LKSI."""
+    patch, nb = sys.patch, fem.nblock(sys.system.kind)
+    N, r = patch.pair.coarse.n, patch.pair.r
+    if name == LKSI:
+        block = np.zeros((r + 1, r + 1, nb, nb))
+        block[1:r, 1:r] = np.eye(nb)
+    else:
+        block = _cell_block(patch.pair, sys.system.kind)
+    x0, x1, y0, y1 = patch.interior_box
+    ci, cj = patch.center % N * r, patch.center // N * r       # the cell's origin
+    xa, xb, ya, yb = max(ci, x0), min(ci + r, x1), max(cj, y0), min(cj + r, y1)
+    seed = np.zeros((y1 - y0 + 1, x1 - x0 + 1) + block.shape[2:])
+    seed[ya - y0:yb - y0 + 1, xa - x0:xb - x0 + 1] = block[ya - cj:yb - cj + 1,
+                                                           xa - ci:xb - ci + 1]
+    return seed.reshape(sys.ndof, -1)
 
 
 def _mgs_append(M, v, mv, cols, mcols, drop_tol=1e-10):

@@ -30,11 +30,10 @@ def _box_views(basis, v):
     """Each patch basis with the view of the free-DOF vector v on its
     interior box, shaped (rows, columns, components).  Free and patch DOFs
     both run lexicographically, so a view's entries are its vectors' rows."""
-    pair = basis.patch_bases[0].patch.pair
-    n, r = pair.fine.n, pair.r
+    n = basis.patch_bases[0].patch.pair.fine.n
     free = v.reshape(n - 1, n - 1, fem.nblock(basis.kind))
-    return [(pb, free[jlo * r:(jhi + 1) * r - 1, ilo * r:(ihi + 1) * r - 1])
-            for pb in basis.patch_bases for ilo, ihi, jlo, jhi in [pb.patch.box]]
+    return [(pb, free[y0 - 1:y1, x0 - 1:x1])
+            for pb in basis.patch_bases for x0, x1, y0, y1 in [pb.patch.interior_box]]
 
 
 def _tile_width(m):
@@ -98,9 +97,9 @@ def _galerkin_matrix(system, basis, order, tile):
     counts = np.array([pb.count for pb in bases], dtype=int)
     ends = np.cumsum(counts)
     starts = ends - counts
-    boxes = np.array([pb.patch.box for pb in bases], dtype=int).reshape(-1, 4)
-    xlo, xhi = boxes[:, 0] * r + 1, (boxes[:, 1] + 1) * r - 1   # interior fine columns
-    ylo, yhi = boxes[:, 2] * r + 1, (boxes[:, 3] + 1) * r - 1   # and rows
+    # interior fine columns and rows
+    xlo, xhi, ylo, yhi = np.array([pb.patch.interior_box for pb in bases],
+                                  dtype=int).reshape(-1, 4).T
     # each patch's vectors x-major: (columns, rows, components, vectors)
     views = [pb.vectors.reshape(y1 - y0 + 1, x1 - x0 + 1, nb, pb.count).transpose(1, 0, 2, 3)
              for pb, x0, x1, y0, y1 in zip(bases, xlo, xhi, ylo, yhi)]
@@ -199,8 +198,9 @@ def assemble_coarse(system, b, basis):
     with L_ii^2 <= 1e-12 A_ii, as from a rank-deficient basis, fails the
     check like a nonpositive one.  b_ms keeps the basis order."""
     A_ms, norm, cols = _coarse_matrix(system, basis)
-    # summed over the rows in their order, so no BLAS kernel choice changes the bits
-    b_ms = np.concatenate([(pb.vectors * box.reshape(-1, 1)).sum(axis=0)
+    # numpy's own loops, no BLAS call and no temporary, so no BLAS kernel choice
+    # changes the bits; a patch of two or more columns sums its rows in their order
+    b_ms = np.concatenate([np.einsum("ij,i->j", pb.vectors, box.reshape(-1))
                            for pb, box in _box_views(basis, np.asarray(b, dtype=float))])
     diag = A_ms.diagonal().copy()
     # the transpose, F-ordered, is factored without a copy; its lower triangle

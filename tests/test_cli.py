@@ -266,6 +266,41 @@ def test_solve_heatmaps(tmp_path):
     assert (out / "u_lssi-1.pgm").exists()
 
 
+@pytest.mark.parametrize("value", ["on", "ON"])
+def test_solve_heatmaps_boolean_words(tmp_path, value):
+    """heatmaps takes configparser's boolean words, in any case."""
+    p = write_config(tmp_path, BASE_CONFIG.replace("methods = lod, lssi-1, lksi-2",
+                                                   "methods = lssi-1")
+                     + f"\n[output]\nheatmaps = {value}\n", "hm.ini")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(p), "--out", str(out), "--no-timing"]) == 0
+    assert (out / "u_ref.pgm").exists()
+    assert (out / "u_lssi-1.pgm").exists()
+
+
+@pytest.mark.parametrize("value", ["ture", "2", "enabled"])
+def test_heatmaps_not_boolean_is_config_error(tmp_path, monkeypatch, capsys, value):
+    """A heatmaps value that is no boolean word is a config error (exit 2)
+    naming output.heatmaps, raised before any solve."""
+    p = write_config(tmp_path, BASE_CONFIG + f"\n[output]\nheatmaps = {value}\n")
+    forbid_solve(monkeypatch)
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "output.heatmaps" in err
+    assert repr(value) in err
+
+
+def test_missing_problem_section_is_config_error(tmp_path, monkeypatch, capsys):
+    """A config without [problem] is a config error (exit 2) that names the
+    section and the keys that must be given."""
+    p = write_config(tmp_path, "[coeff]\ndensity = 0.1\n")
+    forbid_solve(monkeypatch)
+    assert cli.main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: missing section [problem]")
+    assert "problem.h and problem.H must be given" in err
+
+
 def test_sweep_contrast_rows(tmp_path):
     text = BASE_CONFIG + "\n[sweep]\naxis = contrast\nvalues = 1e2, 1e4\n"
     p = write_config(tmp_path, text, "sw.ini")

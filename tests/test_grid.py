@@ -94,6 +94,22 @@ def test_patch_interior_excludes_box_and_domain_boundary():
     assert np.all(coords[:, 1] < 0.5 - 1e-15)
 
 
+@pytest.mark.parametrize("n_coarse, n_fine, m", [(4, 16, 1), (4, 16, 2), (5, 10, 0), (3, 12, 3)])
+def test_interior_box_agrees_with_interior_nodes(n_coarse, n_fine, m):
+    """On every patch, interior_box's inclusive ranges, x fastest, are the
+    interior nodes, and they stop one fine node short of each box edge."""
+    pair = grid.NestedPair(n_coarse, n_fine)
+    n, r = pair.fine.n, pair.r
+    for p in grid.build_all_patches(pair, m):
+        x0, x1, y0, y1 = p.interior_box
+        jj, ii = np.divmod(p.interior_nodes, n + 1)
+        assert np.array_equal(ii, np.tile(np.arange(x0, x1 + 1), y1 - y0 + 1))
+        assert np.array_equal(jj, np.repeat(np.arange(y0, y1 + 1), x1 - x0 + 1))
+        ilo, ihi, jlo, jhi = p.box
+        assert (x0 - 1, x1 + 1, y0 - 1, y1 + 1) == (ilo * r, (ihi + 1) * r,
+                                                    jlo * r, (jhi + 1) * r)
+
+
 def test_patch_m0_single_cell():
     pair = grid.NestedPair(4, 12)           # r = 3, so a single cell has interior nodes
     p = grid.Patch(pair, 5, 0)

@@ -21,50 +21,33 @@ def small_setup():
     return pair, field
 
 
-def test_bilinear_seeds_partition_cell(small_setup):
-    pair, _ = small_setup
-    dofs, V = msbasis.element_shape_functions(pair, 5)
-    assert V.shape[1] == 4
-    np.testing.assert_allclose(V.sum(axis=1), 1.0, atol=1e-14)   # shapes sum to 1
-    # corner values are Kronecker
-    corners = [0.0, 1.0]
-    coords = pair.fine.coords[dofs]
-    assert np.all((coords >= 0.25 - 1e-12) & (coords <= 0.5 + 1e-12))
+def cell_shapes_oracle(pair, coarse_elem, kind=fem.DIFFUSION):
+    """The Q1 shapes of one coarse element sampled on the whole fine grid:
+    (dofs, V), the fine DOFs of the closed cell and a column per shape (4
+    scalar, 8 per-component for elasticity)."""
+    N, r, n = pair.coarse.n, pair.r, pair.fine.n
+    ci, cj = coarse_elem % N, coarse_elem // N
+    nodes = grid.box_indices(ci * r, (ci + 1) * r + 1, cj * r, (cj + 1) * r + 1, n + 1)
+    fj, fi = np.divmod(nodes, n + 1)
+    xi, eta = (fi - ci * r) / r, (fj - cj * r) / r
+    shapes = np.column_stack(
+        [(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta])
+    nb = fem.nblock(kind)
+    return fem._expand_dofs(nodes, nb), np.kron(shapes, np.eye(nb))
 
 
-def test_bilinear_seeds_elasticity(small_setup):
-    pair, _ = small_setup
-    dofs, V = msbasis.element_shape_functions(pair, 5, fem.ELASTICITY)
-    assert V.shape[1] == 8
-    # components do not mix
-    assert np.all(V[0::2, 1::2] == 0.0)
-    assert np.all(V[1::2, 0::2] == 0.0)
-
-
-@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
-def test_cell_shapes_matrix_matches_per_element(small_setup, kind):
-    """The LOD constraint shapes equal element_shape_functions cell by cell."""
-    pair, _ = small_setup
-    elems = [5, 0, 15, 6]
-    W = msbasis._cell_shapes_matrix(pair, elems, kind).toarray()
-    w = 4 * fem.nblock(kind)
-    for t, T in enumerate(elems):
-        dofs, V = msbasis.element_shape_functions(pair, T, kind)
-        want = np.zeros((W.shape[0], w))
-        want[dofs] = V
-        np.testing.assert_array_equal(W[:, t * w:(t + 1) * w], want)
-
-
-def test_constant_seed_interior_only(small_setup):
-    pair, _ = small_setup
-    dofs, V = msbasis.seed_constant(pair, 5)
-    assert V.shape[1] == 1
-    coords = pair.fine.coords[dofs]
-    assert np.all((coords > 0.25) & (coords < 0.5))
+def cell_interior_oracle(pair, coarse_elem, kind=fem.DIFFUSION):
+    """The indicator of the fine nodes strictly inside one coarse element on
+    the whole fine grid: (dofs, V), one column (scalar) or two (elasticity)."""
+    N, r, n = pair.coarse.n, pair.r, pair.fine.n
+    ci, cj = coarse_elem % N, coarse_elem // N
+    nodes = grid.box_indices(ci * r + 1, (ci + 1) * r, cj * r + 1, (cj + 1) * r, n + 1)
+    nb = fem.nblock(kind)
+    return fem._expand_dofs(nodes, nb), np.kron(np.ones((nodes.size, 1)), np.eye(nb))
 
 
 def _restrict_rowwise(entry, sys, kind):
-    """Row-by-row reference for restrict_entry."""
+    """Full-grid seed columns restricted row by row to a patch's interior."""
     dofs, V = entry
     pos = {int(d): k for k, d in enumerate(sys.patch.interior_dofs(fem.nblock(kind)))}
     out = np.zeros((sys.ndof, V.shape[1]))
@@ -74,21 +57,78 @@ def _restrict_rowwise(entry, sys, kind):
     return out
 
 
-@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
-def test_restrict_entry_matches_rowwise(small_setup, kind):
-    """On a patch clipped at the corner: the centre cell (boundary nodes
-    dropped), a neighbour cut by the patch edge, and a cell outside."""
+def test_bilinear_seeds_partition_cell(small_setup):
     pair, field = small_setup
-    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, kind),
-                                       grid.Patch(pair, 0, 1))
-    for entry in [msbasis.element_shape_functions(pair, 0, kind),
-                  msbasis.seed_constant(pair, 0, kind),
-                  msbasis.element_shape_functions(pair, 5, kind),
-                  msbasis.element_shape_functions(pair, 15, kind)]:
-        got = msbasis.restrict_entry(entry, sys)
-        assert np.array_equal(got, _restrict_rowwise(entry, sys, kind))
-    assert np.any(msbasis.restrict_entry(
-        msbasis.element_shape_functions(pair, 5, kind), sys))
+    r = pair.r
+    block = msbasis._cell_block(pair, fem.DIFFUSION)
+    assert block.shape == (r + 1, r + 1, 1, 4)
+    np.testing.assert_allclose(block.sum(axis=3), 1.0, atol=1e-14)   # shapes sum to 1
+    # corner values are Kronecker: shape s is 1 at corner s (LL, LR, UR, UL)
+    assert np.array_equal(block[[0, 0, r, r], [0, r, r, 0], 0], np.eye(4))
+    # the LOD seed of a patch lives on its center cell
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION),
+                                       grid.Patch(pair, 5, 1))
+    V = msbasis.method_seed(sys, msbasis.LOD)
+    coords = pair.fine.coords[sys.patch.interior_nodes[np.any(V != 0.0, axis=1)]]
+    assert np.all((coords >= 0.25 - 1e-12) & (coords <= 0.5 + 1e-12))
+
+
+def test_bilinear_seeds_elasticity(small_setup):
+    pair, _ = small_setup
+    block = msbasis._cell_block(pair, fem.ELASTICITY)
+    assert block.shape[2:] == (2, 8)
+    # components do not mix
+    assert np.all(block[:, :, 0, 1::2] == 0.0)
+    assert np.all(block[:, :, 1, 0::2] == 0.0)
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_cell_shapes_matrix_matches_per_element(small_setup, kind):
+    """The LOD constraint shapes equal the full-grid oracle cell by cell."""
+    pair, _ = small_setup
+    elems = [5, 0, 15, 6]
+    W = msbasis._cell_shapes_matrix(pair, elems, kind).toarray()
+    w = 4 * fem.nblock(kind)
+    for t, T in enumerate(elems):
+        dofs, V = cell_shapes_oracle(pair, T, kind)
+        want = np.zeros((W.shape[0], w))
+        want[dofs] = V
+        np.testing.assert_array_equal(W[:, t * w:(t + 1) * w], want)
+
+
+def test_constant_seed_interior_only(small_setup):
+    pair, field = small_setup
+    sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION),
+                                       grid.Patch(pair, 5, 1))
+    V = msbasis.method_seed(sys, msbasis.LKSI)
+    assert V.shape == (sys.ndof, 1)
+    on = V[:, 0] != 0.0
+    assert np.all(V[on] == 1.0) and on.sum() == (pair.r - 1) ** 2
+    coords = pair.fine.coords[sys.patch.interior_nodes[on]]
+    assert np.all((coords > 0.25) & (coords < 0.5))
+
+
+@pytest.mark.parametrize("kind", [fem.DIFFUSION, fem.ELASTICITY])
+def test_method_seed_matches_full_grid_oracle(small_setup, kind):
+    """Each method's seed, cut from the cell block to the interior box, is
+    the full-grid oracle restricted row by row, bit for bit, on every patch
+    at m = 1 and 2: clipped patches, and the members of natural and
+    reversed nests."""
+    pair, field = small_setup
+    system = fem.assemble(pair, field, kind)
+    oracles = {msbasis.LOD: cell_shapes_oracle, msbasis.LSSI: cell_shapes_oracle,
+               msbasis.LKSI: cell_interior_oracle}
+    reversals = set()
+    for m in (1, 2):
+        patches = grid.build_all_patches(pair, m)
+        for nest in msbasis.patch_nests(patches):
+            if len(nest[0]) > 1:
+                reversals.add(nest[1])
+            for sys in msbasis.nest_systems(system, patches, nest):
+                for name, oracle in oracles.items():
+                    want = _restrict_rowwise(oracle(pair, sys.patch.center, kind), sys, kind)
+                    assert np.array_equal(msbasis.method_seed(sys, name), want)
+    assert reversals == {False, True}
 
 
 def test_seed_gram_rank(small_setup):
@@ -96,7 +136,7 @@ def test_seed_gram_rank(small_setup):
     pair, field = small_setup
     patch = grid.Patch(pair, 5, 1)
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), patch)
-    S = msbasis.restrict_entry(msbasis.element_shape_functions(pair, 5), sys)
+    S = msbasis.method_seed(sys, msbasis.LOD)
     G = S.T @ (sys.M @ S)
     assert np.linalg.matrix_rank(G, tol=1e-12) == 4
 
@@ -206,11 +246,10 @@ def test_lod_reproduces_constraint_values_of_center_shapes(small_setup):
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), pb.patch)
     cols = []
     for T in pb.patch.coarse_elems:
-        dofs, V = msbasis.element_shape_functions(pair, int(T), fem.DIFFUSION)
+        dofs, V = cell_shapes_oracle(pair, int(T), fem.DIFFUSION)
         cols.append(sys.system.m_pair[:, dofs] @ V)
     B = np.hstack(cols)
-    lam = msbasis.restrict_entry(
-        msbasis.element_shape_functions(pair, pb.patch.center), sys)
+    lam = msbasis.method_seed(sys, msbasis.LOD)
     raw = localsolve.solve_saddle_block(
         sys, localsolve.ConstraintSet(B), rhs=B.T @ lam)
     # same constraint values ...
@@ -264,8 +303,7 @@ def test_lksi_span_matches_explicit_krylov(small_setup):
     system = fem.assemble(pair, field, fem.DIFFUSION)
     for pb in basis.patch_bases:
         sys = localsolve.PatchSystem.build(system, pb.patch)
-        seed = msbasis.restrict_entry(
-            msbasis.seed_constant(pair, pb.patch.center), sys)[:, 0]
+        seed = msbasis.method_seed(sys, msbasis.LKSI)[:, 0]
         explicit = []
         v = seed
         for _ in range(n):
@@ -293,8 +331,7 @@ def test_lssi_one_round_equals_saddle(small_setup):
     basis, _ = build_one(pair, field, "lssi", 1)
     pb = basis.patch_bases[3]
     sys = localsolve.PatchSystem.build(fem.assemble(pair, field, fem.DIFFUSION), pb.patch)
-    S = msbasis.restrict_entry(
-        msbasis.element_shape_functions(pair, pb.patch.center), sys)
+    S = msbasis.method_seed(sys, msbasis.LSSI)
     cons = localsolve.ConstraintSet(sys.M @ S)
     Phi = localsolve.solve_saddle_block(sys, cons)
     rep = specdiag.principal_angles(pb.vectors, Phi, inner=sys.M)

@@ -115,6 +115,15 @@ def test_basis_matrix_matches_column_loop(banded, label):
     cs = msgalerkin.assemble_coarse(system, b, basis)
     for k in range(Phi.shape[1]):
         assert abs(cs.b_ms[k] - Phi[:, k] @ b) <= 1e-14 * np.abs(Phi[:, k] * b).sum()
+    # a patch of two or more columns sums its rows in their order, bit for bit
+    k = 0
+    for pb, box in msgalerkin._box_views(basis, b):
+        if pb.count > 1:
+            want = np.zeros(pb.count)
+            for v, x in zip(pb.vectors, box.reshape(-1)):
+                want += v * x
+            assert np.array_equal(cs.b_ms[k:k + pb.count], want)
+        k += pb.count
     u, c = msgalerkin.solve_ms(cs)
     np.testing.assert_allclose(u, Phi @ c, rtol=0,
                                atol=1e-14 * (np.abs(Phi) @ np.abs(c)).max())
